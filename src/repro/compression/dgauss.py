@@ -3,10 +3,14 @@
 D2P-Fed's wire mechanism: quantize each coordinate onto an integer
 lattice of width ``granularity`` with *unbiased* stochastic rounding,
 then (optionally) add integer noise drawn from the discrete Gaussian,
-so the message that crosses the wire is a vector of small integers that
-simultaneously compresses and contributes a rigorous DP mechanism on
-the discrete domain.  With ``sigma = 0`` it degrades to a pure
-unbiased lattice quantizer.
+so the message that crosses the wire is a vector of small integers.
+With ``sigma = 0`` it degrades to a pure unbiased lattice quantizer.
+
+The codec's noise is not accounted in any
+:class:`~repro.pipeline.results.PrivacyReport`: a run's reported
+(ε, δ) covers only the workers'
+:class:`~repro.privacy.mechanisms.NoiseMechanism`, so this codec claims
+no privacy guarantee of its own.
 
 The discrete-Gaussian sampler is the Canonne–Kapralov–Steinke
 rejection scheme (discrete-Laplace proposals, Gaussian acceptance),

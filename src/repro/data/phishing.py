@@ -64,6 +64,9 @@ _LOGIT_OFFSET = 0.9
 _LABEL_NOISE = 0.005
 _RELEVANT_FRACTION = 0.45
 
+#: Rows per block of uniform draws while building the attributes.
+_DRAW_ROWS = 1024
+
 
 def make_phishing_dataset(
     seed: int = 0,
@@ -100,14 +103,18 @@ def make_phishing_dataset(
     true_weights = np.where(relevant, signs * magnitudes, 0.0)
 
     # Ternary raw attributes in {-1, 0, 1}, feature-dependent frequencies.
+    # The uniforms are drawn in row blocks (the same stream as one
+    # full-size draw) and the attributes written in place, so the build
+    # holds a single full-size array: every freed full-size temporary is
+    # memory the allocator may keep for the rest of the process.
     probability_negative = rng.uniform(0.15, 0.45, size=num_features)
     probability_zero = rng.uniform(0.05, 0.25, size=num_features)
-    uniform_draws = rng.random((num_points, num_features))
-    raw = np.where(
-        uniform_draws < probability_negative,
-        -1.0,
-        np.where(uniform_draws < probability_negative + probability_zero, 0.0, 1.0),
-    )
+    raw = np.ones((num_points, num_features))
+    for start in range(0, num_points, _DRAW_ROWS):
+        rows = raw[start : start + _DRAW_ROWS]
+        uniform_draws = rng.random(rows.shape)
+        rows[uniform_draws < probability_negative + probability_zero] = 0.0
+        rows[uniform_draws < probability_negative] = -1.0
 
     # Bernoulli labels from a logistic ground-truth model on the
     # standardised score (standardising keeps _LOGIT_STD and
@@ -126,6 +133,8 @@ def make_phishing_dataset(
     labels = np.where(flip, 1.0 - labels, labels)
 
     # Map {-1, 0, 1} -> {0, 0.5, 1} like the scaled LIBSVM release.
-    features = (raw + 1.0) / 2.0
+    features = raw
+    features += 1.0
+    features /= 2.0
 
     return Dataset(features=features, labels=labels, name="phishing-synthetic")

@@ -1,4 +1,4 @@
-"""Synchronous cluster driver.
+"""Synchronous cluster driver and the round core every backend shares.
 
 One :meth:`Cluster.step` is one synchronous round of the paper's
 protocol (Fig. 1(b)):
@@ -10,6 +10,13 @@ protocol (Fig. 1(b)):
    Byzantine workers (Section 5.1's attack setup);
 3. the network delivers the ``n`` messages (dropped ones become zero);
 4. the server aggregates with its GAR and updates the parameters.
+
+:class:`RoundCore` holds everything the backends share: the
+constructor checks, the read surface, the fault stage, the Byzantine
+craft and the attack → network → server tail.  :class:`Cluster`, the
+multiprocess :class:`~repro.distributed.runtime.MultiprocessCluster`
+and the event-driven :class:`~repro.simulation.engine.ClusterSimulator`
+supply only where the honest rows come from.
 
 The cluster also exposes per-round instrumentation (honest clean /
 submitted matrices, the crafted vector, the aggregate) that the VN
@@ -27,7 +34,6 @@ policies relax the barrier the paper assumes away.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -41,31 +47,10 @@ from repro.distributed.worker import HonestWorker, compute_cohort
 from repro.exceptions import ConfigurationError, DegradedRunError
 from repro.faults.apply import apply_wire_faults, reset_absent_momentum
 from repro.faults.plan import ResolvedFaultPlan
+from repro.telemetry.timing import phase_timer
 from repro.typing import Matrix, Vector
 
-__all__ = ["Cluster", "StepResult"]
-
-
-def _emit_round_metrics(telemetry, delivered, aggregated, num_honest: int) -> None:
-    """Round counters for an instrumented path (never on the null path).
-
-    GAR-agnostic winner detection: the aggregate is compared against
-    the delivered rows; a matching row means the GAR selected that
-    worker's gradient verbatim (Krum, MDA, ...).  The Byzantine block
-    is ``f`` *identical* rows, so a selected attack gradient matches
-    several indices at once — the round counts as Byzantine-selected
-    when every matching row sits past the honest block.  Averaging
-    GARs match no row and emit no winner — correctly so.
-    """
-    telemetry.counter("rounds")
-    matches = np.flatnonzero((delivered == aggregated).all(axis=1))
-    if matches.size:
-        byzantine = bool(matches[0] >= num_honest)
-        if byzantine or matches[-1] < num_honest:
-            telemetry.gauge("gar.winner_index", int(matches[0]))
-            telemetry.counter("gar.winner_rounds")
-            if byzantine:
-                telemetry.counter("gar.byzantine_selected")
+__all__ = ["Cluster", "RoundCore", "StepResult"]
 
 
 @dataclass(frozen=True)
@@ -108,23 +93,30 @@ class StepResult:
         return int(self.honest_submitted.shape[0])
 
 
-class Cluster:
-    """Wires workers, adversary, network and server into rounds."""
+class RoundCore:
+    """The round every backend shares, minus where the honest rows come from.
+
+    Subclasses produce the honest ``(submitted, clean, row_bytes)`` rows
+    — :meth:`_cohort_rows` in process, the wire-plane copy-out across
+    processes — and hand them to the shared stages: :meth:`_apply_faults`,
+    :meth:`_craft` and, on the synchronous backends, :meth:`_finish_round`.
+    Every phase is timed through one
+    :class:`~repro.telemetry.timing.PhaseTimer`; telemetry only
+    *observes*, and no RNG stream is ever touched by it.
+    """
 
     def __init__(
         self,
         server: ParameterServer,
-        honest_workers: Sequence[HonestWorker],
+        num_honest: int,
         num_byzantine: int = 0,
         attack: ByzantineAttack | None = None,
         attack_rng: np.random.Generator | None = None,
         network: PerfectNetwork | None = None,
         codec: GradientCodec | None = None,
         faults: ResolvedFaultPlan | None = None,
+        telemetry=None,
     ):
-        honest_workers = list(honest_workers)
-        if not honest_workers:
-            raise ConfigurationError("need at least one honest worker")
         if num_byzantine < 0:
             raise ConfigurationError(f"num_byzantine must be >= 0, got {num_byzantine}")
         if num_byzantine > 0 and attack is None:
@@ -134,39 +126,43 @@ class Cluster:
             )
         if attack is not None and attack_rng is None:
             raise ConfigurationError("an attack requires attack_rng")
-        total = len(honest_workers) + num_byzantine
+        total = num_honest + num_byzantine
         if total != server.gar.n:
             raise ConfigurationError(
-                f"server GAR expects n={server.gar.n} workers but the cluster "
-                f"has {len(honest_workers)} honest + {num_byzantine} Byzantine = {total}"
+                f"server GAR expects n={server.gar.n} workers but there are "
+                f"{num_honest} honest + {num_byzantine} Byzantine = {total}"
             )
         if num_byzantine > server.gar.f:
             raise ConfigurationError(
-                f"cluster has {num_byzantine} Byzantine workers but the GAR "
+                f"there are {num_byzantine} Byzantine workers but the GAR "
                 f"only tolerates f={server.gar.f}"
             )
+        if faults is not None and faults.num_honest != num_honest:
+            raise ConfigurationError(
+                f"fault plan resolved for {faults.num_honest} honest workers "
+                f"but there are {num_honest}"
+            )
         self._server = server
-        self._honest_workers = honest_workers
+        self._num_honest = int(num_honest)
         self._num_byzantine = int(num_byzantine)
         self._attack = attack
         self._attack_rng = attack_rng
         self._network = network if network is not None else PerfectNetwork()
         self._codec = codec
-        if faults is not None and faults.num_honest != len(honest_workers):
-            raise ConfigurationError(
-                f"fault plan resolved for {faults.num_honest} honest workers "
-                f"but the cluster has {len(honest_workers)}"
-            )
         # Fault plans target only honest workers; the Byzantine block is
         # adversary-controlled and out of the fault plane's scope.
         self._faults = faults
+        # The in-process honest workers; empty when they live elsewhere.
+        self._honest_workers: list[HonestWorker] = []
         self._bytes_on_wire_total = 0
         self._step = 0
-        self._engine = None
-        # Null telemetry by default: the hot path pays exactly one
-        # attribute load + `is None` test per round (pinned by
-        # tests/test_telemetry_integration.py's off-path guard).
-        self._telemetry = None
+        # Without a handle every phase laps the no-op NULL_TIMER, well
+        # under 1 µs per round (see repro.telemetry.timing).
+        self._telemetry = telemetry
+
+    # ------------------------------------------------------------------
+    # read surface
+    # ------------------------------------------------------------------
 
     @property
     def server(self) -> ParameterServer:
@@ -175,7 +171,12 @@ class Cluster:
 
     @property
     def honest_workers(self) -> list[HonestWorker]:
-        """The honest workers (a copy of the list)."""
+        """The in-process honest workers (a copy of the list).
+
+        Empty on the multiprocess backend, whose workers live in shard
+        processes; the training loop reads its ``last_honest_losses``
+        instead.
+        """
         return list(self._honest_workers)
 
     @property
@@ -186,12 +187,12 @@ class Cluster:
     @property
     def n(self) -> int:
         """Total workers (honest + Byzantine)."""
-        return len(self._honest_workers) + self._num_byzantine
+        return self._num_honest + self._num_byzantine
 
     @property
     def num_honest(self) -> int:
-        """Number of honest workers."""
-        return len(self._honest_workers)
+        """Number of honest workers (including absent ones)."""
+        return self._num_honest
 
     @property
     def num_byzantine(self) -> int:
@@ -213,74 +214,258 @@ class Cluster:
         """Cumulative encoded bytes across all rounds (0 without a codec)."""
         return self._bytes_on_wire_total
 
-    def _encode_honest(self, honest_submitted: Matrix) -> tuple[Matrix, np.ndarray]:
-        """Encode the honest block under worker ids ``0..H-1``.
-
-        Returns the encoded matrix and *per-row* byte counts: under a
-        fault plan, rows of absent workers never reached the wire, so
-        their bytes are zeroed before the round total is summed —
-        matching the multiprocess chief, which zeroes the dead shards'
-        ``wire_bytes`` rows.
-        """
-        return self._codec.encode_block(
-            honest_submitted, self._step, range(len(self._honest_workers))
-        )
-
-    def _encode_byzantine(self, byzantine_block: Matrix) -> tuple[Matrix, int]:
-        """Encode the Byzantine copies under worker ids ``H..n-1``.
-
-        Each of the ``f`` identical submissions is encoded as its own
-        message — stochastic codecs give every copy its own stream, so
-        the server may receive *distinct* quantizations of one crafted
-        gradient, exactly as on a real wire.
-        """
-        num_honest = len(self._honest_workers)
-        encoded, row_bytes = self._codec.encode_block(
-            byzantine_block,
-            self._step,
-            range(num_honest, num_honest + self._num_byzantine),
-        )
-        return encoded, int(row_bytes.sum())
-
     @property
     def faults(self) -> ResolvedFaultPlan | None:
-        """The resolved fault plan driving this cluster (or ``None``)."""
+        """The resolved fault plan driving this run (or ``None``)."""
         return self._faults
 
-    def _apply_faults(
-        self, submitted, clean, row_bytes=None, telemetry=None
-    ) -> tuple[int, ...]:
-        """Apply this round's scheduled faults, in place.
+    @property
+    def telemetry(self):
+        """The installed :class:`repro.telemetry.Telemetry` handle (or None)."""
+        return self._telemetry
 
-        Zeroes absent/dropped rows, scales corrupted rows, clears the
-        momentum of absent workers, and zeroes absent rows' wire bytes
-        (a dead worker sent nothing).  Publishes ``last_live_workers``
-        so the loop excludes absent workers from the honest loss mean —
-        the exact rows the multiprocess chief drops from the plane's
-        loss vector.  Raises :class:`DegradedRunError` when the plan
-        leaves no honest worker live.
+    @telemetry.setter
+    def telemetry(self, handle) -> None:
+        self._telemetry = handle
+
+    def run(self, num_steps: int) -> StepResult:
+        """Run ``num_steps`` rounds; returns the last round's result."""
+        if num_steps < 1:
+            raise ConfigurationError(f"num_steps must be >= 1, got {num_steps}")
+        for _ in range(num_steps):
+            result = self.step()
+        return result
+
+    # ------------------------------------------------------------------
+    # stages
+    # ------------------------------------------------------------------
+
+    def _begin_round(self, step: int):
+        """Stamp ``step`` on the telemetry; returns the round's phase timer."""
+        telemetry = self._telemetry
+        if telemetry is not None:
+            telemetry.set_step(step)
+        return phase_timer(telemetry)
+
+    def _cohort_rows(self, timer, parameters, step, worker_ids=None, **attrs):
+        """In-process honest rows: compute, encode, then the fault stage.
+
+        The whole cohort runs in stacked matrix ops (vectorized gradient
+        + clip + momentum; per-worker RNG streams preserved).
+        ``worker_ids`` selects a partial cohort (the simulator's wake
+        subset); the codec and the fault plan stay keyed on global
+        worker ids, so a partial cohort's rows match the whole round's
+        bit for bit.  Returns ``(submitted, clean, row_bytes)``.
         """
-        resolved = self._faults
-        live = resolved.live_workers(self._step)
-        if not live:
+        workers = self._honest_workers
+        if worker_ids is not None:
+            workers = [workers[worker] for worker in worker_ids]
+        submitted, clean = compute_cohort(workers, parameters, step)
+        timer.lap("round.cohort")
+        row_bytes = None
+        if self._codec is not None:
+            # The adversary observes what actually crossed the wire, so
+            # encoding happens before the attack crafts its gradient.
+            submitted, row_bytes = self._codec.encode_block(
+                submitted,
+                step,
+                range(self._num_honest) if worker_ids is None else worker_ids,
+            )
+            timer.lap("round.codec")
+        if self._faults is not None:
+            self._apply_faults(step, submitted, clean, row_bytes, worker_ids, **attrs)
+            reset_absent_momentum(self._faults, step, self._honest_workers)
+            timer.restart()  # in process, the fault stage is not a phase
+        return submitted, clean, row_bytes
+
+    def _apply_faults(
+        self,
+        step: int,
+        submitted: Matrix,
+        clean: Matrix,
+        row_bytes: np.ndarray | None,
+        worker_ids=None,
+        absent: frozenset = frozenset(),
+        **attrs,
+    ) -> frozenset:
+        """The fault stage, in place: after the codec, before the attack.
+
+        The adversary thus observes exactly what survived the wire.
+        ``absent`` holds the honest workers the backend already knows
+        sent nothing (departed shards); the plan's outages join them.
+        An absent row is zero on the wire, in the clean matrix and in
+        the byte count.  The plan's dropped rows (sent, then lost: their
+        bytes count) and corrupted rows follow.  Row ``i`` is worker
+        ``i`` unless ``worker_ids`` maps rows to workers.  Raises
+        :class:`DegradedRunError` when no honest worker is left; returns
+        the absent set.
+        """
+        faults = self._faults
+        if faults is not None:
+            absent = absent | faults.absent_workers(step)
+        if len(absent) >= self._num_honest:
             raise DegradedRunError(
-                f"round {self._step}: every honest worker has departed under "
-                "the fault plan; refusing to aggregate attack-only submissions"
+                f"round {step}: every honest worker has departed; refusing "
+                "to aggregate attack-only submissions"
             )
-        zeroed, corrupted = apply_wire_faults(resolved, self._step, submitted, clean)
-        absent = reset_absent_momentum(resolved, self._step, self._honest_workers)
-        if row_bytes is not None:
-            for worker in sorted(absent):
-                row_bytes[worker] = 0
-        self.last_live_workers = live
-        if telemetry is not None and (zeroed or corrupted):
-            telemetry.counter(
-                "fault.injected",
-                len(zeroed) + len(corrupted),
-                zeroed=sorted(zeroed),
-                corrupted=sorted(corrupted),
+        if absent:
+            if worker_ids is None:
+                rows = sorted(absent)
+            else:
+                rows = [row for row, worker in enumerate(worker_ids) if worker in absent]
+            submitted[rows] = 0.0
+            clean[rows] = 0.0
+            if row_bytes is not None:
+                row_bytes[rows] = 0
+        if faults is not None:
+            zeroed, corrupted = apply_wire_faults(
+                faults, step, submitted, clean, worker_ids
             )
-        return live
+            telemetry = self._telemetry
+            if telemetry is not None and (zeroed or corrupted):
+                telemetry.counter(
+                    "fault.injected",
+                    len(zeroed) + len(corrupted),
+                    **attrs,
+                    zeroed=sorted(zeroed),
+                    corrupted=sorted(corrupted),
+                )
+        return absent
+
+    def _craft(self, step: int, submitted, clean, parameters) -> Vector:
+        """The colluding adversary's one Byzantine gradient for ``step``."""
+        context = AttackContext(
+            step=step,
+            honest_submitted=submitted,
+            honest_clean=clean,
+            parameters=parameters,
+            num_byzantine=self._num_byzantine,
+            rng=self._attack_rng,
+        )
+        gradient = np.asarray(self._attack.craft(context), dtype=np.float64)
+        if gradient.shape != parameters.shape:
+            raise ConfigurationError(
+                f"attack produced shape {gradient.shape}, "
+                f"expected {parameters.shape}"
+            )
+        return gradient
+
+    def _byzantine_rows(self, gradient: Vector, step: int, worker_ids) -> tuple[Matrix, int]:
+        """The Byzantine workers' wire messages and their encoded bytes.
+
+        Each copy of the crafted gradient is its own message: stochastic
+        codecs give every copy its own ``(step, worker)`` stream, so the
+        server may receive *distinct* quantizations of one crafted
+        gradient, exactly as on a real wire.  Bytes are 0 without a codec.
+        """
+        block = np.tile(gradient, (len(worker_ids), 1))
+        if self._codec is None:
+            return block, 0
+        block, row_bytes = self._codec.encode_block(block, step, worker_ids)
+        return block, int(row_bytes.sum())
+
+    def _gar_winner(self, delivered: Matrix, aggregated: Vector) -> int | None:
+        """The worker whose row the GAR selected verbatim, or ``None``.
+
+        GAR-agnostic: the aggregate is compared against the delivered
+        rows, and a matching row means the GAR selected that worker's
+        gradient (Krum, MDA, ...).  The Byzantine block is ``f``
+        *identical* rows, so a selected attack gradient matches several
+        indices at once; a round has a winner only when every matching
+        row sits on one side of the honest block.  Averaging GARs match
+        no row and have no winner — correctly so.
+        """
+        matches = np.flatnonzero((delivered == aggregated).all(axis=1))
+        num_honest = self._num_honest
+        if matches.size and (matches[0] >= num_honest or matches[-1] < num_honest):
+            return int(matches[0])
+        return None
+
+    def _finish_round(
+        self, timer, parameters, submitted, clean, row_bytes, record: bool
+    ) -> StepResult:
+        """The attack → network → server tail of a synchronous round.
+
+        Emits the round's phase spans and counters when telemetry is
+        installed.
+        """
+        step = self._step
+        telemetry = self._telemetry
+        bytes_on_wire = None if row_bytes is None else int(row_bytes.sum())
+        byzantine_gradient = None
+        gradients = submitted
+        if self._num_byzantine > 0:
+            byzantine_gradient = self._craft(step, submitted, clean, parameters)
+            block, byzantine_bytes = self._byzantine_rows(
+                byzantine_gradient, step, range(self._num_honest, self.n)
+            )
+            if bytes_on_wire is not None:
+                bytes_on_wire += byzantine_bytes
+            gradients = np.vstack([submitted, block])
+            timer.lap("round.attack")
+        dropped_before = (
+            None if telemetry is None else getattr(self._network, "dropped_total", None)
+        )
+        delivered = self._network.deliver(gradients, step)
+        timer.lap("round.network")
+        aggregated = self._server.step(delivered)
+        timer.lap("round.server")
+        if bytes_on_wire is not None:
+            self._bytes_on_wire_total += bytes_on_wire
+        if telemetry is not None:
+            timer.emit(telemetry)
+            telemetry.counter("rounds")
+            winner = self._gar_winner(delivered, aggregated)
+            if winner is not None:
+                telemetry.gauge("gar.winner_index", winner)
+                telemetry.counter("gar.winner_rounds")
+                if winner >= self._num_honest:
+                    telemetry.counter("gar.byzantine_selected")
+            if dropped_before is not None:
+                dropped = self._network.dropped_total - dropped_before
+                if dropped:
+                    telemetry.counter("network.dropped", dropped)
+            if bytes_on_wire is not None:
+                telemetry.counter("wire.bytes", bytes_on_wire)
+        return StepResult(
+            step=step,
+            aggregated=aggregated,
+            honest_submitted=submitted if record else None,
+            honest_clean=clean if record else None,
+            byzantine_gradient=byzantine_gradient,
+            bytes_on_wire=bytes_on_wire,
+        )
+
+
+class Cluster(RoundCore):
+    """Wires workers, adversary, network and server into rounds."""
+
+    def __init__(
+        self,
+        server: ParameterServer,
+        honest_workers: Sequence[HonestWorker],
+        num_byzantine: int = 0,
+        attack: ByzantineAttack | None = None,
+        attack_rng: np.random.Generator | None = None,
+        network: PerfectNetwork | None = None,
+        codec: GradientCodec | None = None,
+        faults: ResolvedFaultPlan | None = None,
+    ):
+        honest_workers = list(honest_workers)
+        if not honest_workers:
+            raise ConfigurationError("need at least one honest worker")
+        super().__init__(
+            server,
+            len(honest_workers),
+            num_byzantine,
+            attack,
+            attack_rng,
+            network,
+            codec,
+            faults,
+        )
+        self._honest_workers = honest_workers
+        self._engine = None
 
     @property
     def engine(self):
@@ -296,15 +481,6 @@ class Cluster:
             self._engine = RoundEngine(self)
         return self._engine
 
-    @property
-    def telemetry(self):
-        """The installed :class:`repro.telemetry.Telemetry` handle (or None)."""
-        return self._telemetry
-
-    @telemetry.setter
-    def telemetry(self, handle) -> None:
-        self._telemetry = handle
-
     def step(self, record: bool = True) -> StepResult:
         """Run one synchronous round and return its instrumentation.
 
@@ -312,172 +488,13 @@ class Cluster:
         result (the round itself is unchanged); loops whose callbacks
         never read them use it to skip the retained allocations.
         """
-        if self._telemetry is not None:
-            return self._instrumented_step(record)
         self._step += 1
+        step = self._step
+        timer = self._begin_round(step)
         parameters = self._server.parameters
-
-        # The whole honest cohort in stacked matrix ops (vectorized
-        # gradient + clip + momentum; per-worker RNG streams preserved).
-        honest_submitted, honest_clean = compute_cohort(
-            self._honest_workers, parameters, self._step
-        )
-
-        honest_row_bytes: np.ndarray | None = None
-        if self._codec is not None:
-            # The adversary observes what actually crossed the wire, so
-            # encoding happens before the attack crafts its gradient.
-            honest_submitted, honest_row_bytes = self._encode_honest(honest_submitted)
-
+        submitted, clean, row_bytes = self._cohort_rows(timer, parameters, step)
         if self._faults is not None:
-            # Faults land after the codec and before the attack: the
-            # adversary observes exactly what survived the wire.
-            self._apply_faults(honest_submitted, honest_clean, honest_row_bytes)
-
-        bytes_on_wire: int | None = None
-        if honest_row_bytes is not None:
-            bytes_on_wire = int(honest_row_bytes.sum())
-
-        byzantine_gradient: Vector | None = None
-        if self._num_byzantine > 0:
-            assert self._attack is not None and self._attack_rng is not None
-            context = AttackContext(
-                step=self._step,
-                honest_submitted=honest_submitted,
-                honest_clean=honest_clean,
-                parameters=parameters,
-                num_byzantine=self._num_byzantine,
-                rng=self._attack_rng,
-            )
-            byzantine_gradient = np.asarray(
-                self._attack.craft(context), dtype=np.float64
-            )
-            if byzantine_gradient.shape != parameters.shape:
-                raise ConfigurationError(
-                    f"attack produced shape {byzantine_gradient.shape}, "
-                    f"expected {parameters.shape}"
-                )
-            byzantine_block = np.tile(byzantine_gradient, (self._num_byzantine, 1))
-            if self._codec is not None:
-                byzantine_block, byzantine_bytes = self._encode_byzantine(
-                    byzantine_block
-                )
-                bytes_on_wire += byzantine_bytes
-            all_gradients = np.vstack([honest_submitted, byzantine_block])
-        else:
-            all_gradients = honest_submitted
-
-        delivered = self._network.deliver(all_gradients, self._step)
-        aggregated = self._server.step(delivered)
-        if bytes_on_wire is not None:
-            self._bytes_on_wire_total += bytes_on_wire
-        return StepResult(
-            step=self._step,
-            aggregated=aggregated,
-            honest_submitted=honest_submitted if record else None,
-            honest_clean=honest_clean if record else None,
-            byzantine_gradient=byzantine_gradient,
-            bytes_on_wire=bytes_on_wire,
-        )
-
-    def _instrumented_step(self, record: bool = True) -> StepResult:
-        """:meth:`step` with telemetry spans — a deliberate duplicate.
-
-        The null path must stay free of span plumbing (no wrapper
-        callables, no per-phase branches), so this twin mirrors
-        :meth:`step`'s body exactly and adds the observation points.
-        Any behavioural change to :meth:`step` must be made here too;
-        the differential and golden-trace tests pin the equivalence.
-        Telemetry only *observes* — no RNG stream is ever touched.
-        """
-        telemetry = self._telemetry
-        self._step += 1
-        telemetry.set_step(self._step)
-        parameters = self._server.parameters
-
-        started = time.perf_counter_ns()
-        honest_submitted, honest_clean = compute_cohort(
-            self._honest_workers, parameters, self._step
-        )
-        telemetry.span_ns("round.cohort", time.perf_counter_ns() - started)
-
-        honest_row_bytes: np.ndarray | None = None
-        if self._codec is not None:
-            started = time.perf_counter_ns()
-            honest_submitted, honest_row_bytes = self._encode_honest(honest_submitted)
-            telemetry.span_ns("round.codec", time.perf_counter_ns() - started)
-
-        if self._faults is not None:
-            self._apply_faults(
-                honest_submitted, honest_clean, honest_row_bytes, telemetry
-            )
-
-        bytes_on_wire: int | None = None
-        if honest_row_bytes is not None:
-            bytes_on_wire = int(honest_row_bytes.sum())
-
-        byzantine_gradient: Vector | None = None
-        if self._num_byzantine > 0:
-            assert self._attack is not None and self._attack_rng is not None
-            started = time.perf_counter_ns()
-            context = AttackContext(
-                step=self._step,
-                honest_submitted=honest_submitted,
-                honest_clean=honest_clean,
-                parameters=parameters,
-                num_byzantine=self._num_byzantine,
-                rng=self._attack_rng,
-            )
-            byzantine_gradient = np.asarray(
-                self._attack.craft(context), dtype=np.float64
-            )
-            if byzantine_gradient.shape != parameters.shape:
-                raise ConfigurationError(
-                    f"attack produced shape {byzantine_gradient.shape}, "
-                    f"expected {parameters.shape}"
-                )
-            byzantine_block = np.tile(byzantine_gradient, (self._num_byzantine, 1))
-            if self._codec is not None:
-                byzantine_block, byzantine_bytes = self._encode_byzantine(
-                    byzantine_block
-                )
-                bytes_on_wire += byzantine_bytes
-            all_gradients = np.vstack([honest_submitted, byzantine_block])
-            telemetry.span_ns("round.attack", time.perf_counter_ns() - started)
-        else:
-            all_gradients = honest_submitted
-
-        dropped_before = getattr(self._network, "dropped_total", None)
-        started = time.perf_counter_ns()
-        delivered = self._network.deliver(all_gradients, self._step)
-        telemetry.span_ns("round.network", time.perf_counter_ns() - started)
-        if dropped_before is not None:
-            dropped = self._network.dropped_total - dropped_before
-            if dropped:
-                telemetry.counter("network.dropped", dropped)
-
-        started = time.perf_counter_ns()
-        aggregated = self._server.step(delivered)
-        telemetry.span_ns("round.server", time.perf_counter_ns() - started)
-        _emit_round_metrics(telemetry, delivered, aggregated, len(self._honest_workers))
-        if bytes_on_wire is not None:
-            self._bytes_on_wire_total += bytes_on_wire
-            telemetry.counter("wire.bytes", bytes_on_wire)
-        return StepResult(
-            step=self._step,
-            aggregated=aggregated,
-            honest_submitted=honest_submitted if record else None,
-            honest_clean=honest_clean if record else None,
-            byzantine_gradient=byzantine_gradient,
-            bytes_on_wire=bytes_on_wire,
-        )
-
-    def run(self, num_steps: int) -> StepResult:
-        """Run ``num_steps`` rounds; returns the last round's result."""
-        if num_steps < 1:
-            raise ConfigurationError(f"num_steps must be >= 1, got {num_steps}")
-        result: StepResult | None = None
-        for _ in range(num_steps):
-            result = self.step()
-        assert result is not None
-        return result
+            # Absent workers leave the loop's honest-loss mean, exactly
+            # as a dead shard's rows leave the multiprocess loss vector.
+            self.last_live_workers = self._faults.live_workers(step)
+        return self._finish_round(timer, parameters, submitted, clean, row_bytes, record)

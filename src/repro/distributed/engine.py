@@ -41,11 +41,8 @@ never depends on the fast path.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.attacks.base import AttackContext
 from repro.data.batching import BatchSampler
 from repro.distributed.cluster import Cluster, StepResult
 from repro.distributed.server import ParameterServer
@@ -59,6 +56,7 @@ from repro.privacy.mechanisms import (
     LaplaceMechanism,
     NoiseMechanism,
 )
+from repro.telemetry.timing import phase_timer
 
 __all__ = ["RoundEngine", "default_block_rounds"]
 
@@ -69,29 +67,6 @@ _BLOCK_BYTES = 8 << 20
 
 #: Hard cap on rounds per block; past this the amortisation is flat.
 _MAX_BLOCK_ROUNDS = 256
-
-
-class _PhaseLap:
-    """Accumulating per-phase lap timer for the instrumented block path.
-
-    One instance per round (allocated only when telemetry is on);
-    ``mark(name)`` charges the time since the previous mark to that
-    phase's running total.  The engine emits one span per phase per
-    *block*, so telemetry adds O(phases) events per block rather than
-    per round — this is what keeps the enabled-path overhead inside the
-    bench guard's 3% budget.
-    """
-
-    __slots__ = ("acc", "t")
-
-    def __init__(self, acc: dict):
-        self.acc = acc
-        self.t = time.perf_counter_ns()
-
-    def mark(self, name: str) -> None:
-        now = time.perf_counter_ns()
-        self.acc[name] = self.acc.get(name, 0) + (now - self.t)
-        self.t = now
 
 
 def default_block_rounds(
@@ -117,7 +92,6 @@ class RoundEngine:
         self._workers = list(cluster._honest_workers)
         self._server = cluster._server
         self._network = cluster._network
-        self._attack = cluster._attack
         self._attack_rng = cluster._attack_rng
         self._num_byzantine = cluster._num_byzantine
         self._codec = cluster._codec
@@ -435,11 +409,14 @@ class RoundEngine:
             )
         self._ensure_buffers()
         workers = self._workers
-        # The fused path shares the cluster's telemetry handle; when it
-        # is None (the default) every observation point below folds to a
-        # single `is not None` test.
+        # The fused path shares the cluster's telemetry handle.  Phases
+        # accumulate over a block and are emitted as one span per phase
+        # per block, so telemetry adds O(phases) events per block rather
+        # than per round.  Without a handle the timer is the no-op
+        # NULL_TIMER and the block counters below are skipped.
         telemetry = self._cluster._telemetry
-        phase_acc: dict | None = {} if telemetry is not None else None
+        timer = phase_timer(telemetry)
+        self._observed = telemetry is not None
         if block_size is None:
             block_size = default_block_rounds(
                 len(workers),
@@ -480,7 +457,7 @@ class RoundEngine:
                         self._network, "dropped_total", None
                     )
                     self._wire_bytes_before = self._cluster._bytes_on_wire_total
-                    predraw_started = time.perf_counter_ns()
+                timer.restart()
                 # Blockwise pre-draw: every worker's private streams are
                 # consumed exactly as the per-round path would, just all
                 # at once (see module docstring).
@@ -502,12 +479,9 @@ class RoundEngine:
                     noise_stack = np.stack(noise_blocks, axis=1)
                 else:
                     noise_stack = None
-                if phase_acc is not None:
-                    # The block pre-draw IS the round's sampling/noise
-                    # RNG work, amortised: charge it to its own phase.
-                    phase_acc["round.predraw"] = phase_acc.get(
-                        "round.predraw", 0
-                    ) + (time.perf_counter_ns() - predraw_started)
+                # The block pre-draw IS the round's sampling/noise RNG
+                # work, amortised: charge it to its own phase.
+                timer.lap("round.predraw")
                 for r in range(rounds):
                     is_last = remaining == rounds and r == rounds - 1
                     round_result = self._fused_round(
@@ -519,13 +493,13 @@ class RoundEngine:
                         pending_losses if history is not None else None,
                         record=record,
                         build_result=is_last,
-                        phase_acc=phase_acc,
+                        timer=timer,
                     )
                     if round_result is not None:
                         result = round_result
                 flush_losses()
                 if telemetry is not None:
-                    self._emit_block_telemetry(telemetry, rounds, phase_acc)
+                    self._emit_block_telemetry(telemetry, rounds, timer)
                 remaining -= rounds
         finally:
             # Divergence can abort mid-block; worker-visible state and
@@ -537,7 +511,7 @@ class RoundEngine:
                 self._export_state()
         return result
 
-    def _emit_block_telemetry(self, telemetry, rounds: int, phase_acc: dict) -> None:
+    def _emit_block_telemetry(self, telemetry, rounds: int, timer) -> None:
         """Flush one block's accumulated phases and counters as events.
 
         One span per phase per block (tagged with the rounds it
@@ -545,9 +519,7 @@ class RoundEngine:
         Emission happens *between* blocks, never inside the round loop.
         """
         telemetry.set_step(self._cluster._step)
-        for name in sorted(phase_acc):
-            telemetry.span_ns(name, phase_acc[name], rounds=rounds)
-        phase_acc.clear()
+        timer.emit(telemetry, rounds=rounds)
         telemetry.counter("rounds", rounds)
         if self._clip_hits:
             telemetry.counter("clip.activations", self._clip_hits)
@@ -573,7 +545,7 @@ class RoundEngine:
         pending_losses: list | None,
         record: bool,
         build_result: bool,
-        phase_acc: dict | None = None,
+        timer,
     ):
         cluster = self._cluster
         workers = self._workers
@@ -583,7 +555,7 @@ class RoundEngine:
         self._rounds_executed += 1
         step = cluster._step
         parameters = server.parameters_view
-        lap = _PhaseLap(phase_acc) if phase_acc is not None else None
+        timer.restart()
 
         # Batch gather into the warm preallocated buffers: one indexed
         # take for the whole cohort on shared data, per-worker takes on
@@ -613,8 +585,7 @@ class RoundEngine:
                     out=labels[index], mode="clip",
                 )
         self._have_batches = True
-        if lap is not None:
-            lap.mark("round.sample")
+        timer.lap("round.sample")
 
         # Forward/backward: one shared pass for the round's loss and
         # cohort gradients.
@@ -633,10 +604,9 @@ class RoundEngine:
         exceeds = norms > self._g_max
         if exceeds.any():
             clean[exceeds] *= (self._g_max[exceeds] / norms[exceeds])[:, None]
-            if lap is not None:
+            if self._observed:
                 self._clip_hits += int(np.count_nonzero(exceeds))
-        if lap is not None:
-            lap.mark("round.cohort")
+        timer.lap("round.cohort")
 
         # DP noise from the pre-drawn block, written straight into the
         # wire matrix (rows without a mechanism carry the clean row).
@@ -647,8 +617,7 @@ class RoundEngine:
             submitted[:] = clean
             for index in self._noised_indices:
                 np.add(clean[index], noise_blocks[index][r], out=submitted[index])
-        if lap is not None:
-            lap.mark("round.noise")
+        timer.lap("round.noise")
 
         # Momentum on the persistent stacks (v <- m v; v <- v + g).
         if self._any_momentum:
@@ -663,8 +632,7 @@ class RoundEngine:
                 mask = self._momentum_mask
                 submitted[mask] = self._velocity_submitted[mask]
                 clean[mask] = self._velocity_clean[mask]
-            if lap is not None:
-                lap.mark("round.momentum")
+            timer.lap("round.momentum")
 
         # Wire codec: encode the honest block in place (identity's
         # block fast path returns the same object, so the no-codec and
@@ -677,33 +645,19 @@ class RoundEngine:
             if encoded is not submitted:
                 submitted[:] = encoded
             round_bytes = int(row_bytes.sum())
-            if lap is not None:
-                lap.mark("round.codec")
+            timer.lap("round.codec")
 
         byzantine_gradient = None
         if self._num_byzantine > 0:
-            # The context gets fresh per-round copies, exactly like the
+            # The attack gets fresh per-round copies, exactly like the
             # per-round path: an attack may legally retain its context
             # across rounds (adaptive attacks), and handing it views of
             # the engine's reused buffers would silently rewrite what it
             # retained.  Two (W, d) copies per attacked round is noise
             # next to the craft itself.
-            context = AttackContext(
-                step=step,
-                honest_submitted=submitted.copy(),
-                honest_clean=clean.copy(),
-                parameters=parameters.copy(),
-                num_byzantine=self._num_byzantine,
-                rng=self._attack_rng,
+            byzantine_gradient = cluster._craft(
+                step, submitted.copy(), clean.copy(), parameters.copy()
             )
-            byzantine_gradient = np.asarray(
-                self._attack.craft(context), dtype=np.float64
-            )
-            if byzantine_gradient.shape != parameters.shape:
-                raise ConfigurationError(
-                    f"attack produced shape {byzantine_gradient.shape}, "
-                    f"expected {parameters.shape}"
-                )
             self._all_gradients[num_honest:] = byzantine_gradient
             if self._codec is not None:
                 byzantine_rows = self._all_gradients[num_honest:]
@@ -715,27 +669,21 @@ class RoundEngine:
                 if encoded is not byzantine_rows:
                     byzantine_rows[:] = encoded
                 round_bytes += int(row_bytes.sum())
-            if lap is not None:
-                lap.mark("round.attack")
+            timer.lap("round.attack")
 
         if round_bytes is not None:
             cluster._bytes_on_wire_total += round_bytes
 
         delivered = self._network.deliver(self._all_gradients, step)
-        if lap is not None:
-            lap.mark("round.network")
+        timer.lap("round.network")
         aggregated = server.step(delivered, in_place=True)
-        if lap is not None:
-            lap.mark("round.server")
-            # Same winner rule as _emit_round_metrics: all-honest or
-            # all-Byzantine match sets count, mixed matches don't.
-            matches = np.flatnonzero((delivered == aggregated).all(axis=1))
-            if matches.size:
-                if matches[0] >= num_honest:
-                    self._winner_rounds += 1
+        timer.lap("round.server")
+        if self._observed:
+            winner = cluster._gar_winner(delivered, aggregated)
+            if winner is not None:
+                self._winner_rounds += 1
+                if winner >= num_honest:
                     self._byzantine_rounds += 1
-                elif matches[-1] < num_honest:
-                    self._winner_rounds += 1
 
         if pending_losses is not None:
             # Parked only after a successful server update, exactly as

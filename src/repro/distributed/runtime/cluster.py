@@ -7,9 +7,11 @@ executing the honest cohort in worker-shard processes
 plane (:mod:`repro.distributed.runtime.wire`).  The chief itself plays
 the parameter server and the adversary: it owns the
 :class:`~repro.distributed.server.ParameterServer`, the attack and its
-RNG, and the network model, so the aggregation half of every round is
-*literally the same code* as the in-process path — only the production
-of the honest ``(H, d)`` matrices moves across process boundaries.
+RNG, and the network model, so everything after the honest rows —
+fault stage, attack, network, GAR, SGD — is *literally the same code*
+as the in-process path (:class:`~repro.distributed.cluster.RoundCore`);
+only the production of the honest ``(H, d)`` matrices moves across
+process boundaries.
 
 Round protocol (per :meth:`step`):
 
@@ -18,8 +20,8 @@ Round protocol (per :meth:`step`):
 3. collect ``("done", shard, step)`` replies under ``round_timeout``,
    watching for dead processes while waiting;
 4. copy the wire/clean/loss arrays out of the plane, zero the rows of
-   departed workers, and run the unchanged attack → network → GAR →
-   SGD tail.
+   departed workers in the shared fault stage, and run the shared
+   attack → network → GAR → SGD tail.
 
 Degraded semantics (crash/timeout/leave): a departed worker stops
 existing from the protocol's point of view — its wire row is the zero
@@ -43,18 +45,16 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.attacks.base import AttackContext, ByzantineAttack
+from repro.attacks.base import ByzantineAttack
 from repro.compression.base import GradientCodec
-from repro.distributed.cluster import StepResult, _emit_round_metrics
+from repro.distributed.cluster import RoundCore, StepResult
 from repro.distributed.network import PerfectNetwork
 from repro.distributed.runtime.context import multiprocessing_context
 from repro.distributed.runtime.shard import WorkerShardSpec, shard_main
 from repro.distributed.runtime.wire import WirePlane
 from repro.distributed.server import ParameterServer
-from repro.exceptions import ConfigurationError, DegradedRunError, TrainingError
-from repro.faults.apply import apply_wire_faults
+from repro.exceptions import ConfigurationError, TrainingError
 from repro.faults.plan import ResolvedFaultPlan
-from repro.typing import Vector
 
 __all__ = ["MultiprocessCluster"]
 
@@ -62,13 +62,15 @@ __all__ = ["MultiprocessCluster"]
 _POLL_SECONDS = 0.05
 
 
-class MultiprocessCluster:
+class MultiprocessCluster(RoundCore):
     """Run cluster rounds with the honest cohort in worker processes.
 
     Constructor mirrors :class:`repro.distributed.Cluster`, with the
     honest workers described by picklable :class:`WorkerShardSpec`\\ s
     (whose ``worker_ids`` must partition ``0..H-1`` contiguously)
-    instead of live :class:`HonestWorker` objects.
+    instead of live :class:`HonestWorker` objects.  The round core
+    supplies everything but the honest rows, which come from the wire
+    plane.
 
     Use as a context manager (``with cluster: loop.run(...)``) or call
     :meth:`start` / :meth:`shutdown` explicitly; :meth:`step` starts
@@ -103,37 +105,24 @@ class MultiprocessCluster:
                     f"expected {expected}"
                 )
             expected = spec.worker_ids[-1] + 1
-        num_honest = expected
-        if num_byzantine < 0:
-            raise ConfigurationError(f"num_byzantine must be >= 0, got {num_byzantine}")
-        if num_byzantine > 0 and attack is None:
-            raise ConfigurationError(
-                "num_byzantine > 0 requires an attack (use ZeroGradientAttack "
-                "for crash-style Byzantine workers)"
-            )
-        if attack is not None and attack_rng is None:
-            raise ConfigurationError("an attack requires attack_rng")
-        total = num_honest + num_byzantine
-        if total != server.gar.n:
-            raise ConfigurationError(
-                f"server GAR expects n={server.gar.n} workers but the cluster "
-                f"has {num_honest} honest + {num_byzantine} Byzantine = {total}"
-            )
-        if num_byzantine > server.gar.f:
-            raise ConfigurationError(
-                f"cluster has {num_byzantine} Byzantine workers but the GAR "
-                f"only tolerates f={server.gar.f}"
-            )
+        # The shards encode their own rows (each spec carries the codec);
+        # the chief's copy encodes the Byzantine block and accounts bytes.
+        super().__init__(
+            server,
+            expected,
+            num_byzantine,
+            attack,
+            attack_rng,
+            network,
+            codec,
+            faults,
+            telemetry,
+        )
         if round_timeout <= 0:
             raise ConfigurationError(f"round_timeout must be > 0, got {round_timeout}")
         if join_timeout <= 0:
             raise ConfigurationError(f"join_timeout must be > 0, got {join_timeout}")
         if faults is not None:
-            if faults.num_honest != num_honest:
-                raise ConfigurationError(
-                    f"fault plan resolved for {faults.num_honest} honest "
-                    f"workers but the cluster has {num_honest}"
-                )
             if faults.num_shards != len(shard_specs):
                 raise ConfigurationError(
                     f"fault plan targets {faults.num_shards} shards but the "
@@ -148,21 +137,10 @@ class MultiprocessCluster:
                         f"{faults.partition[spec.shard_id]}"
                     )
 
-        self._server = server
         self._shard_specs = shard_specs
-        self._num_honest = num_honest
-        self._num_byzantine = int(num_byzantine)
-        self._attack = attack
-        self._attack_rng = attack_rng
-        self._network = network if network is not None else PerfectNetwork()
-        # The shards encode their own rows (each spec carries the codec);
-        # the chief's copy encodes the Byzantine block and accounts bytes.
-        self._codec = codec
-        self._bytes_on_wire_total = 0
         self._round_timeout = float(round_timeout)
         self._join_timeout = float(join_timeout)
         self._start_method = start_method
-        self._step = 0
         self._started = False
         self._closed = False
         self._plane: WirePlane | None = None
@@ -172,79 +150,28 @@ class MultiprocessCluster:
         self._departed: dict[int, str] = {}
         self._dead_rows: list[int] = []
         self._last_honest_losses: np.ndarray | None = None
-        self._faults = faults
         self._context = None
         # Full membership history: (step, shard_id, event, detail) rows.
         # Unlike ``departed`` (the *current* state, cleared on rejoin),
         # this log survives respawns, so a crash->rejoin run keeps its
         # complete fault narrative.
         self._membership_log: list[tuple[int, int, str, str]] = []
-        # Chief-side telemetry source; when set, start() also creates
-        # the shared shard->chief event queue the merge drains.
-        self._telemetry = telemetry
+        # With a chief-side telemetry source, start() also creates the
+        # shared shard->chief event queue the merge drains.
         self._telemetry_queue = None
 
     # ------------------------------------------------------------------
-    # cluster surface (mirrors Cluster)
+    # multiprocess read surface
     # ------------------------------------------------------------------
-
-    @property
-    def server(self) -> ParameterServer:
-        """The chief-owned parameter server."""
-        return self._server
-
-    @property
-    def honest_workers(self) -> list:
-        """Always empty: honest workers live in shard processes.
-
-        Present so :class:`~repro.pipeline.loop.TrainingLoop` can treat
-        both cluster flavours uniformly; the loop reads
-        :attr:`last_honest_losses` instead of worker batches here.
-        """
-        return []
-
-    @property
-    def parameters(self) -> Vector:
-        """Current model parameters held by the server."""
-        return self._server.parameters
-
-    @property
-    def n(self) -> int:
-        """Total workers (honest + Byzantine)."""
-        return self._num_honest + self._num_byzantine
-
-    @property
-    def num_honest(self) -> int:
-        """Number of honest workers (including departed ones)."""
-        return self._num_honest
-
-    @property
-    def num_byzantine(self) -> int:
-        """Number of Byzantine workers actually attacking."""
-        return self._num_byzantine
-
-    @property
-    def step_count(self) -> int:
-        """Rounds completed so far."""
-        return self._step
-
-    @property
-    def codec(self) -> GradientCodec | None:
-        """The wire codec encoding submissions (or ``None``)."""
-        return self._codec
-
-    @property
-    def bytes_on_wire_total(self) -> int:
-        """Cumulative encoded bytes across all rounds (0 without a codec)."""
-        return self._bytes_on_wire_total
 
     @property
     def last_honest_losses(self) -> np.ndarray | None:
         """Per-worker batch losses of the live rows of the last round.
 
-        ``None`` before the first round or when every shard has
-        departed.  The training loop averages this instead of re-scoring
-        worker batches (which live in other processes).
+        ``None`` before the first round (a round where every shard has
+        departed raises instead).  The training loop averages this
+        instead of re-scoring worker batches (which live in other
+        processes).
         """
         return self._last_honest_losses
 
@@ -267,11 +194,6 @@ class MultiprocessCluster:
         return list(self._membership_log)
 
     @property
-    def faults(self) -> ResolvedFaultPlan | None:
-        """The resolved fault plan driving this run, or ``None``."""
-        return self._faults
-
-    @property
     def departed_workers(self) -> list[int]:
         """Worker ids whose rows are permanently zeroed (sorted)."""
         return list(self._dead_rows)
@@ -281,12 +203,7 @@ class MultiprocessCluster:
         """Honest workers still participating."""
         return self._num_honest - len(self._dead_rows)
 
-    @property
-    def telemetry(self):
-        """The installed :class:`repro.telemetry.Telemetry` handle (or None)."""
-        return self._telemetry
-
-    @telemetry.setter
+    @RoundCore.telemetry.setter
     def telemetry(self, handle) -> None:
         if self._started and handle is not None and self._telemetry_queue is None:
             raise ConfigurationError(
@@ -591,155 +508,45 @@ class MultiprocessCluster:
         if not self._started:
             self.start()
         self._step += 1
+        step = self._step
         if self._faults is not None:
-            for shard_id in self._faults.rejoining_shards(self._step):
+            for shard_id in self._faults.rejoining_shards(step):
                 if shard_id in self._departed:
                     self._respawn(shard_id)
-        # Inline-gated telemetry: unlike Cluster.step's duplicated twin,
-        # the per-round cost here is dominated by IPC, so a handful of
-        # `is not None` branches in one body is the clearer trade.
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.set_step(self._step)
-            phase_started = time.perf_counter_ns()
+        timer = self._begin_round(step)
         parameters = self._server.parameters
-        np.copyto(self._plane.parameters, parameters)
-
+        plane = self._plane
+        np.copyto(plane.parameters, parameters)
         pending: set[int] = set()
         for spec in self._shard_specs:
             if spec.shard_id not in self._departed:
-                self._commands[spec.shard_id].put(("round", self._step))
+                self._commands[spec.shard_id].put(("round", step))
                 pending.add(spec.shard_id)
-        if telemetry is not None:
-            now = time.perf_counter_ns()
-            telemetry.span_ns("round.publish", now - phase_started)
-            phase_started = now
+        timer.lap("round.publish")
         self._collect(pending)
-        if telemetry is not None:
-            now = time.perf_counter_ns()
-            telemetry.span_ns("round.wait", now - phase_started)
-            self._drain_shard_events()
-            phase_started = time.perf_counter_ns()
+        timer.lap("round.wait")
+        self._drain_shard_events()
+        timer.restart()
 
-        # Absent = really-dead shards plus (belt-and-braces) anyone the
-        # fault plan says is down this round — in normal fault-plane
+        submitted = np.array(plane.wire)
+        clean = np.array(plane.clean)
+        row_bytes = np.array(plane.wire_bytes) if self._codec is not None else None
+        # A departed shard's plane rows are stale from its last live
+        # round: its workers count as absent (message never produced).
+        # The fault plan's outages join them — in normal fault-plane
         # operation the two sets coincide, because the plan's outages
-        # fire through the spec's failure seam.
-        absent = set(self._dead_rows)
-        if self._faults is not None:
-            absent |= self._faults.absent_workers(self._step)
-        if len(absent) >= self._num_honest:
-            raise DegradedRunError(
-                f"round {self._step}: every honest worker has departed; "
-                "refusing to aggregate attack-only submissions"
-            )
-        dead_rows = sorted(absent)
-        honest_submitted = np.array(self._plane.wire)
-        honest_clean = np.array(self._plane.clean)
-        losses = np.array(self._plane.losses)
-        row_bytes = (
-            np.array(self._plane.wire_bytes) if self._codec is not None else None
+        # fire through the spec's failure seam.  Dropped workers keep
+        # their loss row: the message was sent and then lost.
+        absent = self._apply_faults(
+            step, submitted, clean, row_bytes, absent=frozenset(self._dead_rows)
         )
-        if dead_rows:
-            honest_submitted[dead_rows] = 0.0
-            honest_clean[dead_rows] = 0.0
-            if row_bytes is not None:
-                # A departed worker's message was never produced this
-                # round — zero bytes (its plane row is stale from its
-                # last live round).
-                row_bytes[dead_rows] = 0.0
-            live_rows = np.setdiff1d(
-                np.arange(self._num_honest), np.asarray(dead_rows)
-            )
-            self._last_honest_losses = losses[live_rows] if live_rows.size else None
-        else:
-            self._last_honest_losses = losses
-        if self._faults is not None:
-            # Chief-side worker faults (drop_round / corrupt_payload):
-            # the same helper, on the same already-encoded rows, as the
-            # in-process and simulated backends — identical float ops.
-            # (Absent rows are re-zeroed, a no-op; dropped workers keep
-            # their loss and wire-bytes rows: the message was sent and
-            # then lost.)
-            zeroed, corrupted = apply_wire_faults(
-                self._faults, self._step, honest_submitted, honest_clean
-            )
-            if telemetry is not None and (zeroed or corrupted):
-                telemetry.counter(
-                    "fault.injected",
-                    len(zeroed) + len(corrupted),
-                    zeroed=sorted(zeroed),
-                    corrupted=sorted(corrupted),
-                )
-        bytes_on_wire: int | None = (
-            int(row_bytes.sum()) if row_bytes is not None else None
-        )
-        if telemetry is not None:
-            now = time.perf_counter_ns()
-            telemetry.span_ns("round.copyout", now - phase_started)
-            phase_started = now
-
-        byzantine_gradient: Vector | None = None
-        if self._num_byzantine > 0:
-            assert self._attack is not None and self._attack_rng is not None
-            context = AttackContext(
-                step=self._step,
-                honest_submitted=honest_submitted,
-                honest_clean=honest_clean,
-                parameters=parameters,
-                num_byzantine=self._num_byzantine,
-                rng=self._attack_rng,
-            )
-            byzantine_gradient = np.asarray(
-                self._attack.craft(context), dtype=np.float64
-            )
-            if byzantine_gradient.shape != parameters.shape:
-                raise ConfigurationError(
-                    f"attack produced shape {byzantine_gradient.shape}, "
-                    f"expected {parameters.shape}"
-                )
-            byzantine_block = np.tile(byzantine_gradient, (self._num_byzantine, 1))
-            if self._codec is not None:
-                byzantine_block, byzantine_bytes = self._codec.encode_block(
-                    byzantine_block,
-                    self._step,
-                    range(self._num_honest, self._num_honest + self._num_byzantine),
-                )
-                bytes_on_wire += int(byzantine_bytes.sum())
-            all_gradients = np.vstack([honest_submitted, byzantine_block])
-        else:
-            all_gradients = honest_submitted
-        if telemetry is not None:
-            now = time.perf_counter_ns()
-            telemetry.span_ns("round.attack", now - phase_started)
-            dropped_before = getattr(self._network, "dropped_total", None)
-            phase_started = now
-
-        delivered = self._network.deliver(all_gradients, self._step)
-        if telemetry is not None:
-            now = time.perf_counter_ns()
-            telemetry.span_ns("round.network", now - phase_started)
-            if dropped_before is not None:
-                dropped = self._network.dropped_total - dropped_before
-                if dropped:
-                    telemetry.counter("network.dropped", dropped)
-            phase_started = now
-        aggregated = self._server.step(delivered)
-        if telemetry is not None:
-            telemetry.span_ns("round.server", time.perf_counter_ns() - phase_started)
-            _emit_round_metrics(telemetry, delivered, aggregated, self._num_honest)
-        if bytes_on_wire is not None:
-            self._bytes_on_wire_total += bytes_on_wire
-            if telemetry is not None:
-                telemetry.counter("wire.bytes", bytes_on_wire)
-        return StepResult(
-            step=self._step,
-            aggregated=aggregated,
-            honest_submitted=honest_submitted if record else None,
-            honest_clean=honest_clean if record else None,
-            byzantine_gradient=byzantine_gradient,
-            bytes_on_wire=bytes_on_wire,
-        )
+        self._last_honest_losses = np.delete(plane.losses, sorted(absent))
+        timer.lap("round.copyout")
+        if not self._num_byzantine:
+            # The chief's trace keeps one attack span per round, even
+            # with no attack to time.
+            timer.lap("round.attack")
+        return self._finish_round(timer, parameters, submitted, clean, row_bytes, record)
 
     def _drain_shard_events(self) -> None:
         """Merge every queued shard event into the chief's trace.
@@ -795,13 +602,3 @@ class MultiprocessCluster:
                 pending.discard(shard_id)
                 self._depart(shard_id, f"worker error: {reason}")
             # stray "join" messages (late joiner already departed) are dropped
-
-    def run(self, num_steps: int) -> StepResult:
-        """Run ``num_steps`` rounds; returns the last round's result."""
-        if num_steps < 1:
-            raise ConfigurationError(f"num_steps must be >= 1, got {num_steps}")
-        result: StepResult | None = None
-        for _ in range(num_steps):
-            result = self.step()
-        assert result is not None
-        return result

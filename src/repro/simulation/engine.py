@@ -33,19 +33,16 @@ executions are indistinguishable bit for bit.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.attacks.base import AttackContext, ByzantineAttack
-from repro.distributed.cluster import StepResult
-from repro.distributed.network import PerfectNetwork
+from repro.attacks.base import ByzantineAttack
+from repro.distributed.cluster import RoundCore, StepResult
 from repro.distributed.server import ParameterServer
-from repro.distributed.worker import HonestWorker, compute_cohort
-from repro.exceptions import ConfigurationError, DegradedRunError, TrainingError
-from repro.faults.apply import apply_wire_faults, reset_absent_momentum
+from repro.distributed.worker import HonestWorker
+from repro.exceptions import ConfigurationError, TrainingError
 from repro.faults.plan import ResolvedFaultPlan
 from repro.rng import SeedTree
 from repro.simulation.events import (
@@ -91,7 +88,7 @@ class _RoundRecord:
     bytes_on_wire: int | None = None
 
 
-class ClusterSimulator:
+class ClusterSimulator(RoundCore):
     """Event-driven counterpart of :class:`repro.distributed.cluster.Cluster`.
 
     Wires the same components (server, honest workers, colluding
@@ -100,10 +97,17 @@ class ClusterSimulator:
     :class:`~repro.simulation.latency.LatencyModel`, and a per-round
     :class:`~repro.simulation.participation.ParticipationSampler`.
 
-    The simulator deliberately mirrors the ``Cluster`` read surface
-    (``parameters``, ``n``, ``num_honest``, ``num_byzantine``,
-    ``step_count``, ``honest_workers``, ``server``) so loop callbacks
-    written against a cluster drive a simulation unchanged.
+    The simulator shares the ``Cluster`` read surface and round stages
+    (:class:`~repro.distributed.cluster.RoundCore`) so loop callbacks
+    written against a cluster drive a simulation unchanged; its honest
+    rows come from each round's wake subset, and the policy replaces
+    the synchronous network → server tail.
+
+    Telemetry only *observes* the simulation: it never draws from an
+    RNG stream, so it cannot change the event schedule or any numerical
+    result.  Because rounds can interleave under async policies, events
+    are stamped with the server's monotone ``step_count`` (the merged
+    trace's ``step``) and carry ``round`` as an attribute.
     """
 
     def __init__(
@@ -125,34 +129,19 @@ class ClusterSimulator:
         honest_workers = list(honest_workers)
         if not honest_workers:
             raise ConfigurationError("need at least one honest worker")
-        if num_byzantine < 0:
-            raise ConfigurationError(f"num_byzantine must be >= 0, got {num_byzantine}")
-        if num_byzantine > 0 and attack is None:
-            raise ConfigurationError(
-                "num_byzantine > 0 requires an attack (use ZeroGradientAttack "
-                "for crash-style Byzantine workers)"
-            )
-        if attack is not None and attack_rng is None:
-            raise ConfigurationError("an attack requires attack_rng")
-        total = len(honest_workers) + num_byzantine
-        if total != server.gar.n:
-            raise ConfigurationError(
-                f"server GAR expects n={server.gar.n} workers but the simulation "
-                f"has {len(honest_workers)} honest + {num_byzantine} Byzantine = {total}"
-            )
-        if num_byzantine > server.gar.f:
-            raise ConfigurationError(
-                f"simulation has {num_byzantine} Byzantine workers but the GAR "
-                f"only tolerates f={server.gar.f}"
-            )
+        super().__init__(
+            server,
+            len(honest_workers),
+            num_byzantine,
+            attack,
+            attack_rng,
+            network,
+            codec,
+            faults,
+        )
         if max_events_per_step < 1:
             raise ConfigurationError(
                 f"max_events_per_step must be >= 1, got {max_events_per_step}"
-            )
-        if faults is not None and faults.num_honest != len(honest_workers):
-            raise ConfigurationError(
-                f"fault plan resolved for {faults.num_honest} honest workers "
-                f"but the simulation has {len(honest_workers)}"
             )
         if (
             policy is not None
@@ -166,21 +155,13 @@ class ClusterSimulator:
                 "round-1 draw would silently pin the cohort for the whole "
                 "run); use full participation"
             )
-        self._server = server
         self._honest_workers = honest_workers
-        self._num_byzantine = int(num_byzantine)
-        self._attack = attack
-        self._attack_rng = attack_rng
-        self._network = network if network is not None else PerfectNetwork()
-        self._codec = codec
-        self._bytes_on_wire_total = 0
         self._policy = policy if policy is not None else SyncPolicy()
         self._latency = latency if latency is not None else ConstantLatency(0.0)
         self._participation = (
             participation if participation is not None else FullParticipation()
         )
         self._seeds = seeds if seeds is not None else SeedTree(0)
-        self._faults = faults
         self._max_events_per_step = int(max_events_per_step)
         self._dimension = int(server.parameters.shape[0])
         self._policy.bind(self.n, self.num_honest, self._dimension)
@@ -195,74 +176,6 @@ class ClusterSimulator:
         self._computation_counts = np.zeros(self.num_honest, dtype=np.int64)
         self._sampling_rounds = 0
         self._dropped_arrivals = 0
-        self._telemetry = None
-
-    # ------------------------------------------------------------------
-    # Cluster-compatible read surface
-    # ------------------------------------------------------------------
-
-    @property
-    def telemetry(self):
-        """The installed :class:`repro.telemetry.Telemetry`, or ``None``.
-
-        Telemetry only *observes* the simulation — spans around cohort
-        compute, attack crafting, and server steps, plus drop/round
-        counters.  It never draws from an RNG stream, so enabling it
-        cannot change the event schedule or any numerical result.
-        Because rounds can interleave under async policies, events are
-        stamped with the server's monotone ``step_count`` (the merged
-        trace's ``step``) and carry ``round`` as an attribute.
-        """
-        return self._telemetry
-
-    @telemetry.setter
-    def telemetry(self, telemetry) -> None:
-        self._telemetry = telemetry
-
-    @property
-    def faults(self) -> ResolvedFaultPlan | None:
-        """The resolved fault plan applied each round, or ``None``."""
-        return self._faults
-
-    @property
-    def server(self) -> ParameterServer:
-        """The parameter server."""
-        return self._server
-
-    @property
-    def honest_workers(self) -> list[HonestWorker]:
-        """The honest workers (a copy of the list)."""
-        return list(self._honest_workers)
-
-    @property
-    def parameters(self) -> Vector:
-        """Current model parameters held by the server."""
-        return self._server.parameters
-
-    @property
-    def n(self) -> int:
-        """Total workers (honest + Byzantine)."""
-        return len(self._honest_workers) + self._num_byzantine
-
-    @property
-    def num_honest(self) -> int:
-        """Number of honest workers."""
-        return len(self._honest_workers)
-
-    @property
-    def num_byzantine(self) -> int:
-        """Number of Byzantine workers actually attacking."""
-        return self._num_byzantine
-
-    @property
-    def codec(self):
-        """The wire codec encoding submissions (or ``None``)."""
-        return self._codec
-
-    @property
-    def bytes_on_wire_total(self) -> int:
-        """Cumulative encoded bytes across all rounds (0 without a codec)."""
-        return self._bytes_on_wire_total
 
     @property
     def step_count(self) -> int:
@@ -369,10 +282,8 @@ class ClusterSimulator:
         """Advance through ``num_steps`` server updates; returns the last."""
         if num_steps < 1:
             raise ConfigurationError(f"num_steps must be >= 1, got {num_steps}")
-        result: SimStepResult | None = None
         for _ in range(num_steps):
             result = self.advance()
-        assert result is not None
         return result
 
     # ------------------------------------------------------------------
@@ -445,74 +356,14 @@ class ClusterSimulator:
         )
         parameters = self._server.parameters
         version = self._server.step_count
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.set_step(version)
+        timer = self._begin_round(version)
         round_bytes: int | None = None
         if honest_ids:
-            cohort = [self._honest_workers[worker_id] for worker_id in honest_ids]
-            if telemetry is not None:
-                started = time.perf_counter_ns()
-                submitted, clean = compute_cohort(cohort, parameters, round_index)
-                telemetry.span_ns(
-                    "round.cohort",
-                    time.perf_counter_ns() - started,
-                    round=round_index,
-                )
-            else:
-                submitted, clean = compute_cohort(cohort, parameters, round_index)
-            row_bytes = None
-            if self._codec is not None:
-                # Encoded before anything observes it: keyed on the
-                # round index and the *global* worker ids, so a partial
-                # cohort's rows match the synchronous cluster's
-                # whole-round encode bit for bit.
-                if telemetry is not None:
-                    started = time.perf_counter_ns()
-                    submitted, row_bytes = self._codec.encode_block(
-                        submitted, round_index, honest_ids
-                    )
-                    telemetry.span_ns(
-                        "round.codec",
-                        time.perf_counter_ns() - started,
-                        round=round_index,
-                    )
-                else:
-                    submitted, row_bytes = self._codec.encode_block(
-                        submitted, round_index, honest_ids
-                    )
-            if self._faults is not None:
-                # Same relative pipeline point as Cluster._apply_faults:
-                # after the codec encode, before the adversary observes.
-                # The matrices are position-indexed by the cohort, so the
-                # helper maps rows through the global honest_ids.
-                resolved = self._faults
-                if not resolved.live_workers(round_index):
-                    raise DegradedRunError(
-                        f"round {round_index}: every honest worker has "
-                        "departed under the fault plan; refusing to "
-                        "aggregate attack-only submissions"
-                    )
-                zeroed, corrupted = apply_wire_faults(
-                    resolved, round_index, submitted, clean, honest_ids
-                )
-                absent = reset_absent_momentum(
-                    resolved, round_index, self._honest_workers
-                )
-                if row_bytes is not None:
-                    # A dead worker sent nothing; a dropped round's
-                    # message was sent and then lost, so its bytes count.
-                    for position, worker_id in enumerate(honest_ids):
-                        if worker_id in absent:
-                            row_bytes[position] = 0
-                if telemetry is not None and (zeroed or corrupted):
-                    telemetry.counter(
-                        "fault.injected",
-                        len(zeroed) + len(corrupted),
-                        round=round_index,
-                        zeroed=sorted(zeroed),
-                        corrupted=sorted(corrupted),
-                    )
+            # The wake subset through the shared in-process stages; the
+            # fault plan maps rows through the global honest_ids.
+            submitted, clean, row_bytes = self._cohort_rows(
+                timer, parameters, round_index, honest_ids, round=round_index
+            )
             if row_bytes is not None:
                 round_bytes = int(row_bytes.sum())
             self._last_honest = (submitted, clean)
@@ -523,58 +374,28 @@ class ClusterSimulator:
             round_bytes = 0 if self._codec is not None else None
 
         byzantine_gradient: Vector | None = None
+        byzantine_rows = ()
         if byzantine_ids:
-            assert self._attack is not None and self._attack_rng is not None
             # The colluding adversary observes the round's honest cohort;
             # on an async rebroadcast with no honest wake it falls back to
             # the latest honest traffic it has seen.
             observed_submitted, observed_clean = (
                 (submitted, clean) if honest_ids else self._observed_honest()
             )
-            context = AttackContext(
-                step=round_index,
-                honest_submitted=observed_submitted,
-                honest_clean=observed_clean,
-                parameters=parameters,
-                num_byzantine=self._num_byzantine,
-                rng=self._attack_rng,
+            byzantine_gradient = self._craft(
+                round_index, observed_submitted, observed_clean, parameters
             )
-            if telemetry is not None:
-                started = time.perf_counter_ns()
-                byzantine_gradient = np.asarray(
-                    self._attack.craft(context), dtype=np.float64
-                )
-                telemetry.span_ns(
-                    "round.attack",
-                    time.perf_counter_ns() - started,
-                    round=round_index,
-                )
-            else:
-                byzantine_gradient = np.asarray(
-                    self._attack.craft(context), dtype=np.float64
-                )
-            if byzantine_gradient.shape != parameters.shape:
-                raise ConfigurationError(
-                    f"attack produced shape {byzantine_gradient.shape}, "
-                    f"expected {parameters.shape}"
-                )
-
-        # Each Byzantine copy is its own wire message: stochastic codecs
-        # give every copy its own (round, worker) stream, exactly like
-        # the synchronous cluster encoding rows H..n-1.
-        byzantine_wire: dict[int, Vector] = {}
-        if byzantine_ids and self._codec is not None:
-            assert byzantine_gradient is not None
-            for worker_id in byzantine_ids:
-                wire, nbytes = self._codec.encode_row(
-                    byzantine_gradient, round_index, worker_id
-                )
-                byzantine_wire[worker_id] = wire
-                round_bytes += int(nbytes)
+            timer.lap("round.attack")
+            byzantine_rows, byzantine_bytes = self._byzantine_rows(
+                byzantine_gradient, round_index, byzantine_ids
+            )
+            if round_bytes is not None:
+                round_bytes += byzantine_bytes
+        timer.emit(self._telemetry, round=round_index)
         if round_bytes is not None:
             self._bytes_on_wire_total += round_bytes
-            if telemetry is not None:
-                telemetry.counter("wire.bytes", round_bytes, round=round_index)
+            if self._telemetry is not None:
+                self._telemetry.counter("wire.bytes", round_bytes, round=round_index)
 
         self._rounds[round_index] = _RoundRecord(
             honest_ids=honest_ids,
@@ -588,15 +409,8 @@ class ClusterSimulator:
             self._schedule_arrival(
                 wakes[0].time, round_index, worker_id, version, submitted[position]
             )
-        for worker_id in byzantine_ids:
-            assert byzantine_gradient is not None
-            self._schedule_arrival(
-                wakes[0].time,
-                round_index,
-                worker_id,
-                version,
-                byzantine_wire.get(worker_id, byzantine_gradient),
-            )
+        for worker_id, row in zip(byzantine_ids, byzantine_rows):
+            self._schedule_arrival(wakes[0].time, round_index, worker_id, version, row)
 
     def _observed_honest(self) -> tuple[np.ndarray, np.ndarray]:
         if self._last_honest is None:
@@ -683,23 +497,14 @@ class ClusterSimulator:
         return result
 
     def _complete(self, completion: RoundCompletion) -> SimStepResult:
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.set_step(self._server.step_count)
-            started = time.perf_counter_ns()
-            aggregated = self._server.step(
-                completion.matrix, update_scale=completion.update_scale
-            )
-            telemetry.span_ns(
-                "round.server",
-                time.perf_counter_ns() - started,
-                round=completion.round_index,
-            )
-            telemetry.counter("rounds")
-        else:
-            aggregated = self._server.step(
-                completion.matrix, update_scale=completion.update_scale
-            )
+        timer = self._begin_round(self._server.step_count)
+        aggregated = self._server.step(
+            completion.matrix, update_scale=completion.update_scale
+        )
+        timer.lap("round.server")
+        timer.emit(self._telemetry, round=completion.round_index)
+        if self._telemetry is not None:
+            self._telemetry.counter("rounds")
         record = self._rounds.get(completion.round_index)
         if record is not None:
             submitted, clean = record.submitted, record.clean

@@ -9,9 +9,11 @@ all emitting one schema-versioned event stream
 
 The contract that makes telemetry safe to leave wired in everywhere:
 
-* **disabled is free** — hot paths keep a ``None`` attribute and pay a
-  single ``is None`` check (pinned by the off-path overhead test and a
-  bench-cell guard);
+* **disabled is nearly free** — every round path times its phases
+  through one :class:`~repro.telemetry.timing.PhaseTimer`; without a
+  handle that is the no-op :data:`~repro.telemetry.timing.NULL_TIMER`,
+  about 25 ns per phase and no event built (pinned by the off-path
+  overhead test and a bench-cell guard);
 * **enabled is bit-identical** — no telemetry code path ever draws
   from an RNG stream, so traces observe training without perturbing it
   (pinned by the golden-trace replay and the differential suites).

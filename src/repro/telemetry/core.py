@@ -4,10 +4,11 @@ Design constraints, in order:
 
 1. **Bit-identity** — telemetry never touches an RNG stream; it only
    observes values the training path already computed.
-2. **Null by default** — instrumented hot paths hold a plain
-   ``_telemetry = None`` attribute and guard with a single ``is None``
-   check; nothing here is imported or called until a handle is
-   actually installed (pinned by the off-path overhead test).
+2. **Null by default** — round paths hold a plain ``_telemetry = None``
+   attribute and time their phases with the no-op
+   :data:`~repro.telemetry.timing.NULL_TIMER`; nothing here is called
+   until a handle is actually installed (pinned by the off-path
+   overhead test).
 3. **Zero dependencies** — stdlib + the event dicts of
    :mod:`repro.telemetry.events` only.
 

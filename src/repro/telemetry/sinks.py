@@ -108,7 +108,9 @@ class StderrProgressSink(Sink):
     def __init__(self, interval: float = 5.0, stream=None):
         self._interval = float(interval)
         self._stream = stream if stream is not None else sys.stderr
-        self._last_report = 0.0
+        # The monotonic clock's origin is arbitrary (often boot), so the
+        # first event must report however small ``now`` is.
+        self._last_report = float("-inf")
 
     def emit(self, event: dict) -> None:
         kind = event.get("kind")

@@ -23,22 +23,26 @@ def read_trace(path) -> list[dict]:
     Blank lines are ignored; any other unparseable line raises
     :class:`~repro.telemetry.events.TraceError` naming the line number
     — a truncated or corrupted trace must fail loudly, not summarise
-    partially.
+    partially.  Lines are parsed as they are read, so the file's text
+    is never held whole next to its events.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        handle = open(path, encoding="utf-8")
     except FileNotFoundError:
         raise TraceError(f"trace file not found: {path}") from None
     events = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise TraceError(f"{path}:{number}: unparseable trace line ({error})") from None
-        events.append(event)
+    with handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                event = json.loads(line)
+            except json.JSONDecodeError as error:
+                raise TraceError(
+                    f"{path}:{number}: unparseable trace line ({error})"
+                ) from None
+            events.append(event)
     return events
 
 

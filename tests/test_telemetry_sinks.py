@@ -18,6 +18,7 @@ from repro.telemetry import (
     Telemetry,
     best_of_ns,
 )
+from repro.telemetry.timing import NULL_TIMER, phase_timer
 
 
 def sample_event(**overrides):
@@ -120,6 +121,13 @@ class TestStderrProgressSink:
         # One line at most within the interval.
         assert len(stream.getvalue().splitlines()) == 1
 
+    def test_first_event_reports_on_a_fresh_clock(self, monkeypatch):
+        """A monotonic clock may start near 0 (a freshly booted host)."""
+        monkeypatch.setattr("repro.telemetry.sinks.time.monotonic", lambda: 1.0)
+        stream = io.StringIO()
+        StderrProgressSink(interval=3600.0, stream=stream).emit(sample_event())
+        assert len(stream.getvalue().splitlines()) == 1
+
     def test_warnings_always_print(self):
         stream = io.StringIO()
         sink = StderrProgressSink(interval=3600.0, stream=stream)
@@ -167,3 +175,27 @@ class TestTimingPrimitives:
         watch.restart()
         assert watch.elapsed_seconds() < 60.0
         assert watch.elapsed_ns() <= watch.elapsed_ns()
+
+    def test_phase_timer_accumulates_laps_and_emits_once(self):
+        sink = MemorySink()
+        timer = phase_timer(Telemetry(sinks=[sink]))
+        for _ in range(3):
+            timer.restart()
+            timer.lap("round.cohort")
+            timer.lap("round.server")
+        timer.emit(Telemetry(sinks=[sink]), rounds=3)
+        assert [event["name"] for event in sink.events] == [
+            "round.cohort",
+            "round.server",
+        ]
+        assert all(event["attrs"] == {"rounds": 3} for event in sink.events)
+        assert all(event["dur_ns"] >= 0 for event in sink.events)
+        timer.emit(Telemetry(sinks=[sink]))
+        assert len(sink.events) == 2  # emit cleared the laps
+
+    def test_phase_timer_without_telemetry_is_the_null_timer(self):
+        timer = phase_timer(None)
+        assert timer is NULL_TIMER
+        timer.restart()
+        timer.lap("round.cohort")
+        timer.emit(None)  # never touches its telemetry argument
