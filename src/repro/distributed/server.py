@@ -120,30 +120,3 @@ class ParameterServer:
             self._parameters = self._optimizer.step(self._parameters, update)
         self._step += 1
         return aggregated
-
-    def step_batch(self, gradient_stacks) -> np.ndarray:
-        """Replay ``S`` pre-recorded rounds with one batched aggregation.
-
-        ``gradient_stacks`` is an ``(S, n, d)`` stack of full rounds
-        (e.g. recorded submissions being replayed for analysis, or a
-        benchmark workload).  Aggregation is a single
-        :meth:`repro.gars.base.GAR.aggregate_batch` call — valid
-        because a GAR depends only on the round's gradients, never on
-        the parameters — while the optimizer updates are applied
-        sequentially, so the final parameters match ``S`` individual
-        :meth:`step` calls on the same rounds.  Returns the ``(S, d)``
-        aggregates.
-        """
-        stack = np.asarray(gradient_stacks, dtype=np.float64)
-        if stack.ndim != 3 or stack.shape[1] != self._gar.n:
-            raise ConfigurationError(
-                f"expected an (S, {self._gar.n}, d) gradient stack, "
-                f"got shape {stack.shape}"
-            )
-        if self._record_received:
-            self._received_log.extend(matrix.copy() for matrix in stack)
-        aggregates = self._gar.aggregate_batch(stack)
-        for aggregated in aggregates:
-            self._parameters = self._optimizer.step(self._parameters, aggregated)
-        self._step += len(aggregates)
-        return aggregates

@@ -9,7 +9,6 @@ Usage (installed package)::
     python -m repro simulate examples/simulate_async.json --smoke
     python -m repro campaign examples/campaign_paper_grid.json --smoke
     python -m repro campaign examples/campaign_paper_grid.json --report
-    python -m repro bench --smoke
     python -m repro run my_experiments.json --telemetry out/trace.jsonl
     python -m repro trace summarize out/trace.jsonl
     python -m repro components
@@ -98,48 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         figure.add_argument("--steps", type=int, default=1000)
         figure.add_argument("--seeds", type=int, default=5, help="number of seeds (1..k)")
         figure.add_argument("--output", type=Path, default=None)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="benchmark the vectorized GAR kernels (default) or the fused "
-        "training engine (--training) against their kept reference paths",
-    )
-    bench.add_argument(
-        "--training",
-        action="store_true",
-        help="benchmark end-to-end training rounds (fused engine vs the "
-        "pre-fusion reference loop) instead of the aggregation kernels",
-    )
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="seconds-scale subset of the grid (for CI)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats per case (best-of)"
-    )
-    bench.add_argument("--seed", type=int, default=0, help="workload RNG seed")
-    bench.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="where to write the benchmark JSON (default BENCH_kernels.json, "
-        "or BENCH_training.json with --training)",
-    )
-    bench.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        metavar="BASELINE",
-        help="after running, fail (exit 1) if any cell's speedup regressed "
-        "more than the tolerance against this committed baseline JSON",
-    )
-    bench.add_argument(
-        "--check-tolerance",
-        type=float,
-        default=0.30,
-        help="fractional speedup regression allowed by --check (default 0.30)",
-    )
 
     run = subparsers.add_parser(
         "run", help="run experiment configs from a JSON file"
@@ -567,73 +524,6 @@ def _dispatch(arguments: argparse.Namespace) -> int:
     if arguments.command in FIGURES:
         outcomes = _figure_outcomes(arguments.command, arguments.steps, arguments.seeds)
         _emit(render_figure_text(arguments.command, outcomes), arguments.output)
-        return 0
-
-    if arguments.command == "bench":
-        from repro.distributed.benchmark import check_speedup_regressions
-
-        baseline = None
-        if arguments.check is not None:
-            # Load before the (multi-minute) run so a bad path or file
-            # fails in milliseconds, not after the measurement.
-            baseline = json.loads(Path(arguments.check).read_text())
-        if arguments.training:
-            from repro.distributed.benchmark import (
-                default_training_grid,
-                format_training_table,
-                run_training_benchmarks,
-                save_benchmarks,
-                smoke_training_grid,
-            )
-
-            grid = smoke_training_grid() if arguments.smoke else default_training_grid()
-            if arguments.seed != 0:
-                print(
-                    "note: --seed applies to the kernel workload; training "
-                    "cells pin their own seeds so runs stay comparable to "
-                    "the committed baseline",
-                    file=sys.stderr,
-                )
-            print(
-                f"benchmarking {len(grid)} training cases "
-                f"(repeats={arguments.repeats})"
-            )
-            payload = run_training_benchmarks(
-                grid, repeats=arguments.repeats, verbose=True
-            )
-            output = arguments.output or Path("BENCH_training.json")
-            save_benchmarks(payload, output)
-            print(f"wrote {output}")
-            print(format_training_table(payload))
-        else:
-            from repro.gars.benchmark import (
-                default_grid,
-                format_bench_table,
-                run_kernel_benchmarks,
-                save_benchmarks,
-                smoke_grid,
-            )
-
-            grid = smoke_grid() if arguments.smoke else default_grid()
-            print(
-                f"benchmarking {len(grid)} kernel cases (repeats={arguments.repeats})"
-            )
-            payload = run_kernel_benchmarks(
-                grid, repeats=arguments.repeats, seed=arguments.seed, verbose=True
-            )
-            output = arguments.output or Path("BENCH_kernels.json")
-            save_benchmarks(payload, output)
-            print(f"wrote {output}")
-            print(format_bench_table(payload))
-        if baseline is not None:
-            failures = check_speedup_regressions(
-                payload, baseline, tolerance=arguments.check_tolerance
-            )
-            if failures:
-                for failure in failures:
-                    print(f"regression: {failure}", file=sys.stderr)
-                return 1
-            print(f"no speedup regressions against {arguments.check}")
         return 0
 
     if arguments.command == "run":

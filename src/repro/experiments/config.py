@@ -8,7 +8,9 @@ uses seeds 1..5).  Defaults reproduce Section 5.1's setup.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+import math
+from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 
 from repro.exceptions import ConfigurationError
 
@@ -31,7 +33,7 @@ class ExperimentConfig:
     attack: str | None = None
     attack_kwargs: tuple[tuple[str, object], ...] = ()
     batch_size: int = 50
-    g_max: float = 1e-2
+    g_max: float | None = 1e-2
     epsilon: float | None = None
     delta: float = 1e-6
     noise_kind: str = "gaussian"
@@ -74,8 +76,9 @@ class ExperimentConfig:
     checkpoint_every: int = 1
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("config name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ConfigurationError("config field 'name' must be a non-empty string")
+        self._check_numeric_fields()
         if not self.seeds:
             raise ConfigurationError("config needs at least one seed")
         if self.num_steps < 1:
@@ -113,6 +116,27 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "checkpoint requires the inprocess backend"
             )
+
+    def _check_numeric_fields(self) -> None:
+        """Every ``int`` field holds an integer and every ``float`` field
+        a finite number (a bool is neither); ``| None`` fields may be None."""
+        for field_ in fields(self):
+            # Annotations are strings here (``from __future__ import annotations``).
+            kind, _, optional = field_.type.partition(" | ")
+            value = getattr(self, field_.name)
+            if kind not in ("int", "float") or (value is None and optional):
+                continue
+            if isinstance(value, bool):
+                valid = False
+            elif kind == "int":
+                valid = isinstance(value, Integral)
+            else:
+                valid = isinstance(value, Real) and math.isfinite(value)
+            if not valid:
+                expected = "an integer" if kind == "int" else "a finite number"
+                raise ConfigurationError(
+                    f"config field {field_.name!r} must be {expected}, got {value!r}"
+                )
 
     @property
     def uses_dp(self) -> bool:
@@ -208,6 +232,8 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown config fields: {', '.join(sorted(unknown))}"
             )
+        if "name" not in data:
+            raise ConfigurationError("config field 'name' is required")
         if "seeds" in data:
             data["seeds"] = tuple(int(seed) for seed in data["seeds"])
         for kwargs_field in (

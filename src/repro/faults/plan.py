@@ -43,6 +43,7 @@ cluster executes is round 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from repro.exceptions import ConfigurationError
 
@@ -105,6 +106,10 @@ class FaultEvent:
         if self.kind not in FAULT_KINDS:
             raise ConfigurationError(
                 f"fault kind must be one of {FAULT_KINDS}, got {self.kind!r}"
+            )
+        if isinstance(self.round, bool) or not isinstance(self.round, Integral):
+            raise ConfigurationError(
+                f"fault event field 'round' must be an integer, got {self.round!r}"
             )
         if self.round < 1:
             raise ConfigurationError(

@@ -24,7 +24,7 @@ from repro.gars.constants import (
     krum_eta,
 )
 from repro.gars.geometric_median import GeometricMedianGAR
-from repro.gars.kernels import batched_aggregate, pairwise_sq_distances
+from repro.gars.kernels import pairwise_sq_distances
 from repro.gars.krum import KrumGAR
 from repro.gars.mda import MDAGAR
 from repro.gars.oracle import OracleGAR
@@ -48,7 +48,6 @@ __all__ = [
     "TrimmedMeanGAR",
     "GAR_REGISTRY",
     "available_gars",
-    "batched_aggregate",
     "get_gar",
     "pairwise_sq_distances",
     "k_bulyan",

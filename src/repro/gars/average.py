@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.exceptions import AggregationError
 from repro.gars.base import GAR
-from repro.typing import GradientStack, Matrix, Vector
+from repro.typing import Matrix, Vector
 
 __all__ = ["AverageGAR"]
 
@@ -45,6 +43,3 @@ class AverageGAR(GAR):
 
     def _aggregate(self, gradients: Matrix) -> Vector:
         return gradients.mean(axis=0)
-
-    def _aggregate_batch(self, stack: GradientStack) -> np.ndarray:
-        return stack.mean(axis=1)

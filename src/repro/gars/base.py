@@ -21,13 +21,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.exceptions import AggregationError
-from repro.typing import (
-    GradientStack,
-    Matrix,
-    Vector,
-    as_gradient_matrix,
-    as_gradient_stack,
-)
+from repro.typing import Matrix, Vector, as_gradient_matrix
 
 __all__ = ["GAR"]
 
@@ -87,16 +81,6 @@ class GAR(ABC):
     def _aggregate(self, gradients: Matrix) -> Vector:
         """Aggregate a validated ``(n, d)`` matrix into a ``(d,)`` vector."""
 
-    def _aggregate_batch(self, stack: GradientStack) -> np.ndarray:
-        """Aggregate a validated ``(B, n, d)`` stack into ``(B, d)``.
-
-        The base implementation loops over the slices; rules with a
-        vectorized kernel (the Krum family, the coordinate-wise rules,
-        the geometric median) override it to process the whole stack in
-        single NumPy calls, bit-identically to the per-slice loop.
-        """
-        return np.stack([self._aggregate(matrix) for matrix in stack])
-
     def aggregate(self, gradients) -> Vector:
         """Aggregate ``n`` worker gradients into one vector.
 
@@ -117,31 +101,6 @@ class GAR(ABC):
         if not np.all(np.isfinite(matrix)):
             raise AggregationError(f"{self.name} received non-finite gradients")
         return self._aggregate(matrix)
-
-    def aggregate_batch(self, gradients_stack) -> np.ndarray:
-        """Aggregate a batch of rounds in one call: ``(B, n, d) -> (B, d)``.
-
-        Accepts a 3-D stack or a sequence of ``(n, d)`` matrices — one
-        independent round (step, seed, or grid cell) per slice.  Each
-        slice is aggregated exactly as :meth:`aggregate` would, but
-        vectorized rules process the entire stack without a per-round
-        Python loop.
-
-        Raises
-        ------
-        AggregationError
-            If any slice's worker count differs from ``n`` or any
-            gradient is non-finite.
-        """
-        stack = as_gradient_stack(gradients_stack)
-        if stack.shape[1] != self._n:
-            raise AggregationError(
-                f"{self.name} was built for n={self._n} workers but the stack "
-                f"has {stack.shape[1]} gradients per round"
-            )
-        if not np.all(np.isfinite(stack)):
-            raise AggregationError(f"{self.name} received non-finite gradients")
-        return self._aggregate_batch(stack)
 
     def __call__(self, gradients) -> Vector:
         return self.aggregate(gradients)

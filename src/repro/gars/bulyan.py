@@ -11,17 +11,10 @@ Krum's VN constant ``k_F``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gars.base import GAR
 from repro.gars.constants import k_bulyan, require_bulyan_valid
-from repro.gars.kernels import (
-    bulyan_select,
-    mean_around_anchor_batch,
-    median_batch,
-    pairwise_sq_distances,
-)
-from repro.typing import GradientStack, Matrix, Vector
+from repro.gars.kernels import bulyan_select, mean_around_anchor_batch, median_batch
+from repro.typing import Matrix, Vector
 
 __all__ = ["BulyanGAR"]
 
@@ -51,19 +44,3 @@ class BulyanGAR(GAR):
         # the median of the selection (ties broken by value so the rule
         # stays permutation-invariant).
         return mean_around_anchor_batch(selection, median_batch(selection), beta)
-
-    def _aggregate_batch(self, stack: GradientStack) -> np.ndarray:
-        theta = self._n - 2 * self._f
-        beta = theta - 2 * self._f
-        # One batched distance computation; the iterated selection is
-        # inherently sequential and runs per slice on matrix slices.
-        sq_distances = pairwise_sq_distances(stack)
-        selections = np.stack(
-            [
-                matrix[bulyan_select(matrix, self._f, theta, sq_distances=sq)]
-                for matrix, sq in zip(stack, sq_distances)
-            ]
-        )  # (B, theta, d)
-        return mean_around_anchor_batch(
-            selections, median_batch(selections), beta
-        )

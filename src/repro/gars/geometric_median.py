@@ -16,13 +16,11 @@ certificate, not about empirical behaviour.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.exceptions import AggregationError
 from repro.gars.base import GAR
 from repro.gars.constants import require_majority_honest
-from repro.gars.kernels import geometric_median, geometric_median_batch
-from repro.typing import GradientStack, Matrix, Vector
+from repro.gars.kernels import geometric_median
+from repro.typing import Matrix, Vector
 
 __all__ = ["GeometricMedianGAR", "geometric_median"]
 
@@ -53,15 +51,6 @@ class GeometricMedianGAR(GAR):
     def _aggregate(self, gradients: Matrix) -> Vector:
         return geometric_median(
             gradients,
-            max_iterations=self._max_iterations,
-            tolerance=self._tolerance,
-        )
-
-    def _aggregate_batch(self, stack: GradientStack) -> np.ndarray:
-        # One vectorized Weiszfeld run over the whole stack, with
-        # per-slice convergence masking.
-        return geometric_median_batch(
-            stack,
             max_iterations=self._max_iterations,
             tolerance=self._tolerance,
         )

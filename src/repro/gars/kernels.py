@@ -1,12 +1,11 @@
 """Vectorized aggregation kernels — the engine behind every GAR hot path.
 
 Every kernel here operates on NumPy arrays end to end, with no per-row
-Python loops on the hot path, and accepts either a single ``(n, d)``
-gradient matrix or a stacked batch ``(B, n, d)`` of independent rounds
-(steps or seeds) aggregated in one call.  The batched forms are
-bit-identical to running the single-matrix form per slice: NumPy's
-batched ``matmul``/``einsum``/``sort`` reductions perform the same
-per-lane operations, which the kernel test-suite locks in.
+Python loops on the hot path.  The distance, geometric-median and
+coordinate-wise kernels also accept a stacked batch ``(B, n, d)``; the
+single-matrix form is the one-slice view of it, and NumPy's batched
+``matmul``/``einsum``/``sort`` reductions perform the same per-lane
+operations, which the kernel test-suite locks in.
 
 Kernel inventory
 ----------------
@@ -33,11 +32,8 @@ Kernel inventory
   precomputed distance matrix instead of recomputing distances on
   every pass.
 * coordinate-wise kernels (:func:`median_batch`,
-  :func:`trimmed_mean_batch`, :func:`mean_around_anchor_batch`,
-  :func:`meamed_batch`, :func:`phocas_batch`) — ``axis``-generalised so
-  a whole stack is one call.
-* :func:`batched_aggregate` — the engine's entry point: validate a
-  ``(B, n, d)`` stack once and dispatch to a GAR's batched path.
+  :func:`trimmed_mean_batch`, :func:`mean_around_anchor_batch`) —
+  ``axis``-generalised over the worker axis.
 """
 
 from __future__ import annotations
@@ -51,17 +47,14 @@ from repro.exceptions import AggregationError
 from repro.typing import Matrix, Vector
 
 __all__ = [
-    "batched_aggregate",
     "bulyan_select",
     "geometric_median",
     "geometric_median_batch",
     "krum_scores_from_sq_distances",
     "mda_aggregate",
     "mean_around_anchor_batch",
-    "meamed_batch",
     "median_batch",
     "pairwise_sq_distances",
-    "phocas_batch",
     "rank_by_score_then_value",
     "trimmed_mean_batch",
 ]
@@ -335,9 +328,7 @@ def geometric_median(
 # ---------------------------------------------------------------------------
 
 
-def mda_aggregate(
-    gradients: Matrix, f: int, sq_distances: np.ndarray | None = None
-) -> Vector:
+def mda_aggregate(gradients: Matrix, f: int) -> Vector:
     """Minimum Diameter Averaging with a vectorized exhaustive search.
 
     Enumerates every ``(n - f)``-subset once as an index matrix and
@@ -352,9 +343,7 @@ def mda_aggregate(
     if f == 0:
         return gradients.mean(axis=0)
     selection_size = n - f
-    if sq_distances is None:
-        sq_distances = pairwise_sq_distances(gradients)
-    distances = np.sqrt(sq_distances)
+    distances = np.sqrt(pairwise_sq_distances(gradients))
 
     # Enumerate the C(n, n - f) subsets lazily, one chunk of index rows
     # at a time, so peak scratch stays at the chunk budget (the replaced
@@ -393,9 +382,7 @@ def mda_aggregate(
 # ---------------------------------------------------------------------------
 
 
-def bulyan_select(
-    gradients: Matrix, f: int, theta: int, sq_distances: np.ndarray | None = None
-) -> np.ndarray:
+def bulyan_select(gradients: Matrix, f: int, theta: int) -> np.ndarray:
     """Indices of Bulyan's iterated-Krum selection, reusing one distance
     matrix across all ``theta`` passes.
 
@@ -405,8 +392,7 @@ def bulyan_select(
     pass falls back to distance-to-mean, as before.
     """
     gradients = np.asarray(gradients, dtype=np.float64)
-    if sq_distances is None:
-        sq_distances = pairwise_sq_distances(gradients)
+    sq_distances = pairwise_sq_distances(gradients)
     remaining = np.arange(gradients.shape[0])
     selected = np.empty(theta, dtype=np.intp)
     for pass_index in range(theta):
@@ -456,34 +442,3 @@ def mean_around_anchor_batch(
     closest = np.lexsort((stack, deviation), axis=-2)
     picked = np.take_along_axis(stack, closest[..., :keep, :], axis=-2)
     return picked.mean(axis=-2)
-
-
-def meamed_batch(stack: np.ndarray, f: int) -> np.ndarray:
-    """Meamed over a stack: mean of the ``n - f`` values nearest the median."""
-    n = stack.shape[-2]
-    return mean_around_anchor_batch(stack, median_batch(stack), n - f)
-
-
-def phocas_batch(stack: np.ndarray, f: int) -> np.ndarray:
-    """Phocas over a stack: mean of the ``n - f`` values nearest the
-    trimmed mean."""
-    n = stack.shape[-2]
-    return mean_around_anchor_batch(stack, trimmed_mean_batch(stack, f), n - f)
-
-
-# ---------------------------------------------------------------------------
-# engine entry point
-# ---------------------------------------------------------------------------
-
-
-def batched_aggregate(gar, gradients_stack: np.ndarray) -> np.ndarray:
-    """Aggregate a whole ``(B, n, d)`` stack of rounds in one call.
-
-    ``B`` indexes independent rounds (training steps, seeds, or grid
-    cells); each slice is aggregated by ``gar`` exactly as
-    ``gar.aggregate`` would, and rules with a vectorized batch path
-    (the Krum family, the coordinate-wise rules, the geometric median)
-    process the entire stack without a per-round Python loop.  Returns
-    the ``(B, d)`` aggregates.
-    """
-    return gar.aggregate_batch(gradients_stack)

@@ -23,7 +23,7 @@ from repro.gars.kernels import (
     rank_by_score_then_value,
     select_best_by_score_then_value,
 )
-from repro.typing import GradientStack, Matrix, Vector
+from repro.typing import Matrix, Vector
 
 __all__ = ["KrumGAR", "krum_scores", "rank_by_score_then_value"]
 
@@ -75,18 +75,3 @@ class KrumGAR(GAR):
             return gradients[select_best_by_score_then_value(scores, gradients)].copy()
         order = rank_by_score_then_value(scores, gradients)
         return gradients[order[: self._m]].mean(axis=0)
-
-    def _aggregate_batch(self, stack: GradientStack) -> np.ndarray:
-        # Distances and scores for the whole stack in single kernel
-        # calls; only the (cheap, n log n) final ranking runs per slice.
-        scores = krum_scores_from_sq_distances(
-            pairwise_sq_distances(stack), self._f
-        )
-        out = np.empty((stack.shape[0], stack.shape[2]))
-        for index, (matrix, row_scores) in enumerate(zip(stack, scores)):
-            if self._m == 1:
-                out[index] = matrix[select_best_by_score_then_value(row_scores, matrix)]
-            else:
-                order = rank_by_score_then_value(row_scores, matrix)
-                out[index] = matrix[order[: self._m]].mean(axis=0)
-        return out

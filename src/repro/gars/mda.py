@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.exceptions import AggregationError
 from repro.gars.base import GAR
 from repro.gars.constants import k_mda, require_majority_honest
-from repro.gars.kernels import mda_aggregate, pairwise_sq_distances
-from repro.typing import GradientStack, Matrix, Vector
+from repro.gars.kernels import mda_aggregate
+from repro.typing import Matrix, Vector
 
 __all__ = ["MDAGAR"]
 
@@ -52,16 +50,3 @@ class MDAGAR(GAR):
 
     def _aggregate(self, gradients: Matrix) -> Vector:
         return mda_aggregate(gradients, self._f)
-
-    def _aggregate_batch(self, stack: GradientStack) -> np.ndarray:
-        # Distances for the whole stack in one kernel call; the subset
-        # search itself is combinatorial and runs per slice.
-        if self._f == 0:
-            return stack.mean(axis=1)
-        sq_distances = pairwise_sq_distances(stack)
-        return np.stack(
-            [
-                mda_aggregate(matrix, self._f, sq_distances=sq)
-                for matrix, sq in zip(stack, sq_distances)
-            ]
-        )

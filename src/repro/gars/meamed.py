@@ -8,12 +8,10 @@ average the ``n - f`` values closest to that median.  Valid for
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gars.base import GAR
 from repro.gars.constants import k_meamed, require_majority_honest
-from repro.gars.kernels import mean_around_anchor_batch, meamed_batch, median_batch
-from repro.typing import GradientStack, Matrix, Vector
+from repro.gars.kernels import mean_around_anchor_batch, median_batch
+from repro.typing import Matrix, Vector
 
 __all__ = ["MeamedGAR", "mean_around_anchor"]
 
@@ -47,6 +45,3 @@ class MeamedGAR(GAR):
         return mean_around_anchor(
             gradients, median_batch(gradients), self._n - self._f
         )
-
-    def _aggregate_batch(self, stack: GradientStack) -> np.ndarray:
-        return meamed_batch(stack, self._f)

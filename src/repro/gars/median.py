@@ -11,8 +11,7 @@ import numpy as np
 
 from repro.gars.base import GAR
 from repro.gars.constants import k_median, require_majority_honest
-from repro.gars.kernels import median_batch
-from repro.typing import GradientStack, Matrix, Vector
+from repro.typing import Matrix, Vector
 
 __all__ = ["MedianGAR"]
 
@@ -32,6 +31,3 @@ class MedianGAR(GAR):
 
     def _aggregate(self, gradients: Matrix) -> Vector:
         return np.median(gradients, axis=0)
-
-    def _aggregate_batch(self, stack: GradientStack) -> np.ndarray:
-        return median_batch(stack)

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.exceptions import AggregationError
 from repro.gars.base import GAR
-from repro.typing import GradientStack, Matrix, Vector
+from repro.typing import Matrix, Vector
 
 __all__ = ["OracleGAR"]
 
@@ -50,6 +48,3 @@ class OracleGAR(GAR):
 
     def _aggregate(self, gradients: Matrix) -> Vector:
         return gradients[self._honest_index].copy()
-
-    def _aggregate_batch(self, stack: GradientStack) -> np.ndarray:
-        return stack[:, self._honest_index, :].copy()

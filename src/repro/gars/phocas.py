@@ -8,13 +8,11 @@ of the paper uses ``k_F(n, f) = sqrt(4 + (n-2f)^2 / (12 (f+1) (n-f)))``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gars.base import GAR
 from repro.gars.constants import k_phocas, require_majority_honest
-from repro.gars.kernels import phocas_batch, trimmed_mean_batch
+from repro.gars.kernels import trimmed_mean_batch
 from repro.gars.meamed import mean_around_anchor
-from repro.typing import GradientStack, Matrix, Vector
+from repro.typing import Matrix, Vector
 
 __all__ = ["PhocasGAR"]
 
@@ -35,6 +33,3 @@ class PhocasGAR(GAR):
     def _aggregate(self, gradients: Matrix) -> Vector:
         anchor = trimmed_mean_batch(gradients, self._f)
         return mean_around_anchor(gradients, anchor, self._n - self._f)
-
-    def _aggregate_batch(self, stack: GradientStack) -> np.ndarray:
-        return phocas_batch(stack, self._f)

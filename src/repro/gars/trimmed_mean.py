@@ -7,12 +7,10 @@ and average the remaining ``n - 2 f``.  Valid for ``2 f <= n - 1`` with
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gars.base import GAR
 from repro.gars.constants import k_trimmed_mean, require_majority_honest
 from repro.gars.kernels import trimmed_mean_batch
-from repro.typing import GradientStack, Matrix, Vector
+from repro.typing import Matrix, Vector
 
 __all__ = ["TrimmedMeanGAR"]
 
@@ -32,6 +30,3 @@ class TrimmedMeanGAR(GAR):
 
     def _aggregate(self, gradients: Matrix) -> Vector:
         return trimmed_mean_batch(gradients, self._f)
-
-    def _aggregate_batch(self, stack: GradientStack) -> np.ndarray:
-        return trimmed_mean_batch(stack, self._f)

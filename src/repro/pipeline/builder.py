@@ -853,8 +853,10 @@ class Experiment:
         ``num_steps`` counts *server updates* (rounds for the barrier
         policies, arrivals for the async policy).  Returns a
         :class:`repro.simulation.run.SimulationResult` whose
-        ``per_worker_privacy`` reports are amplified by each worker's
-        realized participation rate.
+        ``per_worker_privacy`` reports are amplified at each worker's
+        per-round inclusion probability (the realized
+        ``participation_rates`` are reported alongside, as an
+        observation).
 
         With the default sync policy at zero latency and full
         participation this reproduces :meth:`run` bit for bit (the
@@ -889,15 +891,17 @@ class Experiment:
         per_worker = None
         if self.mechanism is not None and self.epsilon is not None:
             if simulator.policy.barrier:
-                # Barrier policies: each sampled round invokes the
-                # mechanism with probability q, so the amplified
-                # per-round budget composes over the sampled rounds.
+                # Barrier policies: each sampled round invokes a worker's
+                # mechanism with its inclusion probability q, so the
+                # amplified per-round budget composes over the sampled
+                # rounds.  The bound holds at q, whatever rate this run
+                # happened to realize.
                 rounds = max(1, simulator.sampling_round_count)
                 per_worker = {
                     worker: amplified_privacy_report(
-                        self.mechanism, self.epsilon, self.delta, rounds, rate
+                        self.mechanism, self.epsilon, self.delta, rounds, q
                     )
-                    for worker, rate in rates.items()
+                    for worker, q in simulator.inclusion_probabilities.items()
                 }
             else:
                 # Non-barrier policies have no per-round sampling to

@@ -17,8 +17,8 @@ pluggable axes:
   buffered semi-sync barrier, and a fully asynchronous
   staleness-damped rule;
 * **partial participation** (:mod:`~repro.simulation.participation`) —
-  per-round Poisson/uniform client sampling whose realized rates feed
-  privacy amplification by subsampling
+  per-round Poisson/uniform client sampling whose inclusion
+  probabilities feed privacy amplification by subsampling
   (:func:`repro.privacy.amplification.amplify_by_rate`), the Section 7
   "future direction" the accountants can now report on.
 

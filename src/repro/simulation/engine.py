@@ -213,13 +213,25 @@ class ClusterSimulator(RoundCore):
 
     @property
     def participation_rates(self) -> dict[int, float]:
-        """Realized per-worker participation rate over sampled rounds."""
+        """Realized per-worker participation rate over sampled rounds.
+
+        An observation only: privacy is amplified at
+        :attr:`inclusion_probabilities`.
+        """
         if self._sampling_rounds == 0:
             return {worker: 0.0 for worker in range(self.num_honest)}
         return {
             worker: float(count) / self._sampling_rounds
             for worker, count in enumerate(self._participation_counts)
         }
+
+    @property
+    def inclusion_probabilities(self) -> dict[int, float]:
+        """Per-worker probability of being sampled in one round — the
+        rate privacy amplification by subsampling holds at."""
+        return self._participation.inclusion_probabilities(
+            tuple(range(self.num_honest))
+        )
 
     @property
     def computation_counts(self) -> np.ndarray:

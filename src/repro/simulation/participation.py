@@ -5,9 +5,12 @@ names subsampling amplification as the open direction.  These samplers
 implement the standard client-sampling schemes — each round, only a
 subset of the honest workers participates, the server zero-fills the
 rest (the Section 2.1 convention for non-received gradients), and each
-worker's *realized* participation rate feeds
+worker's per-round *inclusion probability* feeds
 :func:`repro.privacy.amplification.amplify_by_rate` to produce its
-amplified privacy report.
+amplified privacy report.  Amplification by subsampling holds at the
+sampling probability, not at the rate one run happens to realize: a
+worker sampled less often than its probability still spent the budget
+the probability implies.
 
 Sampling applies only to honest workers: the colluding Byzantine
 workers are assumed worst-case always-on.  Each round's draw comes
@@ -66,6 +69,12 @@ class ParticipationSampler(ABC):
         only from it.
         """
 
+    @abstractmethod
+    def inclusion_probabilities(
+        self, candidates: tuple[int, ...]
+    ) -> dict[int, float]:
+        """Each candidate's probability of being in one round's sample."""
+
 
 class FullParticipation(ParticipationSampler):
     """Everyone, every round — the paper's Section 2.1 protocol."""
@@ -79,6 +88,9 @@ class FullParticipation(ParticipationSampler):
     def sample(self, round_index, candidates, rng):
         del round_index, rng
         return tuple(candidates)
+
+    def inclusion_probabilities(self, candidates):
+        return dict.fromkeys(candidates, 1.0)
 
     def __repr__(self) -> str:
         return "FullParticipation()"
@@ -96,8 +108,9 @@ class PoissonParticipation(ParticipationSampler):
     """Independent Bernoulli(``rate``) inclusion per worker per round.
 
     This is the sampling scheme the amplification-by-subsampling bound
-    is stated for; the realized per-worker rate concentrates around
-    ``rate`` over many rounds.
+    is stated for.  The non-empty fallback raises the lowest-indexed
+    candidate's inclusion probability to ``rate + (1 - rate)^m`` over
+    ``m`` candidates.
     """
 
     name = "poisson"
@@ -119,6 +132,12 @@ class PoissonParticipation(ParticipationSampler):
             return (min(candidates),)
         return included
 
+    def inclusion_probabilities(self, candidates):
+        probabilities = dict.fromkeys(candidates, self._rate)
+        # The fallback adds the all-excluded draw to the lowest index.
+        probabilities[min(candidates)] += (1.0 - self._rate) ** len(candidates)
+        return probabilities
+
     def __repr__(self) -> str:
         return f"PoissonParticipation(rate={self._rate})"
 
@@ -135,13 +154,19 @@ class UniformParticipation(ParticipationSampler):
     def rate(self) -> float:
         return self._rate
 
+    def _count(self, candidates) -> int:
+        return min(len(candidates), max(1, int(round(self._rate * len(candidates)))))
+
     def sample(self, round_index, candidates, rng):
         del round_index
-        count = max(1, int(round(self._rate * len(candidates))))
-        if count >= len(candidates):
+        count = self._count(candidates)
+        if count == len(candidates):
             return tuple(candidates)
         chosen = rng.choice(len(candidates), size=count, replace=False)
         return tuple(sorted(candidates[index] for index in chosen))
+
+    def inclusion_probabilities(self, candidates):
+        return dict.fromkeys(candidates, self._count(candidates) / len(candidates))
 
     def __repr__(self) -> str:
         return f"UniformParticipation(rate={self._rate})"

@@ -10,9 +10,9 @@ wall-clock into the history, and fires every
 :class:`~repro.simulation.engine.SimStepResult`.
 
 :class:`SimulationResult` extends the training result with the
-simulation-only outputs: per-worker *amplified* privacy reports (via
-the realized participation rates), the policy/engine counters, and the
-total virtual time.
+simulation-only outputs: per-worker *amplified* privacy reports (at
+each worker's inclusion probability), the realized participation
+rates, the policy/engine counters, and the total virtual time.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ The contract that makes telemetry safe to leave wired in everywhere:
   through one :class:`~repro.telemetry.timing.PhaseTimer`; without a
   handle that is the no-op :data:`~repro.telemetry.timing.NULL_TIMER`,
   about 25 ns per phase and no event built (pinned by the off-path
-  overhead test and a bench-cell guard);
+  overhead test);
 * **enabled is bit-identical** — no telemetry code path ever draws
   from an RNG stream, so traces observe training without perturbing it
   (pinned by the golden-trace replay and the differential suites).
@@ -22,7 +22,6 @@ The contract that makes telemetry safe to leave wired in everywhere:
 from repro.telemetry.core import Counter, Gauge, MetricsRegistry, Telemetry
 from repro.telemetry.events import EVENT_KINDS, TRACE_SCHEMA, TraceError, validate_events
 from repro.telemetry.sinks import JsonlSink, MemorySink, QueueSink, Sink, StderrProgressSink
-from repro.telemetry.timing import Stopwatch, best_of_ns
 from repro.telemetry.trace import read_trace, render_trace_summary, summarize_trace
 
 __all__ = [
@@ -35,11 +34,9 @@ __all__ = [
     "QueueSink",
     "Sink",
     "StderrProgressSink",
-    "Stopwatch",
     "TRACE_SCHEMA",
     "Telemetry",
     "TraceError",
-    "best_of_ns",
     "read_trace",
     "render_trace_summary",
     "summarize_trace",

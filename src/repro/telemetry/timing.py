@@ -1,11 +1,9 @@
 """Shared timing primitives — one clock discipline for the repo.
 
-Both benchmark modules (:mod:`repro.gars.benchmark`,
-:mod:`repro.distributed.benchmark`) and the telemetry spans themselves
-time with ``time.perf_counter_ns``: the monotonic, highest-resolution
-clock the stdlib offers.  Keeping the discipline here means a bench
-table and a run trace measure with the same clock and the same
-best-of-N convention.
+Telemetry spans time with ``time.perf_counter_ns``: the monotonic,
+highest-resolution clock the stdlib offers.  The end-to-end benchmark
+(``benchmarks/e2e``) reads the same clock, so a benchmark row and a run
+trace measure the same thing.
 
 Every round path times its phases through one :class:`PhaseTimer`
 obtained from :func:`phase_timer`.  With no telemetry installed that is
@@ -18,50 +16,7 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["NULL_TIMER", "PhaseTimer", "Stopwatch", "best_of_ns", "phase_timer"]
-
-
-def best_of_ns(fn, repeats: int) -> float:
-    """Best wall time of ``repeats`` calls to ``fn``, in nanoseconds.
-
-    One untimed warm-up call first (caches, allocators, JIT-ish numpy
-    paths), then the minimum over ``repeats`` timed calls — the
-    standard micro-benchmark estimator, robust to scheduler noise.
-    """
-    fn()
-    best = float("inf")
-    for _ in range(max(1, int(repeats))):
-        start = time.perf_counter_ns()
-        fn()
-        best = min(best, float(time.perf_counter_ns() - start))
-    return best
-
-
-class Stopwatch:
-    """A restartable interval timer on the shared clock.
-
-    ``restart()`` marks the start of an interval; ``elapsed_ns()`` /
-    ``elapsed_seconds()`` read the interval without stopping it.  Used
-    where the measured region cannot be expressed as a closure (the
-    training benchmark's interleaved engine/reference repeats).
-    """
-
-    __slots__ = ("_start",)
-
-    def __init__(self):
-        self._start = time.perf_counter_ns()
-
-    def restart(self) -> None:
-        """Begin a new interval at the current instant."""
-        self._start = time.perf_counter_ns()
-
-    def elapsed_ns(self) -> int:
-        """Nanoseconds since the last restart (or construction)."""
-        return time.perf_counter_ns() - self._start
-
-    def elapsed_seconds(self) -> float:
-        """Seconds since the last restart (or construction)."""
-        return self.elapsed_ns() / 1e9
+__all__ = ["NULL_TIMER", "PhaseTimer", "phase_timer"]
 
 
 class PhaseTimer:

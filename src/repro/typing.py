@@ -15,10 +15,8 @@ import numpy as np
 __all__ = [
     "Vector",
     "Matrix",
-    "GradientStack",
     "as_vector",
     "as_gradient_matrix",
-    "as_gradient_stack",
     "check_finite",
 ]
 
@@ -27,9 +25,6 @@ Vector = np.ndarray
 
 # A stack of gradients: shape (n, d).
 Matrix = np.ndarray
-
-# A batch of gradient matrices: shape (B, n, d), one (n, d) round per slice.
-GradientStack = np.ndarray
 
 
 def as_vector(value: Sequence[float] | np.ndarray, name: str = "vector") -> Vector:
@@ -63,38 +58,6 @@ def as_gradient_matrix(
     if matrix.size == 0:
         raise ValueError(f"{name} must be non-empty")
     return matrix
-
-
-def as_gradient_stack(
-    stacks: Sequence[np.ndarray] | np.ndarray, name: str = "gradients_stack"
-) -> GradientStack:
-    """Coerce a batch of gradient matrices into a ``(B, n, d)`` array.
-
-    Accepts a 3-D array or a sequence of equal-shaped ``(n, d)``
-    matrices.
-
-    Raises
-    ------
-    ValueError
-        If the batch is empty or the matrices disagree on shape.
-    """
-    if isinstance(stacks, np.ndarray):
-        stack = np.asarray(stacks, dtype=np.float64)
-    else:
-        matrices = list(stacks)
-        if not matrices:
-            raise ValueError(f"{name} must contain at least one gradient matrix")
-        shapes = {np.asarray(matrix).shape for matrix in matrices}
-        if len(shapes) != 1:
-            raise ValueError(
-                f"{name} must all share one (n, d) shape, got shapes {shapes}"
-            )
-        stack = np.stack([np.asarray(matrix, dtype=np.float64) for matrix in matrices])
-    if stack.ndim != 3 or stack.size == 0:
-        raise ValueError(
-            f"{name} must be a non-empty (B, n, d) batch, got shape {stack.shape}"
-        )
-    return stack
 
 
 def check_finite(array: np.ndarray, name: str = "array") -> np.ndarray:

@@ -1,17 +1,12 @@
 """Pre-vectorization reference implementations of the hot GAR paths.
 
 These are the original per-row / per-step Python implementations that
-:mod:`repro.gars.kernels` replaced, kept verbatim (modulo imports) for
-two jobs:
+:mod:`repro.gars.kernels` replaced, kept verbatim (modulo imports) as
+test oracles: the property-based tests (:mod:`tests.test_property_gars`)
+and the kernel unit tests (:mod:`tests.test_kernels`) assert the
+vectorized kernels agree with them on random ``(n, f, d)`` inputs.
 
-* the property-based tests (:mod:`tests.test_property_gars`) assert the
-  vectorized kernels agree with them on random ``(n, f, d)`` inputs;
-* the kernel benchmark (``python -m repro bench``) times them as the
-  "old" side of every old-vs-new comparison, so the recorded speedups
-  are measured against the real pre-vectorization code and not a straw
-  man.
-
-Nothing in the library's hot path imports this module.
+Nothing in the library imports this module.
 """
 
 from __future__ import annotations
@@ -202,8 +197,8 @@ def phocas_aggregate_reference(gradients: Matrix, f: int) -> Vector:
     return mean_around_anchor_reference(gradients, anchor, n - f)
 
 
-#: name -> ``callable(gradients, n, f) -> Vector`` for the benchmark's
-#: "old" side.  Keys match the GAR registry names.
+#: name -> ``callable(gradients, n, f) -> Vector``, the property tests'
+#: oracle per rule.  Keys match the GAR registry names.
 REFERENCE_AGGREGATORS = {
     "average": lambda gradients, n, f: gradients.mean(axis=0),
     "median": lambda gradients, n, f: median_aggregate_reference(gradients),

@@ -1,16 +1,15 @@
-"""The pre-fusion synchronous round loop, kept verbatim.
+"""The pre-fusion synchronous round loop, kept verbatim as a test oracle.
 
 This module preserves the round execution path exactly as it ran
 before the fused :class:`repro.distributed.engine.RoundEngine` landed:
 per-round batch sampling and noise draws, a fresh ``(W, d)`` cohort
 allocation every round, stacked-then-copied momentum buffers, a
 defensive ``parameters`` copy per read, and an allocating optimizer
-update.  It exists for one purpose — the end-to-end training benchmark
-(``python -m repro bench --training``) times the engine against *this*
-code, the same way the aggregation benchmark times the vectorized
-kernels against :mod:`repro.gars.reference` — so its body should never
-be "improved".  Numerically it is bit-identical to the fused engine
-(the benchmark asserts the final parameters agree exactly).
+update.  It exists for one purpose — :mod:`tests.test_engine_fused`
+asserts the engine is bit-identical to *this* code
+(``test_fused_equals_reference_loop``, ``TestSigmoidEquivalence``), the
+same way the GAR property tests check the vectorized kernels against
+:mod:`tests.reference_gars` — so its body should never be "improved".
 """
 
 from __future__ import annotations
@@ -281,8 +280,8 @@ def reference_training_rounds(
     fresh per-round instrumentation matrices, an allocating server
     update, and the honest-batch loss recorded through the same stacked
     pipeline.  Drives the *same* cluster components as the engine, so a
-    benchmark can time both on identically seeded experiments and
-    assert the outputs agree bit for bit.
+    test can run both on identically seeded experiments and assert the
+    outputs agree bit for bit.
     """
     if num_rounds < 1:
         raise ConfigurationError(f"num_rounds must be >= 1, got {num_rounds}")

@@ -165,7 +165,40 @@ class TestSimulatedSubsampledRun:
             for report in full.per_worker_privacy.values()
         )
 
-    def test_rates_match_reported_sampling(self):
-        result = self._simulate(participation_rate=0.5, participation_kind="uniform")
-        for worker, rate in result.participation_rates.items():
-            assert result.per_worker_privacy[worker].sampling_rate == rate
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["poisson", "uniform"])
+    def test_epsilon_covers_inclusion_bound(self, kind, seed):
+        """Amplification by subsampling holds at the sampling
+        probability, not at the rate one run realizes: no worker may
+        report less epsilon than the bound at its per-round inclusion
+        probability, composed over the sampled rounds."""
+        from repro.data.phishing import make_phishing_dataset
+        from repro.models.logistic import LogisticRegressionModel
+        from repro.pipeline.builder import Experiment
+        from repro.privacy.accountants import BasicCompositionAccountant
+
+        q, n, f, epsilon, delta = 0.1, 7, 2, 0.5, 1e-6
+        result = Experiment(
+            model=LogisticRegressionModel(10),
+            train_dataset=make_phishing_dataset(
+                seed=0, num_points=400, num_features=10
+            ),
+            num_steps=200, n=n, f=f, gar="median", attack="little",
+            batch_size=10, epsilon=epsilon, delta=delta, seed=seed,
+            participation_rate=q, participation_kind=kind,
+        ).simulate()
+        m = n - f
+        if kind == "poisson":
+            # Worker 0 also absorbs the all-excluded draw (non-empty fallback).
+            probabilities = [q + (1 - q) ** m] + [q] * (m - 1)
+        else:
+            probabilities = [max(1, round(q * m)) / m] * m
+        rounds = result.policy_stats["sampling_rounds"]
+        assert sorted(result.per_worker_privacy) == list(range(m))
+        for worker, report in result.per_worker_privacy.items():
+            per_step = amplify_by_rate(epsilon, delta, probabilities[worker])
+            bound = BasicCompositionAccountant().compose(
+                per_step.epsilon, per_step.delta, rounds
+            )
+            assert report.basic.epsilon >= bound.epsilon
+            assert report.sampling_rate == pytest.approx(probabilities[worker])

@@ -50,41 +50,6 @@ class TestMain:
         assert main(["table1", "--dimension", "500"]) == 0
         assert "d=500" in capsys.readouterr().out
 
-    def test_bench_smoke_writes_json(self, tmp_path, capsys):
-        import json
-
-        target = tmp_path / "BENCH_kernels.json"
-        code = main(
-            ["bench", "--smoke", "--repeats", "1", "--output", str(target)]
-        )
-        assert code == 0
-        payload = json.loads(target.read_text())
-        assert payload["schema"].startswith("repro.bench_kernels/")
-        gars = {entry["gar"] for entry in payload["results"]}
-        assert {"krum", "geometric-median", "mda"} <= gars
-        for entry in payload["results"]:
-            assert entry["reference_ns_per_op"] > 0
-            assert entry["kernel_ns_per_op"] > 0
-            assert entry["max_abs_diff"] < 1e-6
-        assert "speedup" in capsys.readouterr().out
-
-    def test_bench_parser_defaults(self):
-        arguments = build_parser().parse_args(["bench"])
-        assert arguments.smoke is False
-        assert arguments.repeats == 3
-        assert arguments.training is False
-        assert arguments.output is None  # resolved per mode at dispatch
-        assert arguments.check is None
-        assert arguments.check_tolerance == pytest.approx(0.30)
-
-    def test_bench_parser_training_flags(self):
-        arguments = build_parser().parse_args(
-            ["bench", "--training", "--smoke", "--check", "BENCH_training.json"]
-        )
-        assert arguments.training is True
-        assert arguments.smoke is True
-        assert str(arguments.check) == "BENCH_training.json"
-
     @pytest.mark.slow
     def test_figure_tiny_run(self, tmp_path, capsys):
         target = tmp_path / "fig.txt"

@@ -1,6 +1,10 @@
 """Tests for the CLI ``run`` subcommand and its helpers."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +132,54 @@ class TestRunCommand:
         assert malformed == 2
         errors = capsys.readouterr().err
         assert errors.count("error:") == 2
+
+    @pytest.mark.parametrize(
+        "field,text",
+        [
+            (
+                "num_steps",
+                json.dumps(tiny_cell(num_steps=0)).replace(
+                    '"num_steps": 0', '"num_steps": 1e400'
+                ),
+            ),
+            ("learning_rate", json.dumps(tiny_cell(learning_rate=None))),
+            (
+                "round",
+                json.dumps(
+                    tiny_cell(
+                        faults={
+                            "events": [
+                                {"kind": "drop_round", "round": "2", "worker": 0}
+                            ]
+                        }
+                    )
+                ),
+            ),
+            (
+                "name",
+                json.dumps(
+                    {key: value for key, value in tiny_cell().items() if key != "name"}
+                ),
+            ),
+        ],
+        ids=["num_steps-overflow", "learning_rate-null", "fault-round-string", "no-name"],
+    )
+    def test_malformed_cell_exits_2_naming_the_field(self, tmp_path, field, text):
+        path = tmp_path / "cell.json"
+        path.write_text(text)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        process = subprocess.run(
+            [sys.executable, "-m", "repro", "run", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert process.returncode == 2, process.stderr
+        assert "Traceback" not in process.stderr
+        errors = [line for line in process.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1, process.stderr
+        assert f"field '{field}'" in errors[0]
 
     def test_data_seed_flag_beats_config_file(self, tmp_path, monkeypatch):
         """--data-seed must override a data_seed key in the file."""

@@ -19,10 +19,6 @@ import pytest
 from repro.data.phishing import make_phishing_dataset
 from repro.distributed.cluster import StepResult
 from repro.distributed.engine import RoundEngine
-from repro.distributed.reference import (
-    _reference_sigmoid,
-    reference_training_rounds,
-)
 from repro.distributed.worker import HonestWorker
 from repro.exceptions import ConfigurationError
 from repro.metrics.history import TrainingHistory
@@ -35,6 +31,7 @@ from repro.pipeline.callbacks import (
     EarlyStopping,
     StepResultRecorder,
 )
+from tests.reference_loop import _reference_sigmoid, reference_training_rounds
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "traces.json"
 
@@ -86,6 +83,10 @@ CONFIGS = {
     "trimmedmean-server-momentum": dict(
         gar="trimmed-mean", attack=None, n=9, f=4, epsilon=0.3,
         momentum=0.5, momentum_at="server",
+    ),
+    # Paper scale: n = 25 workers at the paper's ~45 % Byzantine share.
+    "krum-little-paper-scale": dict(
+        gar="krum", attack="little", n=25, f=11, epsilon=0.5, momentum=0.99
     ),
 }
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import AggregationError
-from repro.gars import batched_aggregate, get_gar
+from repro.gars import get_gar
 from repro.gars.kernels import (
     geometric_median_batch,
     krum_scores_from_sq_distances,
@@ -12,8 +12,8 @@ from repro.gars.kernels import (
     pairwise_sq_distances,
 )
 from repro.gars.krum import krum_scores
-from repro.gars.reference import geometric_median_reference, mda_aggregate_reference
 from tests.helpers import random_gradient_matrix
+from tests.reference_gars import geometric_median_reference, mda_aggregate_reference
 
 
 class TestPairwiseSqDistances:
@@ -171,62 +171,3 @@ class TestMDAKernel:
     def test_f_zero_is_mean(self):
         gradients = random_gradient_matrix(5, 3, seed=10)
         assert np.array_equal(mda_aggregate(gradients, 0), gradients.mean(axis=0))
-
-
-class TestBatchedAggregateEntryPoint:
-    def test_routes_through_gar(self):
-        rng = np.random.default_rng(11)
-        stack = rng.standard_normal((3, 11, 5))
-        gar = get_gar("median", 11, 5)
-        assert np.array_equal(
-            batched_aggregate(gar, stack), gar.aggregate_batch(stack)
-        )
-
-    def test_accepts_sequence_of_matrices(self):
-        rng = np.random.default_rng(12)
-        matrices = [rng.standard_normal((7, 4)) for _ in range(3)]
-        gar = get_gar("median", 7, 3)
-        batched = gar.aggregate_batch(matrices)
-        assert batched.shape == (3, 4)
-        assert np.array_equal(batched[1], gar.aggregate(matrices[1]))
-
-    def test_wrong_worker_count_rejected(self):
-        gar = get_gar("median", 7, 3)
-        with pytest.raises(AggregationError, match="n=7"):
-            gar.aggregate_batch(np.zeros((2, 6, 4)))
-
-    def test_non_finite_rejected(self):
-        gar = get_gar("median", 5, 2)
-        stack = np.zeros((2, 5, 3))
-        stack[1, 2, 0] = np.nan
-        with pytest.raises(AggregationError, match="non-finite"):
-            gar.aggregate_batch(stack)
-
-    def test_empty_batch_rejected(self):
-        gar = get_gar("median", 5, 2)
-        with pytest.raises(ValueError):
-            gar.aggregate_batch([])
-
-
-class TestServerStepBatch:
-    def test_replay_matches_sequential_steps(self):
-        from repro.distributed.server import ParameterServer
-        from repro.optim.sgd import SGDOptimizer
-
-        rng = np.random.default_rng(13)
-        rounds = rng.standard_normal((6, 9, 4))
-
-        def build():
-            return ParameterServer(
-                initial_parameters=np.zeros(4),
-                gar=get_gar("median", 9, 4),
-                optimizer=SGDOptimizer(0.5, momentum=0.9),
-            )
-
-        sequential = build()
-        expected = np.stack([sequential.step(matrix) for matrix in rounds])
-        batched = build()
-        aggregates = batched.step_batch(rounds)
-        assert np.array_equal(aggregates, expected)
-        assert np.array_equal(batched.parameters, sequential.parameters)
-        assert batched.step_count == sequential.step_count == 6

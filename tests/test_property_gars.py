@@ -1,12 +1,12 @@
 """Property-based tests (hypothesis) for the vectorized GAR kernels.
 
-Three families of properties, each run against randomly drawn
+Two families of properties, each run against randomly drawn
 ``(n, f, d)`` inputs:
 
 * **Agreement with the pre-vectorization references** — the kernels in
   :mod:`repro.gars.kernels` must compute the same aggregates as the
   original per-row Python implementations kept in
-  :mod:`repro.gars.reference`.  For selection-based rules (Krum, MDA,
+  :mod:`tests.reference_gars`.  For selection-based rules (Krum, MDA,
   Bulyan) agreement is asserted on *integer-valued* inputs, where both
   distance paths are exact (no rounding anywhere), so any disagreement
   is a logic bug and not a last-ulp score flip; the smooth rules
@@ -14,8 +14,6 @@ Three families of properties, each run against randomly drawn
   arbitrary floats.
 * **Permutation invariance** — shuffling the submission order never
   changes the aggregate, including under exact ties.
-* **Batch consistency** — ``aggregate_batch`` over a stack equals the
-  per-slice ``aggregate`` loop bit for bit.
 
 The exact-tie behaviour of the new tie-break kernel gets its own
 deterministic tests (duplicate rows, tied scores, signed zeros).
@@ -32,7 +30,7 @@ from repro.gars.kernels import (
     pairwise_sq_distances,
     rank_by_score_then_value,
 )
-from repro.gars.reference import (
+from tests.reference_gars import (
     REFERENCE_AGGREGATORS,
     krum_scores_reference,
     rank_by_score_then_value_reference,
@@ -151,22 +149,6 @@ class TestPermutationInvariance:
             assert np.allclose(shuffled, base, atol=1e-7)
         else:
             assert np.array_equal(shuffled, base)
-
-
-@pytest.mark.slow
-class TestBatchConsistency:
-    @pytest.mark.parametrize("name,n,f", SETUPS)
-    @given(data=st.data())
-    @settings(max_examples=15, deadline=None)
-    def test_batch_equals_per_slice(self, name, n, f, data):
-        """aggregate_batch == per-slice aggregate, bit for bit."""
-        d = data.draw(st.integers(1, 4))
-        batch = data.draw(st.integers(1, 3))
-        stack = np.stack([data.draw(_float_matrix(n, d)) for _ in range(batch)])
-        gar = get_gar(name, n, f)
-        batched = gar.aggregate_batch(stack)
-        per_slice = np.stack([gar.aggregate(matrix) for matrix in stack])
-        assert np.array_equal(batched, per_slice)
 
 
 class TestTieBreakKernel:

@@ -154,6 +154,26 @@ class TestParticipationSamplers:
         sampler = UniformParticipation(0.01)
         assert len(sampler.sample(1, tuple(range(4)), np.random.default_rng(0))) == 1
 
+    @pytest.mark.parametrize(
+        "sampler",
+        [FullParticipation(), PoissonParticipation(0.2), UniformParticipation(0.4)],
+        ids=repr,
+    )
+    def test_inclusion_probabilities_match_sampled_frequencies(self, sampler):
+        candidates = (2, 3, 4)
+        rng = np.random.default_rng(0)
+        draws = 20_000
+        counts = dict.fromkeys(candidates, 0)
+        for _ in range(draws):
+            for worker in sampler.sample(1, candidates, rng):
+                counts[worker] += 1
+        probabilities = sampler.inclusion_probabilities(candidates)
+        assert set(probabilities) == set(candidates)
+        for worker in candidates:
+            assert counts[worker] / draws == pytest.approx(
+                probabilities[worker], abs=0.015
+            )
+
     def test_make_participation(self):
         assert isinstance(make_participation("poisson", 1.0), FullParticipation)
         assert isinstance(make_participation("poisson", 0.5), PoissonParticipation)

@@ -1,7 +1,7 @@
 """Sink and timing-primitive tests for the telemetry plane.
 
 Sinks only serialise/store/forward finished event dicts; the timing
-module is the one clock discipline shared by benchmarks and spans.
+module is the one clock every round path's phase spans are timed with.
 """
 
 import io
@@ -14,9 +14,7 @@ from repro.telemetry import (
     QueueSink,
     Sink,
     StderrProgressSink,
-    Stopwatch,
     Telemetry,
-    best_of_ns,
 )
 from repro.telemetry.timing import NULL_TIMER, phase_timer
 
@@ -157,25 +155,6 @@ class TestBaseSinkContract:
 
 
 class TestTimingPrimitives:
-    def test_best_of_ns_returns_positive_minimum(self):
-        calls = []
-        result = best_of_ns(lambda: calls.append(1), repeats=3)
-        assert result > 0
-        assert len(calls) == 4  # warm-up + 3 timed
-
-    def test_best_of_ns_clamps_repeats(self):
-        calls = []
-        best_of_ns(lambda: calls.append(1), repeats=0)
-        assert len(calls) == 2  # warm-up + at least one timed call
-
-    def test_stopwatch_restart_and_read(self):
-        watch = Stopwatch()
-        first = watch.elapsed_ns()
-        assert first >= 0
-        watch.restart()
-        assert watch.elapsed_seconds() < 60.0
-        assert watch.elapsed_ns() <= watch.elapsed_ns()
-
     def test_phase_timer_accumulates_laps_and_emits_once(self):
         sink = MemorySink()
         timer = phase_timer(Telemetry(sinks=[sink]))
