@@ -57,19 +57,15 @@ __all__ = ["Cluster", "RoundCore", "StepResult"]
 class StepResult:
     """Instrumentation for one synchronous round.
 
-    The matrix payloads are *opt-in*: rounds executed with
-    ``record=False`` (the default training path) carry ``None`` for
-    ``honest_submitted`` / ``honest_clean`` so the hot loop never
-    allocates instrumentation it does not report.  Consumers that need
-    the matrices (VN-ratio monitoring, resilience analyses, recorders)
-    run with ``record=True`` — the historical default of
-    :meth:`Cluster.step` — and see exactly the old payloads.
+    Every round carries its ``honest_submitted`` / ``honest_clean``
+    matrices, which the VN-ratio monitor, the resilience analyses and
+    :class:`~repro.pipeline.callbacks.StepResultRecorder` read.
     """
 
     step: int
     aggregated: Vector = field(repr=False)
-    honest_submitted: Matrix | None = field(repr=False, default=None)
-    honest_clean: Matrix | None = field(repr=False, default=None)
+    honest_submitted: Matrix = field(repr=False)
+    honest_clean: Matrix = field(repr=False)
     byzantine_gradient: Vector | None = field(repr=False, default=None)
     #: Exact encoded bytes this round's n messages occupied on the wire
     #: (``None`` when the run has no codec).  With a codec,
@@ -79,17 +75,8 @@ class StepResult:
     bytes_on_wire: int | None = None
 
     @property
-    def recorded(self) -> bool:
-        """Whether this round carried its matrix payloads."""
-        return self.honest_submitted is not None
-
-    @property
     def num_honest(self) -> int:
         """Number of honest submissions this round."""
-        if self.honest_submitted is None:
-            raise ConfigurationError(
-                "this round ran with record=False and carries no matrices"
-            )
         return int(self.honest_submitted.shape[0])
 
 
@@ -381,9 +368,7 @@ class RoundCore:
             return int(matches[0])
         return None
 
-    def _finish_round(
-        self, timer, parameters, submitted, clean, row_bytes, record: bool
-    ) -> StepResult:
+    def _finish_round(self, timer, parameters, submitted, clean, row_bytes) -> StepResult:
         """The attack → network → server tail of a synchronous round.
 
         Emits the round's phase spans and counters when telemetry is
@@ -430,8 +415,8 @@ class RoundCore:
         return StepResult(
             step=step,
             aggregated=aggregated,
-            honest_submitted=submitted if record else None,
-            honest_clean=clean if record else None,
+            honest_submitted=submitted,
+            honest_clean=clean,
             byzantine_gradient=byzantine_gradient,
             bytes_on_wire=bytes_on_wire,
         )
@@ -481,13 +466,8 @@ class Cluster(RoundCore):
             self._engine = RoundEngine(self)
         return self._engine
 
-    def step(self, record: bool = True) -> StepResult:
-        """Run one synchronous round and return its instrumentation.
-
-        ``record=False`` omits the honest matrix payloads from the
-        result (the round itself is unchanged); loops whose callbacks
-        never read them use it to skip the retained allocations.
-        """
+    def step(self) -> StepResult:
+        """Run one synchronous round and return its instrumentation."""
         self._step += 1
         step = self._step
         timer = self._begin_round(step)
@@ -497,4 +477,4 @@ class Cluster(RoundCore):
             # Absent workers leave the loop's honest-loss mean, exactly
             # as a dead shard's rows leave the multiprocess loss vector.
             self.last_live_workers = self._faults.live_workers(step)
-        return self._finish_round(timer, parameters, submitted, clean, row_bytes, record)
+        return self._finish_round(timer, parameters, submitted, clean, row_bytes)

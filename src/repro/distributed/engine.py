@@ -25,9 +25,8 @@ rounds that remove that overhead without changing a single output bit:
   buffer through :meth:`repro.optim.sgd.SGDOptimizer.step`'s ``out=``
   path, and the loop reads :attr:`ParameterServer.parameters_view`
   instead of per-round defensive copies;
-* **opt-in instrumentation** — :class:`StepResult` matrix payloads are
-  produced only under ``record=True``; the default training path copies
-  nothing it does not report.
+* **one instrumented round per run** — only the last round builds a
+  :class:`StepResult`, with copies of its matrices.
 
 Every elementary float operation happens in the same order as the
 per-round path, so fused execution is *bit-identical* to
@@ -371,7 +370,6 @@ class RoundEngine:
         *,
         model: Model | None = None,
         history: TrainingHistory | None = None,
-        record: bool = False,
         block_size: int | None = None,
     ):
         """Execute ``num_rounds`` fused rounds; returns the last round's
@@ -384,10 +382,9 @@ class RoundEngine:
         shared forward pass, so a ``model`` argument, when given, must
         be :attr:`cohort_model` — a different probe model would record
         a different loss than the caller asked for, which the engine
-        refuses rather than silently substituting.  ``record=True``
-        attaches copied
-        ``honest_submitted`` / ``honest_clean`` matrices to the returned
-        result; the default allocates no instrumentation.
+        refuses rather than silently substituting.  The returned result
+        carries copies of the last round's ``honest_submitted`` /
+        ``honest_clean`` matrices.
 
         Worker-visible state (momentum buffers, ``last_batch``) is
         synchronised at the end of the run — and on divergence — so a
@@ -491,7 +488,6 @@ class RoundEngine:
                         noise_stack,
                         r,
                         pending_losses if history is not None else None,
-                        record=record,
                         build_result=is_last,
                         timer=timer,
                     )
@@ -543,7 +539,6 @@ class RoundEngine:
         noise_stack,
         r: int,
         pending_losses: list | None,
-        record: bool,
         build_result: bool,
         timer,
     ):
@@ -695,8 +690,8 @@ class RoundEngine:
         return StepResult(
             step=step,
             aggregated=aggregated,
-            honest_submitted=submitted.copy() if record else None,
-            honest_clean=clean.copy() if record else None,
+            honest_submitted=submitted.copy(),
+            honest_clean=clean.copy(),
             byzantine_gradient=byzantine_gradient,
             bytes_on_wire=round_bytes,
         )

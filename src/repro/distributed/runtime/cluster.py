@@ -495,7 +495,7 @@ class MultiprocessCluster(RoundCore):
     # rounds
     # ------------------------------------------------------------------
 
-    def step(self, record: bool = True) -> StepResult:
+    def step(self) -> StepResult:
         """Run one synchronous round and return its instrumentation.
 
         Identical contract to :meth:`repro.distributed.Cluster.step`;
@@ -546,7 +546,7 @@ class MultiprocessCluster(RoundCore):
             # The chief's trace keeps one attack span per round, even
             # with no attack to time.
             timer.lap("round.attack")
-        return self._finish_round(timer, parameters, submitted, clean, row_bytes, record)
+        return self._finish_round(timer, parameters, submitted, clean, row_bytes)
 
     def _drain_shard_events(self) -> None:
         """Merge every queued shard event into the chief's trace.

@@ -25,7 +25,9 @@ Bit-identity with the in-process engine rests on two facts:
 Control flow is two tiny queues per shard — commands in (``("round",
 step)`` / ``("stop",)``), results out (``("join", ...)``, ``("done",
 ...)``, ``("error", ...)``) — while all numerical payloads travel
-through shared memory.
+through shared memory.  A shard whose chief is gone returns on its own:
+it holds the write end of its command queue, so it would otherwise
+block on it forever.
 
 The spec carries an optional *failure-injection seam* (``fail_step`` /
 ``fail_mode``) used by the crash-resilience tests: real mid-round
@@ -37,6 +39,7 @@ deterministic and therefore pinnable.
 from __future__ import annotations
 
 import os
+import queue
 import time
 from dataclasses import dataclass
 
@@ -62,6 +65,9 @@ FAIL_MODES = ("die", "hang")
 #: Exit code of a ``"die"``-injected shard, distinguishable from a
 #: normal exit (0) and a SIGKILL (-9) in test assertions.
 CRASH_EXIT_CODE = 23
+
+#: How often an idle shard checks that its chief is still its parent.
+_CHIEF_POLL_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -189,10 +195,12 @@ def shard_main(
 
     Attaches the wire plane, rebuilds the shard's workers, announces
     itself with ``("join", shard_id, pid)``, then serves rounds until a
-    ``("stop",)`` command.  Any exception is reported as ``("error",
-    shard_id, message)`` so the chief can depart the shard instead of
-    timing out on it.  The plane attachment is closed on every exit
-    path; the shard never unlinks the segment (the chief owns it).
+    ``("stop",)`` command, or until its chief is gone: a shard that
+    finds itself reparented returns.  Any exception is reported as
+    ``("error", shard_id, message)`` so the chief can depart the shard
+    instead of timing out on it.  The plane attachment is closed on
+    every exit path; the shard never unlinks the segment (the chief
+    owns it).
 
     ``telemetry_queue`` (chief-created, one per run) enables the
     shard's telemetry source: span/counter events tagged
@@ -203,6 +211,7 @@ def shard_main(
     always eventually, since per-source ordering is all the merged
     trace requires.  Telemetry never touches the workers' RNG streams.
     """
+    chief = os.getppid()
     telemetry = None
     if telemetry_queue is not None:
         from repro.telemetry import QueueSink, Telemetry
@@ -229,7 +238,12 @@ def shard_main(
                 telemetry.flush()
             results.put(("join", spec.shard_id, os.getpid()))
             while True:
-                command = commands.get()
+                try:
+                    command = commands.get(timeout=_CHIEF_POLL_SECONDS)
+                except queue.Empty:
+                    if os.getppid() != chief:
+                        return
+                    continue
                 if command[0] == "stop":
                     break
                 step = command[1]

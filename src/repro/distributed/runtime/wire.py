@@ -28,7 +28,9 @@ registers the plane in a module-level table whose ``atexit`` hook
 unlinks anything still live, so a run killed by SIGINT or a mid-round
 exception cannot leak ``/dev/shm`` segments — the context-manager form
 (``with WirePlane.create(...) as plane:``) is still the primary
-cleanup path; the hook is the backstop.
+cleanup path; the hook is the backstop.  A creation that is itself
+interrupted, before the plane reaches the table, unlinks its segment on
+the way out.
 """
 
 from __future__ import annotations
@@ -105,6 +107,27 @@ def _untracked_shared_memory():
         resource_tracker.register = original
 
 
+def _unlink_created(name: str, segment: shared_memory.SharedMemory | None) -> None:
+    """Unlink a segment :meth:`WirePlane.create` made but never returned.
+
+    Without a ``SharedMemory`` object (its constructor was interrupted,
+    e.g. while starting the resource tracker) the name is unlinked
+    directly: neither the ``atexit`` table nor, possibly, the tracker
+    knows it.
+    """
+    if segment is not None:
+        segment.unlink()  # also unregisters it from the resource tracker
+        return
+    try:
+        import _posixshmem
+    except ImportError:  # pragma: no cover - Windows: dies with its handle
+        return
+    try:
+        _posixshmem.shm_unlink(f"/{name}")
+    except FileNotFoundError:
+        pass
+
+
 def wire_segment_names() -> list[str]:
     """Names of wire-plane segments currently present in ``/dev/shm``.
 
@@ -176,7 +199,13 @@ class WirePlane:
 
     @classmethod
     def create(cls, num_honest: int, dimension: int, session: str | None = None) -> "WirePlane":
-        """Create (and own) a zero-initialised plane for ``H`` workers."""
+        """Create (and own) a zero-initialised plane for ``H`` workers.
+
+        Any exit that does not return a registered plane — a
+        ``KeyboardInterrupt`` while ``SharedMemory`` starts the resource
+        tracker, say — unlinks the segment it created.  A name that
+        already exists belongs to someone else and is never unlinked.
+        """
         if num_honest < 1:
             raise ConfigurationError(f"num_honest must be >= 1, got {num_honest}")
         if dimension < 1:
@@ -186,16 +215,23 @@ class WirePlane:
             num_honest=int(num_honest),
             dimension=int(dimension),
         )
-        segment = shared_memory.SharedMemory(
-            name=spec.segment_name, create=True, size=spec.size_bytes
-        )
-        plane = cls(spec, segment, owner=True)
-        plane._wire[:] = 0.0
-        plane._clean[:] = 0.0
-        plane._losses[:] = 0.0
-        plane._wire_bytes[:] = 0.0
-        plane._parameters[:] = 0.0
-        _register_active(plane)
+        segment = None
+        try:
+            segment = shared_memory.SharedMemory(
+                name=spec.segment_name, create=True, size=spec.size_bytes
+            )
+            plane = cls(spec, segment, owner=True)
+            plane._wire[:] = 0.0
+            plane._clean[:] = 0.0
+            plane._losses[:] = 0.0
+            plane._wire_bytes[:] = 0.0
+            plane._parameters[:] = 0.0
+            _register_active(plane)
+        except FileExistsError:
+            raise
+        except BaseException:
+            _unlink_created(spec.segment_name, segment)
+            raise
         return plane
 
     @classmethod

@@ -41,7 +41,6 @@ from repro.exceptions import ConfigurationError
 from repro.faults import build_fault_plan
 from repro.gars import GAR, get_gar
 from repro.gars.average import AverageGAR
-from repro.metrics.history import TrainingHistory
 from repro.models.base import Model
 from repro.optim.schedules import LearningRateSchedule
 from repro.optim.sgd import SGDOptimizer
@@ -237,40 +236,21 @@ class Experiment:
                     noise_kind, epsilon, delta, g_max, batch_size, model.dimension
                 )
 
-        distribution_name = ComponentRegistry.parse_spec(data_distribution)[0]
-        if not REGISTRY.has("distribution", distribution_name):
-            raise ConfigurationError(
-                f"data_distribution must be one of "
-                f"{REGISTRY.available('distribution')}, got {distribution_name!r}"
-            )
-        if isinstance(network, (str, dict)):
-            network_name = ComponentRegistry.parse_spec(network)[0]
-            if not REGISTRY.has("network", network_name):
-                raise ConfigurationError(
-                    f"network must be one of {REGISTRY.available('network')}, "
-                    f"got {network_name!r}"
-                )
-        if isinstance(policy, (str, dict)):
-            policy_name = ComponentRegistry.parse_spec(policy)[0]
-            if not REGISTRY.has("policy", policy_name):
-                raise ConfigurationError(
-                    f"policy must be one of {REGISTRY.available('policy')}, "
-                    f"got {policy_name!r}"
-                )
-        if isinstance(latency, (str, dict)):
-            latency_name = ComponentRegistry.parse_spec(latency)[0]
-            if not REGISTRY.has("latency", latency_name):
-                raise ConfigurationError(
-                    f"latency must be one of {REGISTRY.available('latency')}, "
-                    f"got {latency_name!r}"
-                )
-        if isinstance(codec, (str, dict)):
-            codec_name = ComponentRegistry.parse_spec(codec)[0]
-            if not REGISTRY.has("codec", codec_name):
-                raise ConfigurationError(
-                    f"codec must be one of {REGISTRY.available('codec')}, "
-                    f"got {codec_name!r}"
-                )
+        # Names and specs must be registered; instances bypass the registry.
+        for argument, family, spec in (
+            ("data_distribution", "distribution", data_distribution),
+            ("network", "network", network),
+            ("policy", "policy", policy),
+            ("latency", "latency", latency),
+            ("codec", "codec", codec),
+        ):
+            if isinstance(spec, (str, dict)):
+                name = ComponentRegistry.parse_spec(spec)[0]
+                if not REGISTRY.has(family, name):
+                    raise ConfigurationError(
+                        f"{argument} must be one of {REGISTRY.available(family)}, "
+                        f"got {name!r}"
+                    )
         if not 0.0 < participation_rate <= 1.0:
             raise ConfigurationError(
                 f"participation_rate must be in (0, 1], got {participation_rate}"
@@ -526,20 +506,26 @@ class Experiment:
                 self._codec = spec
         return self._codec
 
+    def _round_parts(self) -> dict:
+        """The round parts every backend shares: server, adversary and its
+        stream, network, codec and fault plan."""
+        return dict(
+            server=self.build_server(),
+            num_byzantine=self.num_byzantine,
+            attack=self.attack,
+            attack_rng=(
+                self.seeds.generator("attack") if self.attack is not None else None
+            ),
+            network=self.build_network(),
+            codec=self.build_codec(),
+            faults=self._resolved_faults,
+        )
+
     def build_cluster(self) -> Cluster:
         """Stage 4: wire workers, adversary, network and server together."""
         if self._cluster is None:
             self._cluster = Cluster(
-                server=self.build_server(),
-                honest_workers=self.build_workers(),
-                num_byzantine=self.num_byzantine,
-                attack=self.attack,
-                attack_rng=(
-                    self.seeds.generator("attack") if self.attack is not None else None
-                ),
-                network=self.build_network(),
-                codec=self.build_codec(),
-                faults=self._resolved_faults,
+                honest_workers=self.build_workers(), **self._round_parts()
             )
         return self._cluster
 
@@ -596,17 +582,9 @@ class Experiment:
         """
         if self._mp_cluster is None:
             self._mp_cluster = MultiprocessCluster(
-                server=self.build_server(),
                 shard_specs=self.build_shard_specs(),
-                num_byzantine=self.num_byzantine,
-                attack=self.attack,
-                attack_rng=(
-                    self.seeds.generator("attack") if self.attack is not None else None
-                ),
-                network=self.build_network(),
-                codec=self.build_codec(),
                 round_timeout=self.round_timeout,
-                faults=self._resolved_faults,
+                **self._round_parts(),
             )
         return self._mp_cluster
 
@@ -654,22 +632,14 @@ class Experiment:
                 LatencyModel,
             )
             self._simulator = ClusterSimulator(
-                server=self.build_server(),
                 honest_workers=self.build_workers(),
-                num_byzantine=self.num_byzantine,
-                attack=self.attack,
-                attack_rng=(
-                    self.seeds.generator("attack") if self.attack is not None else None
-                ),
-                network=self.build_network(),
-                codec=self.build_codec(),
                 policy=policy,
                 latency=latency,
                 participation=make_participation(
                     self.participation_kind, self.participation_rate
                 ),
                 seeds=self.seeds.child("simulation"),
-                faults=self._resolved_faults,
+                **self._round_parts(),
             )
         return self._simulator
 
@@ -740,60 +710,7 @@ class Experiment:
         :meth:`run` or :meth:`simulate`), everything is rebuilt first so
         repeated runs are independent and identical.
         """
-        if self._server is not None and self._server.step_count > 0:
-            self.reset()
-        all_callbacks = CallbackList([*self.callbacks, *callbacks])
-        if self.test_dataset is not None:
-            all_callbacks.append(
-                AccuracyCallback(self.test_dataset, eval_every=self.eval_every)
-            )
-        with self._telemetry_run("train") as telemetry:
-            if self.backend == "multiprocess":
-                cluster = self.build_multiprocess_cluster()
-                # Installed before the context manager starts the
-                # runtime: shard processes are launched with the
-                # telemetry queue.
-                cluster.telemetry = telemetry
-                loop = TrainingLoop(
-                    cluster=cluster,
-                    model=self.model,
-                    history=TrainingHistory(),
-                    callbacks=all_callbacks,
-                )
-                # The context manager guarantees shard teardown and
-                # shared-memory release on every exit path (including
-                # KeyboardInterrupt); the server keeps the final parameters.
-                with cluster:
-                    state = loop.run(self.num_steps)
-                departed = cluster.departed or None
-            else:
-                cluster = self.build_cluster()
-                cluster.telemetry = telemetry
-                loop = TrainingLoop(
-                    cluster=cluster,
-                    model=self.model,
-                    history=TrainingHistory(),
-                    callbacks=all_callbacks,
-                    checkpoint=self.checkpoint,
-                    checkpoint_every=self.checkpoint_every,
-                )
-                state = loop.run(self.num_steps)
-                departed = None
-            privacy = privacy_report(
-                self.mechanism, self.epsilon, self.delta, self.num_steps
-            )
-            if telemetry is not None and privacy is not None:
-                telemetry.gauge("privacy.epsilon_spent", privacy.basic.epsilon)
-        return TrainingResult(
-            history=state.history,
-            final_parameters=cluster.parameters,
-            privacy=privacy,
-            config=self.describe(),
-            departed=departed,
-            bytes_on_wire=(
-                cluster.bytes_on_wire_total if cluster.codec is not None else None
-            ),
-        )
+        return self._execute("train", callbacks)
 
     def resume(self, callbacks: Iterable[Callback] = ()) -> TrainingResult:
         """Restore this experiment's checkpoint and finish the run.
@@ -806,53 +723,18 @@ class Experiment:
         history and final parameters are bit-identical to an
         uninterrupted :meth:`run` (the differential suite pins this).
         """
-        if self.checkpoint is None:
-            raise ConfigurationError("resume() requires checkpoint=")
-        if self._server is not None and self._server.step_count > 0:
-            self.reset()
-        all_callbacks = CallbackList([*self.callbacks, *callbacks])
-        if self.test_dataset is not None:
-            all_callbacks.append(
-                AccuracyCallback(self.test_dataset, eval_every=self.eval_every)
-            )
-        with self._telemetry_run("resume") as telemetry:
-            cluster = self.build_cluster()
-            cluster.telemetry = telemetry
-            loop = TrainingLoop(
-                cluster=cluster,
-                model=self.model,
-                history=TrainingHistory(),
-                callbacks=all_callbacks,
-                checkpoint=self.checkpoint,
-                checkpoint_every=self.checkpoint_every,
-            )
-            state = loop.resume(self.num_steps)
-            privacy = privacy_report(
-                self.mechanism, self.epsilon, self.delta, self.num_steps
-            )
-            if telemetry is not None and privacy is not None:
-                telemetry.gauge("privacy.epsilon_spent", privacy.basic.epsilon)
-        return TrainingResult(
-            history=state.history,
-            final_parameters=cluster.parameters,
-            privacy=privacy,
-            config=self.describe(),
-            departed=None,
-            bytes_on_wire=(
-                cluster.bytes_on_wire_total if cluster.codec is not None else None
-            ),
-        )
+        return self._execute("resume", callbacks)
 
     def simulate(self, callbacks: Iterable[Callback] = ()):
         """Run the experiment on the discrete-event simulator.
 
         The event-driven twin of :meth:`run`: same components, same
-        callbacks surface, but executed by
-        :class:`repro.simulation.engine.ClusterSimulator` under this
-        experiment's policy/latency/participation configuration.
-        ``num_steps`` counts *server updates* (rounds for the barrier
-        policies, arrivals for the async policy).  Returns a
-        :class:`repro.simulation.run.SimulationResult` whose
+        callbacks surface, same :class:`~repro.pipeline.loop.TrainingLoop`,
+        but executed by :class:`repro.simulation.engine.ClusterSimulator`
+        under this experiment's policy/latency/participation
+        configuration.  ``num_steps`` counts *server updates* (rounds
+        for the barrier policies, arrivals for the async policy).
+        Returns a :class:`repro.simulation.run.SimulationResult` whose
         ``per_worker_privacy`` reports are amplified at each worker's
         per-round inclusion probability (the realized
         ``participation_rates`` are reported alongside, as an
@@ -862,32 +744,73 @@ class Experiment:
         participation this reproduces :meth:`run` bit for bit (the
         golden-trace suite enforces it).
         """
-        from repro.pipeline.results import amplified_privacy_report
-        from repro.simulation.run import SimulationLoop, SimulationResult
+        return self._execute("simulate", callbacks)
 
+    def _execute(self, mode: str, callbacks: Iterable[Callback]):
+        """The one driver behind :meth:`run`, :meth:`resume` and :meth:`simulate`.
+
+        ``mode`` is the telemetry run's mode: ``"train"``, ``"resume"``
+        or ``"simulate"``.
+        """
+        if mode == "resume" and self.checkpoint is None:
+            raise ConfigurationError("resume() requires checkpoint=")
         if self._server is not None and self._server.step_count > 0:
             self.reset()
-        simulator = self.build_simulation()
+        if mode == "simulate":
+            cluster = self.build_simulation()
+        elif self.backend == "multiprocess":
+            cluster = self.build_multiprocess_cluster()
+        else:
+            cluster = self.build_cluster()
         all_callbacks = CallbackList([*self.callbacks, *callbacks])
         if self.test_dataset is not None:
             all_callbacks.append(
                 AccuracyCallback(self.test_dataset, eval_every=self.eval_every)
             )
-        with self._telemetry_run("simulate") as telemetry:
-            simulator.telemetry = telemetry
-            loop = SimulationLoop(
-                simulator=simulator,
-                model=self.model,
-                history=TrainingHistory(),
-                callbacks=all_callbacks,
-            )
-            state: LoopState = loop.run(self.num_steps)
+        loop = TrainingLoop(
+            cluster=cluster,
+            model=self.model,
+            callbacks=all_callbacks,
+            checkpoint=None if mode == "simulate" else self.checkpoint,
+            checkpoint_every=self.checkpoint_every,
+        )
+        with self._telemetry_run(mode) as telemetry:
+            # Installed before a multiprocess runtime starts: shard
+            # processes are launched with the telemetry queue.
+            cluster.telemetry = telemetry
+            if mode == "resume":
+                state = loop.resume(self.num_steps)
+            elif isinstance(cluster, MultiprocessCluster):
+                # The context manager guarantees shard teardown and
+                # shared-memory release on every exit path (including
+                # KeyboardInterrupt); the server keeps the final parameters.
+                with cluster:
+                    state = loop.run(self.num_steps)
+            else:
+                state = loop.run(self.num_steps)
             privacy = privacy_report(
                 self.mechanism, self.epsilon, self.delta, self.num_steps
             )
             if telemetry is not None and privacy is not None:
                 telemetry.gauge("privacy.epsilon_spent", privacy.basic.epsilon)
-        rates = simulator.participation_rates
+        if mode == "simulate":
+            return self._simulation_result(cluster, state, privacy)
+        return TrainingResult(
+            history=state.history,
+            final_parameters=cluster.parameters,
+            privacy=privacy,
+            config=self.describe(),
+            departed=getattr(cluster, "departed", None) or None,
+            bytes_on_wire=(
+                cluster.bytes_on_wire_total if cluster.codec is not None else None
+            ),
+        )
+
+    def _simulation_result(self, simulator, state: LoopState, privacy):
+        """Package a simulated run, with each worker's amplified budget."""
+        from repro.pipeline.results import amplified_privacy_report
+        from repro.simulation.run import SimulationResult
+
         per_worker = None
         if self.mechanism is not None and self.epsilon is not None:
             if simulator.policy.barrier:
@@ -932,7 +855,7 @@ class Experiment:
             final_parameters=simulator.parameters,
             privacy=privacy,
             per_worker_privacy=per_worker,
-            participation_rates=rates,
+            participation_rates=simulator.participation_rates,
             virtual_time=simulator.clock,
             rounds=simulator.round_count,
             policy_stats=simulator.stats(),

@@ -3,8 +3,9 @@
 Everything that used to be an inlined branch of the monolithic
 ``train()`` — periodic accuracy evaluation, early stopping, gradient
 recording, the VN-ratio tracker — is a :class:`Callback` plugged into
-:class:`repro.pipeline.loop.TrainingLoop`.  Hooks fire in this order
-per run::
+:class:`repro.pipeline.loop.TrainingLoop`, which drives every backend,
+the discrete-event simulator included.  Hooks fire in this order per
+run::
 
     on_train_start
     repeat:  should_stop? -> on_step_start -> (cluster step, loss
@@ -39,15 +40,6 @@ __all__ = [
 
 class Callback:
     """Base class: every hook is a no-op; override what you need."""
-
-    #: Whether this callback reads the per-round ``honest_submitted`` /
-    #: ``honest_clean`` matrices off its :class:`StepResult`.  The
-    #: training loop passes ``record=False`` to the cluster when no
-    #: attached callback needs them, so the default path retains no
-    #: instrumentation matrices.  Defaults to ``True`` (safe for any
-    #: third-party callback); observers that only read state/history
-    #: opt out.
-    needs_step_matrices: bool = True
 
     def on_train_start(self, state: "LoopState") -> None:
         """Called once before the first round (step count is 0)."""
@@ -88,11 +80,6 @@ class CallbackList(Callback):
             )
         self._callbacks.append(callback)
 
-    @property
-    def needs_step_matrices(self) -> bool:
-        """Whether any composed callback reads the round matrices."""
-        return any(callback.needs_step_matrices for callback in self._callbacks)
-
     def on_train_start(self, state) -> None:
         for callback in self._callbacks:
             callback.on_train_start(state)
@@ -130,8 +117,6 @@ class AccuracyCallback(Callback):
     skipped silently, matching the legacy trainer's behaviour.  Each
     recorded evaluation is re-broadcast via ``on_evaluate``.
     """
-
-    needs_step_matrices = False  # reads only parameters + test data
 
     def __init__(self, test_dataset: "Dataset", eval_every: int = 50):
         if eval_every < 1:
@@ -175,8 +160,6 @@ class EarlyStopping(Callback):
     min_delta:
         Minimum improvement that resets the patience counter.
     """
-
-    needs_step_matrices = False  # reads only the recorded loss history
 
     def __init__(
         self,

@@ -1,9 +1,11 @@
-"""Callback-driven synchronous training loop.
+"""Callback-driven training loop, one for every backend.
 
 :class:`TrainingLoop` owns the round-by-round execution that used to be
-inlined in ``train()``: run cluster rounds, record the paper's per-step
-training loss over the honest workers' sampled batches, and fire the
-:mod:`repro.pipeline.callbacks` hooks around every round.
+inlined in ``train()``: step the round core — the in-process cluster,
+the multiprocess runtime or the discrete-event simulator — record the
+paper's per-step training loss over the honest workers' sampled
+batches, and fire the :mod:`repro.pipeline.callbacks` hooks around
+every round.
 """
 
 from __future__ import annotations
@@ -25,14 +27,12 @@ __all__ = ["LoopState", "TrainingLoop", "record_honest_loss"]
 def record_honest_loss(model, history, step, parameters, honest_workers) -> None:
     """Record the mean training loss over ``honest_workers``' last batches.
 
-    Shared by the synchronous :class:`TrainingLoop` and the event-driven
-    :class:`repro.simulation.run.SimulationLoop` so both measure the
-    paper's Section 5.1 quantity with the identical (stacked) float
-    pipeline.  When every worker sampled an equal-shaped batch (the
-    common case), the whole cohort is scored with one
-    :meth:`repro.models.base.Model.loss_stack` call; ragged or missing
-    batches fall back to per-worker evaluation.  Rounds where no honest
-    worker sampled record no loss instead of a silent ``NaN``.
+    The paper's Section 5.1 quantity, measured with one (stacked) float
+    pipeline on every in-process backend.  When every worker sampled an
+    equal-shaped batch (the common case), the whole cohort is scored
+    with one :meth:`repro.models.base.Model.loss_stack` call; ragged or
+    missing batches fall back to per-worker evaluation.  Rounds where no
+    honest worker sampled record no loss instead of a silent ``NaN``.
     """
     batches = [
         worker.last_batch for worker in honest_workers if worker.last_batch is not None
@@ -75,13 +75,15 @@ class LoopState:
 
 
 class TrainingLoop:
-    """Run synchronous rounds of a cluster with callback hooks.
+    """Run the rounds of any round core with callback hooks.
 
     The loop records the mean training loss of the honest workers'
     sampled batches at every step (evaluated at the pre-update
     parameters, per Section 5.1's measurement protocol).  Rounds where
     no honest worker sampled a batch — possible in all-Byzantine
-    configurations — record no loss instead of a silent ``NaN``.
+    configurations — record no loss instead of a silent ``NaN``.  On
+    the discrete-event simulator a step is one server update, and each
+    update's virtual time is recorded beside its loss.
     """
 
     def __init__(
@@ -121,7 +123,7 @@ class TrainingLoop:
         """Where periodic checkpoints are written (``None`` disables)."""
         return self._checkpoint
 
-    def run(self, num_steps: int, record: bool | None = None) -> LoopState:
+    def run(self, num_steps: int) -> LoopState:
         """Run up to ``num_steps`` rounds; returns the final state.
 
         A callback returning True from ``should_stop`` ends the run
@@ -134,12 +136,6 @@ class TrainingLoop:
         recorded losses.  Any attached callback falls back to per-round
         stepping so ``should_stop`` / ``on_step_end`` fire with their
         historical semantics.
-
-        ``record`` controls the :class:`StepResult` matrix payloads:
-        the default ``None`` produces them exactly when some attached
-        callback declares ``needs_step_matrices``; pass ``True`` to
-        force them (e.g. to read ``state.last_result.honest_submitted``
-        after a callback-free run) or ``False`` to suppress them.
         """
         if num_steps < 1:
             raise ConfigurationError(f"num_steps must be >= 1, got {num_steps}")
@@ -151,8 +147,6 @@ class TrainingLoop:
             num_steps=int(num_steps),
         )
         callbacks = self._callbacks
-        if record is None:
-            record = len(callbacks) > 0 and callbacks.needs_step_matrices
         engine = getattr(self._cluster, "engine", None)
         if (
             len(callbacks) == 0
@@ -167,14 +161,14 @@ class TrainingLoop:
         ):
             callbacks.on_train_start(state)
             state.last_result = engine.run(
-                num_steps, model=self._model, history=self._history, record=record
+                num_steps, model=self._model, history=self._history
             )
             callbacks.on_train_end(state)
             return state
-        self._run_rounds(state, num_steps, record)
+        self._run_rounds(state, num_steps)
         return state
 
-    def resume(self, num_steps: int, record: bool | None = None) -> LoopState:
+    def resume(self, num_steps: int) -> LoopState:
         """Restore the loop's checkpoint and finish the run.
 
         Requires a freshly-built loop (same configuration, same seed)
@@ -203,14 +197,12 @@ class TrainingLoop:
             callbacks=self._callbacks,
             num_steps=int(num_steps),
         )
-        if record is None:
-            record = len(self._callbacks) > 0 and self._callbacks.needs_step_matrices
         remaining = num_steps - self._cluster.step_count
         if remaining > 0:
-            self._run_rounds(state, remaining, record)
+            self._run_rounds(state, remaining)
         return state
 
-    def _run_rounds(self, state: LoopState, rounds: int, record: bool) -> None:
+    def _run_rounds(self, state: LoopState, rounds: int) -> None:
         """The per-round loop shared by :meth:`run` and :meth:`resume`."""
         callbacks = self._callbacks
         honest_workers = self._cluster.honest_workers
@@ -221,9 +213,14 @@ class TrainingLoop:
                 break
             callbacks.on_step_start(state)
             parameters_before = self._cluster.parameters
-            result = self._cluster.step(record=record)
+            result = self._cluster.step()
             state.last_result = result
             self._record_honest_loss(parameters_before, honest_workers)
+            virtual_time = getattr(result, "virtual_time", None)
+            if virtual_time is not None:
+                self._history.record_virtual_time(
+                    self._cluster.step_count, virtual_time
+                )
             callbacks.on_step_end(state, result)
             if (
                 self._checkpoint is not None
@@ -268,8 +265,10 @@ class TrainingLoop:
                 )
             return
         # Under a fault plan the cluster publishes which workers were
-        # live this round; absent workers leave the honest mean, exactly
-        # as a dead shard's rows leave the multiprocess loss vector.
+        # live this round (the simulator always does: the workers whose
+        # gradients fed the update); the others leave the honest mean,
+        # exactly as a dead shard's rows leave the multiprocess loss
+        # vector.
         live = getattr(self._cluster, "last_live_workers", None)
         if live is not None:
             honest_workers = [honest_workers[index] for index in live]

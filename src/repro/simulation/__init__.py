@@ -24,7 +24,10 @@ pluggable axes:
 
 Entry points: :meth:`repro.pipeline.builder.Experiment.simulate` (or
 ``build_simulation`` for the bare engine) and the
-``python -m repro simulate`` CLI subcommand.
+``python -m repro simulate`` CLI subcommand.  The simulator steps one
+server update per :meth:`~repro.simulation.engine.ClusterSimulator.step`,
+so :class:`repro.pipeline.loop.TrainingLoop` drives it like every other
+backend.
 """
 
 from repro.simulation.engine import ClusterSimulator, SimStepResult
@@ -58,7 +61,7 @@ from repro.simulation.policies import (
     ServerPolicy,
     SyncPolicy,
 )
-from repro.simulation.run import SimulationLoop, SimulationResult
+from repro.simulation.run import SimulationResult
 
 __all__ = [
     "Arrival",
@@ -80,7 +83,6 @@ __all__ = [
     "STALENESS_DAMPINGS",
     "ServerPolicy",
     "SimStepResult",
-    "SimulationLoop",
     "SimulationResult",
     "StragglerLatency",
     "SyncPolicy",

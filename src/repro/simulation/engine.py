@@ -290,12 +290,15 @@ class ClusterSimulator(RoundCore):
             "flight and the policy never aggregated"
         )
 
-    def run(self, num_steps: int) -> SimStepResult:
-        """Advance through ``num_steps`` server updates; returns the last."""
-        if num_steps < 1:
-            raise ConfigurationError(f"num_steps must be >= 1, got {num_steps}")
-        for _ in range(num_steps):
-            result = self.advance()
+    def step(self) -> SimStepResult:
+        """One server update, as :class:`~repro.pipeline.loop.TrainingLoop`
+        steps every round core.
+
+        Publishes the honest workers whose gradients fed the update as
+        ``last_live_workers``, so the loop scores exactly their batches.
+        """
+        result = self.advance()
+        self.last_live_workers = result.participating
         return result
 
     # ------------------------------------------------------------------

@@ -1,13 +1,12 @@
-"""Driving a simulation: callback loop and result packaging.
+"""What a simulated run returns.
 
-:class:`SimulationLoop` is the event-driven twin of
-:class:`repro.pipeline.loop.TrainingLoop`: one iteration advances the
-simulator to its next server update, records the honest-batch training
-loss with the *same* stacked float pipeline (so sync-policy runs remain
-bit-identical to the synchronous loop), stamps the update's virtual
-wall-clock into the history, and fires every
-:class:`repro.pipeline.callbacks.Callback` hook with a virtual-time
-:class:`~repro.simulation.engine.SimStepResult`.
+:meth:`repro.pipeline.builder.Experiment.simulate` drives the
+:class:`~repro.simulation.engine.ClusterSimulator` through the same
+:class:`repro.pipeline.loop.TrainingLoop` as every other backend: each
+loop step is one server update, its loss is recorded with the same
+stacked float pipeline (so sync-policy runs stay bit-identical to the
+synchronous cluster), and its virtual wall-clock is stamped into the
+history.
 
 :class:`SimulationResult` extends the training result with the
 simulation-only outputs: per-worker *amplified* privacy reports (at
@@ -18,18 +17,12 @@ rates, the policy/engine counters, and the total virtual time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from repro.exceptions import ConfigurationError
 from repro.metrics.history import TrainingHistory
-from repro.models.base import Model
-from repro.pipeline.callbacks import Callback, CallbackList
-from repro.pipeline.loop import LoopState, record_honest_loss
 from repro.pipeline.results import PrivacyReport
-from repro.simulation.engine import ClusterSimulator
 from repro.typing import Vector
 
-__all__ = ["SimulationLoop", "SimulationResult"]
+__all__ = ["SimulationResult"]
 
 
 @dataclass
@@ -71,76 +64,3 @@ class SimulationResult:
         return min(
             report.basic.epsilon for report in self.per_worker_privacy.values()
         )
-
-
-class SimulationLoop:
-    """Run server updates of a :class:`ClusterSimulator` with callbacks.
-
-    Mirrors :class:`repro.pipeline.loop.TrainingLoop` hook for hook; the
-    ``state.cluster`` handed to callbacks is the simulator itself, whose
-    read surface is cluster-compatible.  The loss recorded after each
-    update covers the honest workers whose gradients fed that update
-    (at full participation: the whole cohort, exactly like the
-    synchronous loop), evaluated at the pre-update parameters per
-    Section 5.1's measurement protocol.
-    """
-
-    def __init__(
-        self,
-        simulator: ClusterSimulator,
-        model: Model,
-        history: TrainingHistory | None = None,
-        callbacks: Iterable[Callback] = (),
-    ):
-        self._simulator = simulator
-        self._model = model
-        self._history = history if history is not None else TrainingHistory()
-        self._callbacks = (
-            callbacks if isinstance(callbacks, CallbackList) else CallbackList(callbacks)
-        )
-
-    @property
-    def history(self) -> TrainingHistory:
-        """The history this loop records into."""
-        return self._history
-
-    @property
-    def callbacks(self) -> CallbackList:
-        """The composed callback list."""
-        return self._callbacks
-
-    def run(self, num_steps: int) -> LoopState:
-        """Advance through up to ``num_steps`` server updates."""
-        if num_steps < 1:
-            raise ConfigurationError(f"num_steps must be >= 1, got {num_steps}")
-        state = LoopState(
-            cluster=self._simulator,  # duck-typed: cluster-compatible surface
-            model=self._model,
-            history=self._history,
-            callbacks=self._callbacks,
-            num_steps=int(num_steps),
-        )
-        honest_workers = self._simulator.honest_workers
-        callbacks = self._callbacks
-        callbacks.on_train_start(state)
-        for _ in range(num_steps):
-            if callbacks.should_stop(state):
-                state.stopped_early = True
-                break
-            callbacks.on_step_start(state)
-            parameters_before = self._simulator.parameters
-            result = self._simulator.advance()
-            state.last_result = result
-            record_honest_loss(
-                self._model,
-                self._history,
-                self._simulator.step_count,
-                parameters_before,
-                [honest_workers[worker_id] for worker_id in result.participating],
-            )
-            self._history.record_virtual_time(
-                self._simulator.step_count, self._simulator.clock
-            )
-            callbacks.on_step_end(state, result)
-        callbacks.on_train_end(state)
-        return state

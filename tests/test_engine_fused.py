@@ -17,29 +17,20 @@ import numpy as np
 import pytest
 
 from repro.data.phishing import make_phishing_dataset
-from repro.distributed.cluster import StepResult
 from repro.distributed.engine import RoundEngine
 from repro.distributed.worker import HonestWorker
 from repro.exceptions import ConfigurationError
 from repro.metrics.history import TrainingHistory
 from repro.models.logistic import LogisticRegressionModel, sigmoid
 from repro.pipeline.builder import Experiment
-from repro.pipeline.callbacks import (
-    AccuracyCallback,
-    Callback,
-    CallbackList,
-    EarlyStopping,
-    StepResultRecorder,
-)
+from repro.pipeline.callbacks import Callback, StepResultRecorder
 from tests.reference_loop import _reference_sigmoid, reference_training_rounds
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "traces.json"
 
 
 class _NoopCallback(Callback):
-    """Forces the per-round path without requesting matrices."""
-
-    needs_step_matrices = False
+    """Forces the per-round path."""
 
 
 def _environment():
@@ -463,36 +454,17 @@ class TestEligibilityFallbacks:
 class TestRecordFlag:
     def test_engine_record_payloads(self):
         cluster = TestEligibilityFallbacks()._cluster()
-        result = cluster.engine.run(3, record=True)
-        assert result.recorded
+        result = cluster.engine.run(3)
         assert result.honest_submitted.shape == (6, 11)
         assert result.honest_clean.shape == (6, 11)
         assert result.step == 3
 
-    def test_engine_default_omits_payloads(self):
-        cluster = TestEligibilityFallbacks()._cluster()
-        result = cluster.engine.run(3)
-        assert not result.recorded
-        assert result.honest_submitted is None
-        assert result.honest_clean is None
-        assert result.aggregated.shape == (11,)
-        with pytest.raises(ConfigurationError, match="record=False"):
-            result.num_honest
-
     def test_record_true_matrices_are_copies(self):
         cluster = TestEligibilityFallbacks()._cluster()
-        first = cluster.engine.run(1, record=True)
+        first = cluster.engine.run(1)
         frozen = first.honest_submitted.copy()
-        cluster.engine.run(1, record=True)
+        cluster.engine.run(1)
         assert first.honest_submitted.tolist() == frozen.tolist()
-
-    def test_cluster_step_record_flag(self):
-        cluster = TestEligibilityFallbacks()._cluster()
-        with_payload = cluster.step()
-        assert with_payload.recorded
-        without = cluster.step(record=False)
-        assert not without.recorded
-        assert without.byzantine_gradient is not None
 
     def test_engine_blocks_match_single_block(self):
         model, train = _environment()
@@ -511,17 +483,6 @@ class TestRecordFlag:
 
 
 class TestCallbackRouting:
-    def test_needs_step_matrices_defaults(self):
-        assert Callback().needs_step_matrices
-        assert StepResultRecorder().needs_step_matrices
-        assert not AccuracyCallback.needs_step_matrices
-        assert not EarlyStopping.needs_step_matrices
-
-    def test_callback_list_any_logic(self):
-        assert not CallbackList([_NoopCallback()]).needs_step_matrices
-        assert CallbackList([_NoopCallback(), StepResultRecorder()]).needs_step_matrices
-        assert not CallbackList().needs_step_matrices
-
     def test_matrix_callbacks_see_payloads(self):
         model, train = _environment()
         recorder = StepResultRecorder()
@@ -529,26 +490,12 @@ class TestCallbackRouting:
             model, train, **CONFIGS["krum-little-gaussian-momentum"]
         ).run(callbacks=[recorder])
         assert len(recorder.results) == 7
-        assert all(result.recorded for result in recorder.results)
-
-    def test_lightweight_callbacks_skip_payloads(self):
-        model, train = _environment()
-        seen: list[StepResult] = []
-
-        class Probe(Callback):
-            needs_step_matrices = False
-
-            def on_step_end(self, state, result):
-                seen.append(result)
-
-        _experiment(
-            model, train, **CONFIGS["krum-little-gaussian-momentum"]
-        ).run(callbacks=[Probe()])
-        assert len(seen) == 7
-        assert all(not result.recorded for result in seen)
+        assert all(
+            result.honest_submitted.shape == (6, 11) for result in recorder.results
+        )
 
     def test_run_record_override_forces_payloads(self):
-        """A callback-free loop can still request the matrices."""
+        """A callback-free (fused) loop's last result carries the matrices."""
         from repro.pipeline.loop import TrainingLoop
 
         model, train = _environment()
@@ -556,8 +503,7 @@ class TestCallbackRouting:
         cluster = experiment.build_cluster()
         assert cluster.engine.supports_fused
         loop = TrainingLoop(cluster=cluster, model=model)
-        state = loop.run(4, record=True)
-        assert state.last_result.recorded
+        state = loop.run(4)
         assert state.last_result.honest_submitted.shape == (6, 11)
 
     def test_stateful_attack_sees_stable_contexts(self):

@@ -284,15 +284,14 @@ class FakeCluster:
     def parameters(self):
         return np.zeros(self._dimension)
 
-    def step(self, record=True):
+    def step(self):
         self.step_count += 1
         from repro.distributed.cluster import StepResult
 
         zero = np.zeros((1, self._dimension))
         return StepResult(
             step=self.step_count, aggregated=zero[0],
-            honest_submitted=zero if record else None,
-            honest_clean=zero if record else None,
+            honest_submitted=zero, honest_clean=zero,
         )
 
 

@@ -9,6 +9,7 @@ part) that abnormal exits — an uncaught exception, a SIGINT mid
 """
 
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -107,14 +108,66 @@ def test_atexit_backstop_unlinks_on_crash():
     assert name not in wire_segment_names()
 
 
-@pytest.mark.slow
-def test_sigint_mid_run_leaves_no_segments(tmp_path):
-    """``python -m repro run`` killed by SIGINT releases every segment.
+def test_interrupted_create_unlinks_its_segment(monkeypatch):
+    """An interrupt while ``SharedMemory`` starts the resource tracker
+    leaves a segment that neither the atexit table nor the tracker
+    knows about: ``create`` itself must unlink it."""
+    from multiprocessing import resource_tracker
 
-    Uses a run long enough that the interrupt lands mid-training, and
-    waits for the wire segment to exist before signalling so the
-    interrupt exercises the teardown path, not the startup path.
-    """
+    def interrupted(name, rtype):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(resource_tracker, "register", interrupted)
+    before = set(wire_segment_names())
+    with pytest.raises(KeyboardInterrupt):
+        WirePlane.create(5, 69)
+    assert set(wire_segment_names()) - before == set()
+
+
+def test_name_collision_never_unlinks_the_owner():
+    with WirePlane.create(2, 3) as owner:
+        with pytest.raises(FileExistsError):
+            WirePlane.create(2, 3, session=owner.spec.session)
+        assert owner.spec.segment_name in wire_segment_names()
+
+
+def _processes_mentioning(text: str) -> list[int]:
+    """Pids of live processes whose command line contains ``text``
+    (none on platforms without ``/proc``)."""
+    pids = []
+    for entry in Path("/proc").glob("[0-9]*"):
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue
+        if text.encode() in cmdline:
+            pids.append(int(entry.name))
+    return pids
+
+
+def _survivors(config_path: Path, seconds: float) -> list[int]:
+    """Processes of the run at ``config_path`` still alive after up to
+    ``seconds``; any survivor is SIGKILLed so a failure leaks nothing."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        pids = _processes_mentioning(str(config_path))
+        if not pids:
+            return []
+        time.sleep(0.1)
+    pids = _processes_mentioning(str(config_path))
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    return pids
+
+
+def _start_long_run(tmp_path: Path) -> tuple[subprocess.Popen, Path, set]:
+    """``python -m repro run`` on a long two-shard multiprocess config,
+    returned once its wire segment exists (so a signal lands mid-run,
+    not during startup), with the config path and the segments that
+    existed before it."""
     config = {
         "configs": [
             {
@@ -140,21 +193,55 @@ def test_sigint_mid_run_leaves_no_segments(tmp_path):
         stderr=subprocess.DEVNULL,
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
     )
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        if set(wire_segment_names()) - before:
+            return process, config_path, before
+        if process.poll() is not None:
+            pytest.fail(f"run exited early with {process.returncode}")
+        time.sleep(0.1)
+    process.kill()
+    process.wait(timeout=10)
+    pytest.fail("wire segment never appeared")
+
+
+@pytest.mark.slow
+def test_sigint_mid_run_leaves_no_segments(tmp_path):
+    """``python -m repro run`` killed by SIGINT releases every segment,
+    and 5 s later none of its processes (the chief or a shard) is alive."""
+    process, config_path, before = _start_long_run(tmp_path)
     try:
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            if set(wire_segment_names()) - before:
-                break
-            if process.poll() is not None:
-                pytest.fail(f"run exited early with {process.returncode}")
-            time.sleep(0.1)
-        else:
-            pytest.fail("wire segment never appeared")
         process.send_signal(signal.SIGINT)
         returncode = process.wait(timeout=60)
     finally:
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10)
+    assert _survivors(config_path, 5.0) == []
     assert returncode == 130
+    assert set(wire_segment_names()) - before == set()
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc").is_dir(), reason="counts processes in /proc")
+def test_sigkill_mid_run_leaves_no_shards(tmp_path):
+    """A SIGKILLed chief runs no cleanup of its own: its shards notice
+    they were orphaned and exit, after which the resource tracker
+    unlinks the segment.  Within 10 s nothing of the run remains."""
+    process, config_path, before = _start_long_run(tmp_path)
+    # A SIGKILL between shm_open and the segment's registration with the
+    # resource tracker leaves a segment no process can unlink: kill only
+    # once the chief runs beside both of its (forked) shards.
+    deadline = time.monotonic() + 60.0
+    while len(_processes_mentioning(str(config_path))) < 3:
+        if time.monotonic() > deadline:
+            process.kill()
+            pytest.fail("the shards never started")
+        time.sleep(0.05)
+    process.kill()
+    process.wait(timeout=10)
+    deadline = time.monotonic() + 10.0
+    assert _survivors(config_path, 10.0) == []
+    while set(wire_segment_names()) - before and time.monotonic() < deadline:
+        time.sleep(0.1)
     assert set(wire_segment_names()) - before == set()
