@@ -79,6 +79,12 @@ class ExperimentConfig:
         if not isinstance(self.name, str) or not self.name:
             raise ConfigurationError("config field 'name' must be a non-empty string")
         self._check_numeric_fields()
+        for seed in self.seeds:
+            if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+                raise ConfigurationError(
+                    "config field 'seeds' must be a list of integers >= 0, "
+                    f"got entry {seed!r}"
+                )
         if not self.seeds:
             raise ConfigurationError("config needs at least one seed")
         if self.num_steps < 1:
@@ -224,7 +230,7 @@ class ExperimentConfig:
         """Rebuild a config from :meth:`to_dict` output or hand-written JSON.
 
         ``attack_kwargs`` may be a mapping (the natural JSON form) or a
-        list of ``[key, value]`` pairs; ``seeds`` any integer sequence.
+        list of ``[key, value]`` pairs; ``seeds`` a list of integers >= 0.
         """
         data = dict(payload)
         unknown = set(data) - {field_.name for field_ in fields(cls)}
@@ -235,7 +241,12 @@ class ExperimentConfig:
         if "name" not in data:
             raise ConfigurationError("config field 'name' is required")
         if "seeds" in data:
-            data["seeds"] = tuple(int(seed) for seed in data["seeds"])
+            if not isinstance(data["seeds"], (list, tuple)):
+                raise ConfigurationError(
+                    "config field 'seeds' must be a list of integers >= 0, "
+                    f"got {data['seeds']!r}"
+                )
+            data["seeds"] = tuple(data["seeds"])
         for kwargs_field in (
             "attack_kwargs",
             "policy_kwargs",

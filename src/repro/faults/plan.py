@@ -42,8 +42,9 @@ cluster executes is round 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 from repro.exceptions import ConfigurationError
 
@@ -107,9 +108,20 @@ class FaultEvent:
             raise ConfigurationError(
                 f"fault kind must be one of {FAULT_KINDS}, got {self.kind!r}"
             )
-        if isinstance(self.round, bool) or not isinstance(self.round, Integral):
+        for name in ("round", "shard", "worker"):
+            value = getattr(self, name)
+            if name != "round" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigurationError(
+                    f"fault event field {name!r} must be an integer, got {value!r}"
+                )
+        if isinstance(self.factor, bool) or not (
+            isinstance(self.factor, Real) and math.isfinite(self.factor)
+        ):
             raise ConfigurationError(
-                f"fault event field 'round' must be an integer, got {self.round!r}"
+                "fault event field 'factor' must be a finite number, "
+                f"got {self.factor!r}"
             )
         if self.round < 1:
             raise ConfigurationError(
@@ -129,10 +141,7 @@ class FaultEvent:
                 )
             if self.worker < 0:
                 raise ConfigurationError(f"worker must be >= 0, got {self.worker}")
-        factor = float(self.factor)
-        if not factor == factor or factor in (float("inf"), float("-inf")):
-            raise ConfigurationError(f"factor must be finite, got {self.factor}")
-        if self.kind == "slow" and factor <= 0.0:
+        if self.kind == "slow" and self.factor <= 0.0:
             raise ConfigurationError(f"slow factor must be > 0, got {self.factor}")
 
     def to_dict(self) -> dict:

@@ -26,8 +26,11 @@ Kernel inventory
   instead of four broadcast passes, with vectorized convergence masking
   across the batch.
 * :func:`mda_aggregate` — exhaustive minimum-diameter search over a
-  precomputed distance matrix, with subset diameters evaluated in
-  chunked fancy-indexing gathers instead of nested Python loops.
+  precomputed distance matrix.  A search plan (every subset, and the
+  flat matrix indices of its pairs) is built once per ``(n, n - f)``
+  and cached when it fits ``_MDA_PLAN_ENTRIES``, so a round is one
+  gather of pair distances; larger searches stream the same plan in
+  bounded chunks.
 * :func:`bulyan_select` — iterated-Krum selection that *slices* the
   precomputed distance matrix instead of recomputing distances on
   every pass.
@@ -39,6 +42,8 @@ Kernel inventory
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from functools import lru_cache
 from itertools import combinations, islice
 
 import numpy as np
@@ -67,9 +72,17 @@ __all__ = [
 #: d = 10^6 while keeping the exact path off for well-separated rows.
 _GRAM_RELIABLE_RTOL = 1e-10
 
-#: Upper bound on ``C(n, n - f) * (n - f)^2`` scratch floats held at
-#: once by the MDA diameter gather (~64 MiB of float64).
+#: Upper bound on the scratch entries held at once by a streamed MDA
+#: search (~64 MiB of intp and float64): per subset, its ``n - f`` row
+#: indices, and the flat indices and squared distances of its
+#: ``pairs = (n - f)(n - f - 1) / 2`` row pairs.
 _MDA_CHUNK_FLOATS = 8_000_000
+
+#: Largest MDA search plan, in ``C(n, n - f) * (n - f + pairs)`` index
+#: entries (~2 MiB of intp), that is cached for reuse; larger searches
+#: stream.  The paper's ``n = 11, f = 5`` plan is 9,702 entries.  The
+#: cache keeps at most 8 plans, so it holds at most ~16 MiB.
+_MDA_PLAN_ENTRIES = 250_000
 
 #: Upper bound on ``pairs * d`` scratch floats held at once by the
 #: exact-distance fallback's difference gather (~64 MiB of float64).
@@ -331,50 +344,92 @@ def geometric_median(
 def mda_aggregate(gradients: Matrix, f: int) -> Vector:
     """Minimum Diameter Averaging with a vectorized exhaustive search.
 
-    Enumerates every ``(n - f)``-subset once as an index matrix and
-    evaluates all subset diameters with chunked fancy-indexing maxima
-    over the (hybrid-exact) precomputed distance matrix — no per-subset
-    Python loop.  Exact diameter ties are broken by the lexicographically
-    smallest subset *mean*, same as the reference implementation, so the
-    rule stays independent of submission order.
+    Evaluates every ``(n - f)``-subset's diameter as the square root of
+    the largest squared distance among its pairs, gathered from the
+    (hybrid-exact) precomputed distance matrix through the search plan
+    of :func:`_mda_plan_chunks` — no per-subset Python loop.  sqrt is
+    monotone and correctly rounded, so ``sqrt(max)`` equals the
+    ``max(sqrt)`` of the pairwise distances bit for bit.  Exact
+    diameter ties are broken by the lexicographically smallest subset
+    *mean*, same as the reference implementation, so the rule stays
+    independent of submission order.
     """
     gradients = np.asarray(gradients, dtype=np.float64)
     n = gradients.shape[0]
     if f == 0:
         return gradients.mean(axis=0)
-    selection_size = n - f
-    distances = np.sqrt(pairwise_sq_distances(gradients))
-
-    # Enumerate the C(n, n - f) subsets lazily, one chunk of index rows
-    # at a time, so peak scratch stays at the chunk budget (the replaced
-    # reference loop was O(1); materialising the full index matrix up
-    # front would cost hundreds of MB at the 10^6-subset cap).
-    subset_count = math.comb(n, selection_size)
-    subset_iterator = combinations(range(n), selection_size)
-    chunk = max(1, _MDA_CHUNK_FLOATS // (selection_size * selection_size))
+    flat_sq_distances = pairwise_sq_distances(gradients).ravel()
     best_diameter = math.inf
     candidates: list[np.ndarray] = []
-    for start in range(0, subset_count, chunk):
-        take = min(chunk, subset_count - start)
-        block = np.fromiter(
-            islice(subset_iterator, take),
-            dtype=np.dtype((np.intp, selection_size)),
-            count=take,
-        )
-        diameters = distances[block[:, :, None], block[:, None, :]].max(axis=(1, 2))
+    for subsets, pairs in _mda_plan_chunks(n, n - f):
+        # ``initial=0.0`` gives a one-row subset (no pairs) diameter 0.
+        diameters = np.sqrt(flat_sq_distances[pairs].max(axis=1, initial=0.0))
         block_best = float(diameters.min())
         if block_best < best_diameter:
             best_diameter = block_best
-            candidates = [block[diameters == best_diameter]]
+            candidates = [subsets[diameters == best_diameter]]
         elif block_best == best_diameter:
-            candidates.append(block[diameters == best_diameter])
+            candidates.append(subsets[diameters == best_diameter])
     tied = np.concatenate(candidates, axis=0)
+    # Rows stay ascending within each subset: the mean's summation
+    # order, and so its last bits, depend on it.
     means = gradients[tied].mean(axis=1)  # (ties, d)
     if len(means) == 1:
         return means[0]
     # Lexicographically smallest mean among the exact-diameter ties.
     winner = np.lexsort(means.T[::-1])[0]
     return means[winner]
+
+
+def _mda_plan_chunks(n: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The ``size``-subsets of ``range(n)`` with their pair indices, in
+    ``itertools.combinations`` order, as ``(subsets, pairs)`` chunks.
+
+    A plan within ``_MDA_PLAN_ENTRIES`` comes from the cache as one
+    chunk; a larger one is enumerated afresh in chunks whose live
+    scratch stays within ``_MDA_CHUNK_FLOATS`` entries, so its peak
+    memory stays bounded up to ``MDAGAR``'s 10^6-subset cap.
+    """
+    count = math.comb(n, size)
+    pairs = size * (size - 1) // 2
+    if count * (size + pairs) <= _MDA_PLAN_ENTRIES:
+        yield _mda_plan(n, size)
+        return
+    subsets = combinations(range(n), size)
+    # The next chunk is built while the caller still holds this one:
+    # two chunks of indices and one pair-index temporary are live then,
+    # more than the one chunk of indices plus its gathered distances.
+    chunk = max(1, _MDA_CHUNK_FLOATS // (2 * size + 3 * pairs))
+    for start in range(0, count, chunk):
+        yield _mda_plan_block(subsets, min(chunk, count - start), n, size)
+
+
+@lru_cache(maxsize=8)
+def _mda_plan(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The whole ``(n, size)`` search plan, built on first use.
+
+    Cached, so every caller shares the arrays: they are read-only.
+    """
+    plan = _mda_plan_block(combinations(range(n), size), math.comb(n, size), n, size)
+    for table in plan:
+        table.flags.writeable = False
+    return plan
+
+
+def _mda_plan_block(
+    subsets: Iterator[tuple[int, ...]], take: int, n: int, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``take`` subsets as a ``(take, size)`` index matrix, and
+    the ``(take, size * (size - 1) / 2)`` flat ``n x n`` indices of each
+    subset's pairs ``i < j``."""
+    block = np.fromiter(
+        islice(subsets, take), dtype=np.dtype((np.intp, size)), count=take
+    )
+    first, second = np.triu_indices(size, 1)
+    pairs = block[:, first]
+    pairs *= n
+    pairs += block[:, second]
+    return block, pairs
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,16 @@ because its VN-ratio constant ``k_F(n, f) = (n - f) / (sqrt(8) f)`` is
 the largest among the presented rules.
 
 The search is exact and exhaustive over the ``C(n, n - f)`` subsets,
-fully vectorized (:func:`repro.gars.kernels.mda_aggregate`): subset
-diameters are evaluated as chunked fancy-indexing maxima over one
-precomputed distance matrix.  For the paper's ``n = 11, f = 5`` this is
-462 subsets; construction refuses plainly infeasible instances (more
-than ``10^6`` subsets) rather than silently taking hours.
+fully vectorized (:func:`repro.gars.kernels.mda_aggregate`): each
+subset's diameter is the square root of the largest of its pairs'
+squared distances, gathered from one precomputed distance matrix.  The
+subsets and their pair indices form a search plan that is built once
+per ``(n, n - f)`` and cached when it fits the kernel's entry budget
+(``_MDA_PLAN_ENTRIES``), so a round costs one gather; larger searches
+stream the plan in bounded chunks instead.  For the paper's
+``n = 11, f = 5`` this is 462 subsets of 15 pairs each; construction
+refuses plainly infeasible instances (more than ``10^6`` subsets)
+rather than silently taking hours.
 """
 
 from __future__ import annotations

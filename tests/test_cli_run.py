@@ -33,6 +33,11 @@ def tiny_cell(name="smoke", **overrides):
     return cell
 
 
+def fault_cell(**event):
+    """A tiny cell's JSON text whose fault plan holds the one event given."""
+    return json.dumps(tiny_cell(faults={"events": [event]}))
+
+
 class TestParser:
     def test_run_options(self):
         arguments = build_parser().parse_args(
@@ -143,26 +148,39 @@ class TestRunCommand:
                 ),
             ),
             ("learning_rate", json.dumps(tiny_cell(learning_rate=None))),
-            (
-                "round",
-                json.dumps(
-                    tiny_cell(
-                        faults={
-                            "events": [
-                                {"kind": "drop_round", "round": "2", "worker": 0}
-                            ]
-                        }
-                    )
-                ),
-            ),
+            ("round", fault_cell(kind="drop_round", round="2", worker=0)),
             (
                 "name",
                 json.dumps(
                     {key: value for key, value in tiny_cell().items() if key != "name"}
                 ),
             ),
+            ("shard", fault_cell(kind="crash", round=2, shard="0")),
+            ("shard", fault_cell(kind="crash", round=2, shard=1.5)),
+            ("worker", fault_cell(kind="drop_round", round=2, worker=True)),
+            ("worker", fault_cell(kind="drop_round", round=2, worker=[0])),
+            (
+                "factor",
+                fault_cell(kind="corrupt_payload", round=2, worker=0, factor=None),
+            ),
+            ("seeds", json.dumps(tiny_cell(seeds=[1.5]))),
+            ("seeds", json.dumps(tiny_cell(seeds=[True]))),
+            ("seeds", json.dumps(tiny_cell(seeds="abc"))),
         ],
-        ids=["num_steps-overflow", "learning_rate-null", "fault-round-string", "no-name"],
+        ids=[
+            "num_steps-overflow",
+            "learning_rate-null",
+            "fault-round-string",
+            "no-name",
+            "fault-shard-string",
+            "fault-shard-float",
+            "fault-worker-bool",
+            "fault-worker-list",
+            "fault-factor-null",
+            "seeds-float",
+            "seeds-bool",
+            "seeds-string",
+        ],
     )
     def test_malformed_cell_exits_2_naming_the_field(self, tmp_path, field, text):
         path = tmp_path / "cell.json"

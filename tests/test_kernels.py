@@ -1,10 +1,12 @@
 """Unit tests for the vectorized aggregation engine (repro.gars.kernels)."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from repro.exceptions import AggregationError
-from repro.gars import get_gar
+from repro.gars import get_gar, kernels
 from repro.gars.kernels import (
     geometric_median_batch,
     krum_scores_from_sq_distances,
@@ -171,3 +173,59 @@ class TestMDAKernel:
     def test_f_zero_is_mean(self):
         gradients = random_gradient_matrix(5, 3, seed=10)
         assert np.array_equal(mda_aggregate(gradients, 0), gradients.mean(axis=0))
+
+    @pytest.fixture
+    def one_subset_chunks(self, monkeypatch):
+        """Stream every search, one subset per chunk."""
+        monkeypatch.setattr(kernels, "_MDA_PLAN_ENTRIES", 0)
+        monkeypatch.setattr(kernels, "_MDA_CHUNK_FLOATS", 1)
+
+    def test_streamed_tie_spans_chunks(self, one_subset_chunks):
+        """The tied subsets {0, 1} and {2, 3} sit in the first and the
+        last of six chunks; in the flipped order the winner is the last."""
+        gradients = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
+        for rows in (gradients, gradients[::-1].copy()):
+            assert np.array_equal(mda_aggregate(rows, 2), np.array([0.5, 0.0]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_streamed_matches_reference(self, one_subset_chunks, seed):
+        gradients = random_gradient_matrix(9, 4, seed=seed)
+        assert np.allclose(
+            mda_aggregate(gradients, 3),
+            mda_aggregate_reference(gradients, 3),
+            atol=1e-12,
+        )
+
+
+class TestMDAPlan:
+    """The search plan that mda_aggregate caches per (n, n - f)."""
+
+    def test_plan_tables_are_read_only(self):
+        subsets, pairs = kernels._mda_plan(11, 6)
+        assert np.array_equal(subsets, list(combinations(range(11), 6)))
+        first, second = np.triu_indices(6, 1)
+        assert np.array_equal(pairs, subsets[:, first] * 11 + subsets[:, second])
+        for table in (subsets, pairs):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+
+    def test_second_call_builds_no_plan(self):
+        gradients = random_gradient_matrix(11, 4, seed=11)
+        mda_aggregate(gradients, 5)
+        before = kernels._mda_plan.cache_info()
+        mda_aggregate(gradients, 5)
+        after = kernels._mda_plan.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_above_budget_search_streams(self):
+        """C(16, 9) subsets of 9 + 36 entries each exceed the budget:
+        the search leaves the cache untouched and stays exact."""
+        assert 11_440 * 45 > kernels._MDA_PLAN_ENTRIES
+        gradients = random_gradient_matrix(16, 3, seed=12)
+        before = kernels._mda_plan.cache_info()
+        result = mda_aggregate(gradients, 7)
+        assert kernels._mda_plan.cache_info() == before
+        assert np.allclose(
+            result, mda_aggregate_reference(gradients, 7), atol=1e-12
+        )
