@@ -169,8 +169,10 @@ def _parse_seed_rule(spec) -> dict | None:
     """Normalise the matrix-level ``seeds`` entry.
 
     ``None`` means "cells must carry their own seeds (or use the config
-    default)"; a dict ``{"count": k, "root": r}`` derives per-cell seeds.
-    A plain list is shorthand for putting ``seeds`` in ``base``.
+    default)"; a dict ``{"count": k, "root": r}`` derives per-cell seeds
+    (non-bool integers, ``k >= 1`` and ``r >= 0``).  A plain list is
+    shorthand for putting ``seeds`` in ``base``, unchanged, so the
+    cell config validates it.
     """
     if spec is None:
         return None
@@ -180,14 +182,17 @@ def _parse_seed_rule(spec) -> dict | None:
             raise ConfigurationError(
                 f"seeds rule has unknown keys: {', '.join(sorted(unknown))}"
             )
-        count = spec.get("count")
-        if not isinstance(count, int) or count < 1:
-            raise ConfigurationError(
-                f"seeds rule needs an integer count >= 1, got {count!r}"
-            )
-        return {"count": count, "root": int(spec.get("root", 0))}
+        rule = {"count": spec.get("count"), "root": spec.get("root", 0)}
+        for key, low in (("count", 1), ("root", 0)):
+            value = rule[key]
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigurationError(
+                    f"seeds rule field {key!r} must be an integer >= {low}, "
+                    f"got {value!r}"
+                )
+        return rule
     if isinstance(spec, (list, tuple)):
-        return {"explicit": tuple(int(seed) for seed in spec)}
+        return {"explicit": list(spec)}
     raise ConfigurationError(
         f"matrix seeds must be a list or {{'count', 'root'}} rule, got {spec!r}"
     )
@@ -232,7 +237,7 @@ def expand_matrix(document: dict) -> list[CampaignCell]:
     template = document.get("name_template")
     seed_rule = _parse_seed_rule(document.get("seeds"))
     if seed_rule is not None and "explicit" in seed_rule:
-        base.setdefault("seeds", list(seed_rule["explicit"]))
+        base.setdefault("seeds", seed_rule["explicit"])
         seed_rule = None
 
     cells: list[CampaignCell] = []

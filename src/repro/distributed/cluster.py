@@ -59,7 +59,8 @@ class StepResult:
 
     Every round carries its ``honest_submitted`` / ``honest_clean``
     matrices, which the VN-ratio monitor, the resilience analyses and
-    :class:`~repro.pipeline.callbacks.StepResultRecorder` read.
+    :class:`~repro.pipeline.callbacks.StepResultRecorder` read, and its
+    ``honest_losses``, whose mean the training loop records.
     """
 
     step: int
@@ -73,6 +74,10 @@ class StepResult:
     #: adversary observed and the server aggregated — while
     #: ``honest_clean`` stays pre-noise, pre-encoding.
     bytes_on_wire: int | None = None
+    #: Each live honest worker's batch loss at the round's pre-update
+    #: parameters (the paper's Section 5.1 training-loss sample).
+    #: Workers absent this round leave it; a dropped message does not.
+    honest_losses: np.ndarray = field(repr=False, default_factory=lambda: np.zeros(0))
 
     @property
     def num_honest(self) -> int:
@@ -161,8 +166,8 @@ class RoundCore:
         """The in-process honest workers (a copy of the list).
 
         Empty on the multiprocess backend, whose workers live in shard
-        processes; the training loop reads its ``last_honest_losses``
-        instead.
+        processes and score their batches there (every backend returns
+        the losses on :attr:`StepResult.honest_losses`).
         """
         return list(self._honest_workers)
 
@@ -242,12 +247,14 @@ class RoundCore:
         ``worker_ids`` selects a partial cohort (the simulator's wake
         subset); the codec and the fault plan stay keyed on global
         worker ids, so a partial cohort's rows match the whole round's
-        bit for bit.  Returns ``(submitted, clean, row_bytes)``.
+        bit for bit.  Returns ``(submitted, clean, row_bytes, losses)``,
+        where ``losses`` leaves out the workers the fault stage found
+        absent.
         """
         workers = self._honest_workers
         if worker_ids is not None:
             workers = [workers[worker] for worker in worker_ids]
-        submitted, clean = compute_cohort(workers, parameters, step)
+        submitted, clean, losses = compute_cohort(workers, parameters, step)
         timer.lap("round.cohort")
         row_bytes = None
         if self._codec is not None:
@@ -260,10 +267,13 @@ class RoundCore:
             )
             timer.lap("round.codec")
         if self._faults is not None:
-            self._apply_faults(step, submitted, clean, row_bytes, worker_ids, **attrs)
+            rows = self._apply_faults(
+                step, submitted, clean, row_bytes, worker_ids, **attrs
+            )
             reset_absent_momentum(self._faults, step, self._honest_workers)
+            losses = np.delete(losses, rows)
             timer.restart()  # in process, the fault stage is not a phase
-        return submitted, clean, row_bytes
+        return submitted, clean, row_bytes, losses
 
     def _apply_faults(
         self,
@@ -274,7 +284,7 @@ class RoundCore:
         worker_ids=None,
         absent: frozenset = frozenset(),
         **attrs,
-    ) -> frozenset:
+    ) -> list[int]:
         """The fault stage, in place: after the codec, before the attack.
 
         The adversary thus observes exactly what survived the wire.
@@ -285,7 +295,7 @@ class RoundCore:
         bytes count) and corrupted rows follow.  Row ``i`` is worker
         ``i`` unless ``worker_ids`` maps rows to workers.  Raises
         :class:`DegradedRunError` when no honest worker is left; returns
-        the absent set.
+        the absent rows (ascending), whose losses leave the round's.
         """
         faults = self._faults
         if faults is not None:
@@ -295,11 +305,11 @@ class RoundCore:
                 f"round {step}: every honest worker has departed; refusing "
                 "to aggregate attack-only submissions"
             )
-        if absent:
-            if worker_ids is None:
-                rows = sorted(absent)
-            else:
-                rows = [row for row, worker in enumerate(worker_ids) if worker in absent]
+        if worker_ids is None:
+            rows = sorted(absent)
+        else:
+            rows = [row for row, worker in enumerate(worker_ids) if worker in absent]
+        if rows:
             submitted[rows] = 0.0
             clean[rows] = 0.0
             if row_bytes is not None:
@@ -317,7 +327,7 @@ class RoundCore:
                     zeroed=sorted(zeroed),
                     corrupted=sorted(corrupted),
                 )
-        return absent
+        return rows
 
     def _craft(self, step: int, submitted, clean, parameters) -> Vector:
         """The colluding adversary's one Byzantine gradient for ``step``."""
@@ -368,11 +378,13 @@ class RoundCore:
             return int(matches[0])
         return None
 
-    def _finish_round(self, timer, parameters, submitted, clean, row_bytes) -> StepResult:
+    def _finish_round(
+        self, timer, parameters, submitted, clean, row_bytes, losses
+    ) -> StepResult:
         """The attack → network → server tail of a synchronous round.
 
-        Emits the round's phase spans and counters when telemetry is
-        installed.
+        ``losses`` are the live honest workers' batch losses.  Emits the
+        round's phase spans and counters when telemetry is installed.
         """
         step = self._step
         telemetry = self._telemetry
@@ -419,6 +431,7 @@ class RoundCore:
             honest_clean=clean,
             byzantine_gradient=byzantine_gradient,
             bytes_on_wire=bytes_on_wire,
+            honest_losses=losses,
         )
 
 
@@ -472,9 +485,5 @@ class Cluster(RoundCore):
         step = self._step
         timer = self._begin_round(step)
         parameters = self._server.parameters
-        submitted, clean, row_bytes = self._cohort_rows(timer, parameters, step)
-        if self._faults is not None:
-            # Absent workers leave the loop's honest-loss mean, exactly
-            # as a dead shard's rows leave the multiprocess loss vector.
-            self.last_live_workers = self._faults.live_workers(step)
-        return self._finish_round(timer, parameters, submitted, clean, row_bytes)
+        rows = self._cohort_rows(timer, parameters, step)
+        return self._finish_round(timer, parameters, *rows)

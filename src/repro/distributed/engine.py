@@ -18,9 +18,6 @@ rounds that remove that overhead without changing a single output bit:
 * **preallocated round buffers** — one ``(n, d)`` wire matrix, one
   ``(W, b, p)`` batch gather target and persistent ``(W, d)`` momentum
   stacks are reused across every round of the run;
-* **single-pass forward/backward** — the honest-batch training loss and
-  the cohort gradients come from one
-  :meth:`repro.models.base.Model.loss_and_gradient_stack` call;
 * **in-place server updates** — the optimizer writes the parameter
   buffer through :meth:`repro.optim.sgd.SGDOptimizer.step`'s ``out=``
   path, and the loop reads :attr:`ParameterServer.parameters_view`
@@ -48,7 +45,6 @@ from repro.distributed.server import ParameterServer
 from repro.distributed.worker import HonestWorker
 from repro.exceptions import ConfigurationError
 from repro.metrics.history import TrainingHistory
-from repro.models.base import Model
 from repro.optim.sgd import SGDOptimizer
 from repro.privacy.mechanisms import (
     GaussianMechanism,
@@ -151,7 +147,7 @@ class RoundEngine:
         model = workers[0]._model
         if any(w._model is not model for w in workers):
             return "heterogeneous cohort models"
-        reason = self._probe_model(model)
+        reason = model._single_pass_conflict()
         if reason is not None:
             return reason
         # The in-place update path goes through ParameterServer.step's
@@ -206,40 +202,6 @@ class RoundEngine:
                 )
         return None
 
-    @staticmethod
-    def _probe_model(model) -> str | None:
-        """Reject models whose inherited single-pass stack would bypass
-        overridden ``gradient_stack`` / ``loss_stack`` methods.
-
-        The base :meth:`Model.loss_and_gradient_stack` delegates to
-        ``self.loss_stack`` / ``self.gradient_stack``, so it honours any
-        override.  A model that inherits a *single-pass* implementation
-        (linear, logistic) while overriding the two-pass methods — or
-        the augmentation hooks the fused path substitutes — would train
-        with the parent's formulas on the fused path only; those cohorts
-        step per round instead.
-        """
-
-        def defining_class(name):
-            for klass in type(model).__mro__:
-                if name in vars(klass):
-                    return klass
-            return None
-
-        owner = defining_class("loss_and_gradient_stack")
-        if owner is Model:
-            return None  # delegating implementation: overrides are honoured
-        checked = ["gradient_stack", "loss_stack"]
-        if model.supports_augmented_stack:
-            checked += ["augment_features", "_augment_stack"]
-        for name in checked:
-            if defining_class(name) is not owner:
-                return (
-                    f"model {type(model).__name__} overrides {name} but "
-                    f"inherits {owner.__name__}.loss_and_gradient_stack"
-                )
-        return None
-
     @property
     def supports_fused(self) -> bool:
         """Whether :meth:`run` may execute this cohort."""
@@ -249,11 +211,6 @@ class RoundEngine:
     def fused_unsupported_reason(self) -> str | None:
         """Human-readable reason the fused path is unavailable."""
         return self._reason
-
-    @property
-    def cohort_model(self) -> Model:
-        """The model the cohort computes (and the engine records) with."""
-        return self._workers[0]._model
 
     # ------------------------------------------------------------------
     # buffers
@@ -368,23 +325,17 @@ class RoundEngine:
         self,
         num_rounds: int,
         *,
-        model: Model | None = None,
         history: TrainingHistory | None = None,
         block_size: int | None = None,
     ):
         """Execute ``num_rounds`` fused rounds; returns the last round's
         :class:`~repro.distributed.cluster.StepResult`.
 
-        ``history`` enables per-round honest-batch loss recording (the
-        same quantity, bit for bit, that
-        :func:`repro.pipeline.loop.record_honest_loss` records on the
-        per-round path).  The loss always comes from the cohort's own
-        shared forward pass, so a ``model`` argument, when given, must
-        be :attr:`cohort_model` — a different probe model would record
-        a different loss than the caller asked for, which the engine
-        refuses rather than silently substituting.  The returned result
-        carries copies of the last round's ``honest_submitted`` /
-        ``honest_clean`` matrices.
+        ``history`` enables per-round recording of the mean honest-batch
+        loss, which each round's one forward pass scores — the quantity
+        ``Cluster.step`` returns as ``honest_losses``, bit for bit.  The
+        returned result carries the last round's ``honest_losses`` and
+        copies of its ``honest_submitted`` / ``honest_clean`` matrices.
 
         Worker-visible state (momentum buffers, ``last_batch``) is
         synchronised at the end of the run — and on divergence — so a
@@ -399,11 +350,6 @@ class RoundEngine:
             raise ConfigurationError(f"num_rounds must be >= 1, got {num_rounds}")
         if block_size is not None and block_size < 1:
             raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
-        if model is not None and model is not self.cohort_model:
-            raise ConfigurationError(
-                "the fused engine records loss with the cohort's own model; "
-                "pass model=None or the workers' model"
-            )
         self._ensure_buffers()
         workers = self._workers
         # The fused path shares the cluster's telemetry handle.  Phases
@@ -694,4 +640,5 @@ class RoundEngine:
             honest_clean=clean.copy(),
             byzantine_gradient=byzantine_gradient,
             bytes_on_wire=round_bytes,
+            honest_losses=losses,
         )

@@ -20,8 +20,10 @@ Round protocol (per :meth:`step`):
 3. collect ``("done", shard, step)`` replies under ``round_timeout``,
    watching for dead processes while waiting;
 4. copy the wire/clean/loss arrays out of the plane, zero the rows of
-   departed workers in the shared fault stage, and run the shared
-   attack → network → GAR → SGD tail.
+   departed workers in the shared fault stage, drop their entries from
+   the losses the shards' cohort pass scored, and run the shared
+   attack → network → GAR → SGD tail, which returns those losses on
+   :attr:`StepResult.honest_losses`.
 
 Degraded semantics (crash/timeout/leave): a departed worker stops
 existing from the protocol's point of view — its wire row is the zero
@@ -149,7 +151,6 @@ class MultiprocessCluster(RoundCore):
         self._results = None
         self._departed: dict[int, str] = {}
         self._dead_rows: list[int] = []
-        self._last_honest_losses: np.ndarray | None = None
         self._context = None
         # Full membership history: (step, shard_id, event, detail) rows.
         # Unlike ``departed`` (the *current* state, cleared on rejoin),
@@ -163,17 +164,6 @@ class MultiprocessCluster(RoundCore):
     # ------------------------------------------------------------------
     # multiprocess read surface
     # ------------------------------------------------------------------
-
-    @property
-    def last_honest_losses(self) -> np.ndarray | None:
-        """Per-worker batch losses of the live rows of the last round.
-
-        ``None`` before the first round (a round where every shard has
-        departed raises instead).  The training loop averages this
-        instead of re-scoring worker batches (which live in other
-        processes).
-        """
-        return self._last_honest_losses
 
     @property
     def departed(self) -> dict[int, str]:
@@ -537,16 +527,18 @@ class MultiprocessCluster(RoundCore):
         # operation the two sets coincide, because the plan's outages
         # fire through the spec's failure seam.  Dropped workers keep
         # their loss row: the message was sent and then lost.
-        absent = self._apply_faults(
+        rows = self._apply_faults(
             step, submitted, clean, row_bytes, absent=frozenset(self._dead_rows)
         )
-        self._last_honest_losses = np.delete(plane.losses, sorted(absent))
+        losses = np.delete(plane.losses, rows)
         timer.lap("round.copyout")
         if not self._num_byzantine:
             # The chief's trace keeps one attack span per round, even
             # with no attack to time.
             timer.lap("round.attack")
-        return self._finish_round(timer, parameters, submitted, clean, row_bytes)
+        return self._finish_round(
+            timer, parameters, submitted, clean, row_bytes, losses
+        )
 
     def _drain_shard_events(self) -> None:
         """Merge every queued shard event into the chief's trace.

@@ -5,8 +5,9 @@ cohort (one worker per process in the default process-per-worker
 layout).  Each round it copies the parameters from the wire plane, runs
 the exact in-process cohort pipeline (:func:`compute_cohort` — batch
 sampling, stacked gradient, clip, DP noise, momentum) on its own
-workers, scores their sampled batches at the pre-update parameters, and
-writes its rows of the wire/clean/loss arrays.
+workers, whose one forward pass also scores their sampled batches at
+the pre-update parameters, and writes its rows of the wire/clean/loss
+arrays.
 
 Bit-identity with the in-process engine rests on two facts:
 
@@ -255,8 +256,7 @@ def shard_main(
                 # Copy the chief-published parameters out of shared
                 # memory: float64 bits survive the round trip untouched.
                 parameters = np.array(plane.parameters)
-                submitted, clean = compute_cohort(workers, parameters, step)
-                losses = _batch_losses(spec.model, parameters, workers)
+                submitted, clean, losses = compute_cohort(workers, parameters, step)
                 for slow_step, factor in spec.slow_steps:
                     if slow_step == step:
                         time.sleep(0.01 * factor)
@@ -315,18 +315,3 @@ def _fast_forward(spec: WorkerShardSpec, workers, plane: WirePlane) -> None:
         compute_cohort(workers, zeros, step)
     for worker in workers:
         worker.reset()
-
-
-def _batch_losses(model: Model, parameters: np.ndarray, workers) -> np.ndarray:
-    """Per-worker losses of the just-sampled batches (pre-update params).
-
-    The stacked twin of the loop's honest-loss instrumentation
-    (:func:`repro.pipeline.loop.record_honest_loss`): one
-    ``loss_stack`` call over the shard's uniform batches.  Per-row
-    stability makes the rows independent of the stack height, so the
-    chief-side mean over all shards' rows equals the in-process mean
-    bit for bit.
-    """
-    features = np.stack([worker.last_batch[0] for worker in workers])
-    labels = np.stack([worker.last_batch[1] for worker in workers])
-    return np.asarray(model.loss_stack(parameters, features, labels), dtype=np.float64)

@@ -118,8 +118,10 @@ class HonestWorker:
     def last_batch(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The most recently sampled ``(features, labels)`` batch.
 
-        The trainer uses it to compute the paper's "average loss over
-        the training datapoints sampled by the honest workers".
+        The discrete-event simulator scores it when an update lands —
+        the paper's "average loss over the training datapoints sampled
+        by the honest workers" at the parameters that update replaces —
+        and so do the cohort paths without a stacked forward pass.
         """
         return self._last_batch
 
@@ -189,19 +191,47 @@ class HonestWorker:
         self._last_batch = None
 
 
+def _score_batches(workers: Sequence[HonestWorker], parameters: Vector) -> np.ndarray:
+    """Each sampled batch's loss at ``parameters``, in worker order.
+
+    One :meth:`Model.loss_stack` call when every batch has the same
+    shape, per-batch :meth:`Model.loss` otherwise; a worker that
+    sampled no batch adds no loss.
+    """
+    scored = [worker for worker in workers if worker.last_batch is not None]
+    if not scored:
+        return np.zeros(0)
+    model = scored[0]._model
+    batches = [worker.last_batch for worker in scored]
+    shapes = {(np.shape(features), np.shape(labels)) for features, labels in batches}
+    if len(shapes) == 1:
+        losses = model.loss_stack(
+            parameters,
+            np.stack([features for features, _ in batches]),
+            np.stack([labels for _, labels in batches]),
+        )
+    else:
+        losses = [
+            model.loss(parameters, features, labels) for features, labels in batches
+        ]
+    return np.asarray(losses, dtype=np.float64)
+
+
 def compute_cohort(
     workers: Sequence[HonestWorker], parameters: Vector, step: int
-) -> tuple[Matrix, Matrix]:
+) -> tuple[Matrix, Matrix, np.ndarray]:
     """Run one round of the whole honest cohort as stacked matrix ops.
 
-    Returns ``(submitted, clean)`` as ``(W, d)`` matrices — the same
-    rows that ``[w.compute(parameters, step) for w in workers]`` would
-    produce, computed with the per-step pipeline vectorized across
-    workers: one stacked gradient contraction
-    (:meth:`Model.gradient_stack`), one batched clip, one batched
-    momentum update.  Batch sampling and DP noise remain sequential per
-    worker so every private RNG stream is consumed in the same order as
-    the per-worker path.
+    Returns ``(submitted, clean, losses)``: the ``(W, d)`` matrices —
+    the same rows that ``[w.compute(parameters, step) for w in workers]``
+    would produce — and each worker's batch loss at ``parameters``, the
+    paper's training-loss sample (Section 5.1).  The per-step pipeline
+    is vectorized across workers: one stacked forward/backward pass
+    (:meth:`Model.loss_and_gradient_stack`) yields the gradients and
+    the losses together, then one batched clip and one batched momentum
+    update.  Batch sampling and DP noise remain sequential per worker
+    so every private RNG stream is consumed in the same order as the
+    per-worker path.
 
     Numerically the fast path is equivalent to the per-worker path but
     not bit-identical: the stacked contractions reduce in a different
@@ -215,9 +245,12 @@ def compute_cohort(
     heterogeneous (different models, clip modes, or batch shapes) or
     when any worker subclass overrides :meth:`HonestWorker.compute` /
     ``_finish`` (custom per-worker behaviour always wins over the fast
-    path) — correctness never depends on the fast path.  This function
-    lives in the worker module on purpose: it is the stacked twin of
-    the per-worker pipeline and shares its internals.
+    path) — correctness never depends on the fast path.  The fallbacks
+    and per-example clipping score the sampled batches separately (one
+    ``loss_stack`` over equal shapes, else per batch); a worker that
+    sampled no batch adds no loss.  This function lives in the worker
+    module on purpose: it is the stacked twin of the per-worker
+    pipeline and shares its internals.
     """
     workers = list(workers)
     if not workers:
@@ -231,10 +264,11 @@ def compute_cohort(
         return (
             np.stack([s.submitted for s in submissions]),
             np.stack([s.clean for s in submissions]),
+            _score_batches(workers, parameters),
         )
     del step  # the stock pipeline is step-independent
     # Sampling stays sequential per worker (private RNG streams), and the
-    # sampled batches are cached for the loop's loss instrumentation.
+    # sampled batches are cached on the workers (``last_batch``).
     batches = []
     for worker in workers:
         features, labels = worker._sampler.sample()
@@ -260,6 +294,7 @@ def compute_cohort(
         return (
             np.stack([s.submitted for s in submissions]),
             np.stack([s.clean for s in submissions]),
+            _score_batches(workers, parameters),
         )
 
     features_stack = np.stack([features for features, _ in batches])
@@ -278,11 +313,16 @@ def compute_cohort(
         g_max = np.array([w._g_max for w in workers])
         scales = np.minimum(1.0, g_max[:, None] / safe_norms)
         clean = (per_example * scales[:, :, None]).mean(axis=1)
+        losses = model.loss_stack(parameters, features_stack, labels_stack)
     else:
-        clean = np.array(
-            model.gradient_stack(parameters, features_stack, labels_stack),
-            dtype=np.float64,
-        )
+        if model._single_pass_conflict() is None:
+            losses, gradients = model.loss_and_gradient_stack(
+                parameters, features_stack, labels_stack
+            )
+        else:
+            losses = model.loss_stack(parameters, features_stack, labels_stack)
+            gradients = model.gradient_stack(parameters, features_stack, labels_stack)
+        clean = np.array(gradients, dtype=np.float64)
         g_max = np.array(
             [np.inf if w._g_max is None else w._g_max for w in workers]
         )
@@ -323,4 +363,4 @@ def compute_cohort(
             worker._velocity_clean += clean[index]
             submitted[index] = worker._velocity_submitted
             clean[index] = worker._velocity_clean
-    return submitted, clean
+    return submitted, clean, np.asarray(losses, dtype=np.float64)

@@ -72,10 +72,10 @@ WORKER_KINDS = ("slow", "drop_round", "corrupt_payload")
 def shard_partition(num_honest: int, num_shards: int) -> list[tuple[int, ...]]:
     """The contiguous worker partition used by every backend.
 
-    Must stay in lockstep with ``Experiment.build_shard_specs`` — the
-    fault plane maps shard-scoped events to worker ids through this
-    function, so a plan resolves to the same worker sets whether or not
-    shard processes actually exist.
+    ``Experiment.build_shard_specs`` splits the cohort with it, and the
+    fault plane maps shard-scoped events to worker ids through it, so a
+    plan resolves to the same worker sets whether or not shard
+    processes actually exist.
     """
     if num_shards < 1:
         raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
@@ -396,13 +396,6 @@ class ResolvedFaultPlan:
             ):
                 factor *= float(event.factor)
         return factor
-
-    def live_workers(self, round_index: int) -> tuple[int, ...]:
-        """Honest workers present this round (sorted), for loss means."""
-        absent = self.absent_workers(round_index)
-        return tuple(
-            worker for worker in range(self.num_honest) if worker not in absent
-        )
 
     def shard_spec_fields(self, shard_id: int, start_round: int = 1) -> dict:
         """``WorkerShardSpec`` overrides for a shard (re)spawned at

@@ -117,8 +117,8 @@ class Model(ABC):
         """Mean loss of each batch in a ``(W, b, ...)`` stack; ``(W,)``.
 
         Same contract as :meth:`gradient_stack` for the forward pass;
-        the training loop uses it to score a whole honest cohort's
-        sampled batches in one call.
+        the simulator and the cohort paths without a single pass use it
+        to score a whole honest cohort's sampled batches in one call.
         """
         return np.array(
             [
@@ -137,9 +137,9 @@ class Model(ABC):
 
         Returns ``(losses, gradients)`` with shapes ``(W,)`` and
         ``(W, d)``, exactly equal (bit for bit) to calling the two
-        methods separately — the fused round engine uses this to score
-        and differentiate a round's cohort batches without running the
-        forward contraction twice.  Models with a shared forward pass
+        methods separately — every round's cohort pass uses this to
+        score and differentiate the cohort's batches without running
+        the forward contraction twice.  Models with a shared forward pass
         (linear, logistic) override it to compute the augmented stack
         and the logits once; the base implementation simply delegates.
         """
@@ -147,6 +147,39 @@ class Model(ABC):
             self.loss_stack(parameters, features_stack, labels_stack),
             self.gradient_stack(parameters, features_stack, labels_stack),
         )
+
+    def _single_pass_conflict(self) -> str | None:
+        """Why :meth:`loss_and_gradient_stack` may bypass an override, or
+        ``None`` when it cannot.
+
+        The base implementation delegates to ``loss_stack`` /
+        ``gradient_stack``, so it honours any override.  A model that
+        inherits a *single-pass* implementation (linear, logistic) while
+        overriding the two-pass methods — or the augmentation hooks the
+        fused engine substitutes — would train with the parent's
+        formulas; callers then run the two methods separately (the
+        cohort pipeline) or step per round (the fused engine).
+        """
+
+        def defining_class(name):
+            for klass in type(self).__mro__:
+                if name in vars(klass):
+                    return klass
+            return None
+
+        owner = defining_class("loss_and_gradient_stack")
+        if owner is Model:
+            return None
+        checked = ["gradient_stack", "loss_stack"]
+        if self.supports_augmented_stack:
+            checked += ["augment_features", "_augment_stack"]
+        for name in checked:
+            if defining_class(name) is not owner:
+                return (
+                    f"model {type(self).__name__} overrides {name} but "
+                    f"inherits {owner.__name__}.loss_and_gradient_stack"
+                )
+        return None
 
     def initial_parameters(self, rng: np.random.Generator | None = None) -> Vector:
         """Starting parameter vector; zeros unless a model overrides it.

@@ -38,7 +38,7 @@ from repro.distributed.runtime import BACKENDS, MultiprocessCluster, WorkerShard
 from repro.distributed.server import ParameterServer
 from repro.distributed.worker import HonestWorker
 from repro.exceptions import ConfigurationError
-from repro.faults import build_fault_plan
+from repro.faults import build_fault_plan, shard_partition
 from repro.gars import GAR, get_gar
 from repro.gars.average import AverageGAR
 from repro.models.base import Model
@@ -542,31 +542,24 @@ class Experiment:
         datasets = self.build_data()
         worker_momentum = self.momentum if self.momentum_at == "worker" else 0.0
         num_shards = self.num_honest if self.num_shards is None else self.num_shards
-        num_shards = min(num_shards, self.num_honest)
-        base, extra = divmod(self.num_honest, num_shards)
+        partition = shard_partition(self.num_honest, min(num_shards, self.num_honest))
         codec = self.build_codec()
-        specs = []
-        start = 0
-        for shard_id in range(num_shards):
-            size = base + (1 if shard_id < extra else 0)
-            ids = tuple(range(start, start + size))
-            specs.append(
-                WorkerShardSpec(
-                    shard_id=shard_id,
-                    worker_ids=ids,
-                    model=self.model,
-                    datasets=tuple(datasets[index] for index in ids),
-                    batch_size=self.batch_size,
-                    root_seed=self.seed,
-                    g_max=self.g_max,
-                    mechanism=self.mechanism,
-                    clip_mode=self.clip_mode,
-                    momentum=worker_momentum,
-                    codec=codec,
-                )
+        return [
+            WorkerShardSpec(
+                shard_id=shard_id,
+                worker_ids=ids,
+                model=self.model,
+                datasets=tuple(datasets[index] for index in ids),
+                batch_size=self.batch_size,
+                root_seed=self.seed,
+                g_max=self.g_max,
+                mechanism=self.mechanism,
+                clip_mode=self.clip_mode,
+                momentum=worker_momentum,
+                codec=codec,
             )
-            start += size
-        return specs
+            for shard_id, ids in enumerate(partition)
+        ]
 
     def build_multiprocess_cluster(self) -> MultiprocessCluster:
         """Stage 4 (multiprocess variant): the chief-side cluster runtime.

@@ -3,9 +3,9 @@
 :class:`TrainingLoop` owns the round-by-round execution that used to be
 inlined in ``train()``: step the round core — the in-process cluster,
 the multiprocess runtime or the discrete-event simulator — record the
-paper's per-step training loss over the honest workers' sampled
-batches, and fire the :mod:`repro.pipeline.callbacks` hooks around
-every round.
+paper's per-step training loss, the mean of the honest workers' batch
+losses each round returns on :attr:`StepResult.honest_losses`, and fire
+the :mod:`repro.pipeline.callbacks` hooks around every round.
 """
 
 from __future__ import annotations
@@ -21,39 +21,7 @@ from repro.metrics.history import TrainingHistory
 from repro.models.base import Model
 from repro.pipeline.callbacks import Callback, CallbackList
 
-__all__ = ["LoopState", "TrainingLoop", "record_honest_loss"]
-
-
-def record_honest_loss(model, history, step, parameters, honest_workers) -> None:
-    """Record the mean training loss over ``honest_workers``' last batches.
-
-    The paper's Section 5.1 quantity, measured with one (stacked) float
-    pipeline on every in-process backend.  When every worker sampled an
-    equal-shaped batch (the common case), the whole cohort is scored
-    with one :meth:`repro.models.base.Model.loss_stack` call; ragged or
-    missing batches fall back to per-worker evaluation.  Rounds where no
-    honest worker sampled record no loss instead of a silent ``NaN``.
-    """
-    batches = [
-        worker.last_batch for worker in honest_workers if worker.last_batch is not None
-    ]
-    if not batches:
-        return
-    shapes = {
-        (np.asarray(features).shape, np.asarray(labels).shape)
-        for features, labels in batches
-    }
-    if len(shapes) == 1:
-        losses = model.loss_stack(
-            parameters,
-            np.stack([features for features, _ in batches]),
-            np.stack([labels for _, labels in batches]),
-        )
-    else:
-        losses = [
-            model.loss(parameters, features, labels) for features, labels in batches
-        ]
-    history.record_loss(step, float(np.mean(losses)))
+__all__ = ["LoopState", "TrainingLoop"]
 
 
 @dataclass
@@ -79,11 +47,14 @@ class TrainingLoop:
 
     The loop records the mean training loss of the honest workers'
     sampled batches at every step (evaluated at the pre-update
-    parameters, per Section 5.1's measurement protocol).  Rounds where
-    no honest worker sampled a batch — possible in all-Byzantine
-    configurations — record no loss instead of a silent ``NaN``.  On
-    the discrete-event simulator a step is one server update, and each
-    update's virtual time is recorded beside its loss.
+    parameters, per Section 5.1's measurement protocol): the mean of
+    the round's :attr:`StepResult.honest_losses`, which the round's own
+    cohort pass scored.  Rounds without an honest loss — every honest
+    worker absent, or none sampled a batch — record no loss instead of
+    a silent ``NaN``.  On the discrete-event simulator a step is one
+    server update, and each update's virtual time is recorded beside
+    its loss.  ``model`` is the workers' model; the loop hands it to
+    the callbacks (``LoopState.model``).
     """
 
     def __init__(
@@ -155,14 +126,9 @@ class TrainingLoop:
             and self._checkpoint is None
             and engine is not None
             and engine.supports_fused
-            # A probe model differing from the cohort's would record a
-            # different loss than the fused shared pass: step per round.
-            and engine.cohort_model is self._model
         ):
             callbacks.on_train_start(state)
-            state.last_result = engine.run(
-                num_steps, model=self._model, history=self._history
-            )
+            state.last_result = engine.run(num_steps, history=self._history)
             callbacks.on_train_end(state)
             return state
         self._run_rounds(state, num_steps)
@@ -205,17 +171,18 @@ class TrainingLoop:
     def _run_rounds(self, state: LoopState, rounds: int) -> None:
         """The per-round loop shared by :meth:`run` and :meth:`resume`."""
         callbacks = self._callbacks
-        honest_workers = self._cluster.honest_workers
         callbacks.on_train_start(state)
         for _ in range(rounds):
             if callbacks.should_stop(state):
                 state.stopped_early = True
                 break
             callbacks.on_step_start(state)
-            parameters_before = self._cluster.parameters
             result = self._cluster.step()
             state.last_result = result
-            self._record_honest_loss(parameters_before, honest_workers)
+            if len(result.honest_losses):
+                self._history.record_loss(
+                    self._cluster.step_count, float(np.mean(result.honest_losses))
+                )
             virtual_time = getattr(result, "virtual_time", None)
             if virtual_time is not None:
                 self._history.record_virtual_time(
@@ -244,38 +211,3 @@ class TrainingLoop:
         telemetry = getattr(self._cluster, "telemetry", None)
         if telemetry is not None:
             telemetry.counter("checkpoint.saved", step=self._cluster.step_count)
-
-    def _record_honest_loss(self, parameters, honest_workers) -> None:
-        """Record the honest-batch loss (see :func:`record_honest_loss`).
-
-        Clusters whose workers live in other processes (the multiprocess
-        runtime) expose ``last_honest_losses`` — the per-worker batch
-        losses already scored shard-side at the pre-update parameters.
-        Averaging those reproduces the in-process measurement bit for
-        bit (same per-row values, same ``np.mean``), without shipping
-        batches across process boundaries.  Rounds where every shard
-        has departed record no loss, matching the in-process behaviour
-        for rounds where no honest worker sampled.
-        """
-        if hasattr(self._cluster, "last_honest_losses"):
-            losses = self._cluster.last_honest_losses
-            if losses is not None and len(losses) > 0:
-                self._history.record_loss(
-                    self._cluster.step_count, float(np.mean(losses))
-                )
-            return
-        # Under a fault plan the cluster publishes which workers were
-        # live this round (the simulator always does: the workers whose
-        # gradients fed the update); the others leave the honest mean,
-        # exactly as a dead shard's rows leave the multiprocess loss
-        # vector.
-        live = getattr(self._cluster, "last_live_workers", None)
-        if live is not None:
-            honest_workers = [honest_workers[index] for index in live]
-        record_honest_loss(
-            self._model,
-            self._history,
-            self._cluster.step_count,
-            parameters,
-            honest_workers,
-        )

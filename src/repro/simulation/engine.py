@@ -41,7 +41,7 @@ import numpy as np
 from repro.attacks.base import ByzantineAttack
 from repro.distributed.cluster import RoundCore, StepResult
 from repro.distributed.server import ParameterServer
-from repro.distributed.worker import HonestWorker
+from repro.distributed.worker import HonestWorker, _score_batches
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.faults.plan import ResolvedFaultPlan
 from repro.rng import SeedTree
@@ -294,12 +294,13 @@ class ClusterSimulator(RoundCore):
         """One server update, as :class:`~repro.pipeline.loop.TrainingLoop`
         steps every round core.
 
-        Publishes the honest workers whose gradients fed the update as
-        ``last_live_workers``, so the loop scores exactly their batches.
+        Its ``honest_losses`` score the batches of the honest workers
+        whose gradients fed the update (``participating``) at the
+        parameters the update replaced: under the asynchronous policies
+        an aggregated gradient may be stale, so the losses its own wake
+        pass scored would measure an older model.
         """
-        result = self.advance()
-        self.last_live_workers = result.participating
-        return result
+        return self.advance()
 
     # ------------------------------------------------------------------
     # event handlers
@@ -376,7 +377,7 @@ class ClusterSimulator(RoundCore):
         if honest_ids:
             # The wake subset through the shared in-process stages; the
             # fault plan maps rows through the global honest_ids.
-            submitted, clean, row_bytes = self._cohort_rows(
+            submitted, clean, row_bytes, _ = self._cohort_rows(
                 timer, parameters, round_index, honest_ids, round=round_index
             )
             if row_bytes is not None:
@@ -512,6 +513,7 @@ class ClusterSimulator(RoundCore):
         return result
 
     def _complete(self, completion: RoundCompletion) -> SimStepResult:
+        parameters = self._server.parameters
         timer = self._begin_round(self._server.step_count)
         aggregated = self._server.step(
             completion.matrix, update_scale=completion.update_scale
@@ -539,10 +541,10 @@ class ClusterSimulator(RoundCore):
         )
         if self._faults is not None:
             # Plan-absent workers delivered only an all-zero row: they
-            # did not participate, and must leave the recorded honest
-            # loss exactly as a dead shard's rows leave the multiprocess
-            # loss vector.  (drop_round workers stay: their loss
-            # continues, only their message was lost.)
+            # did not participate, and leave the honest losses exactly
+            # as a dead shard's rows leave the multiprocess ones.
+            # (drop_round workers stay: their loss continues, only their
+            # message was lost.)
             absent = self._faults.absent_workers(completion.round_index)
             if absent:
                 participating = tuple(
@@ -571,4 +573,8 @@ class ClusterSimulator(RoundCore):
             update_scale=completion.update_scale,
             staleness=completion.staleness,
             participating=participating,
+            honest_losses=_score_batches(
+                [self._honest_workers[worker] for worker in participating],
+                parameters,
+            ),
         )

@@ -184,6 +184,37 @@ class TestCampaignErrors:
         assert main(["campaign", str(path)]) == 2
         assert "num_steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, seeds",
+        [
+            ("seeds", [1.5]),
+            ("seeds", [True]),
+            ("count", {"count": True}),
+            ("root", {"count": 2, "root": 1.5}),
+            ("root", {"count": 2, "root": "7"}),
+            ("root", {"count": 2, "root": True}),
+            ("root", {"count": 2, "root": -1}),
+        ],
+        ids=[
+            "list-float",
+            "list-bool",
+            "count-bool",
+            "root-float",
+            "root-string",
+            "root-bool",
+            "root-negative",
+        ],
+    )
+    def test_malformed_matrix_seeds_exit_2_naming_the_field(
+        self, tmp_path, capsys, field, seeds
+    ):
+        base = {key: value for key, value in MATRIX["base"].items() if key != "seeds"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(MATRIX, base=base, seeds=seeds)))
+        store = str(tmp_path / "store")
+        assert main(["campaign", str(path), "--dry-run", "--store", store]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+
     def test_unknown_component_exits_2(self, matrix_path, tmp_path, capsys):
         bad = dict(MATRIX, axes={"gar": ["not-a-gar"]})
         path = tmp_path / "bad.json"

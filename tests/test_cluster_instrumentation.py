@@ -7,19 +7,25 @@ layer consumes — including the ``f = 0`` (no attack) path and the
 dropped-message (lossy network) path.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.attacks import get_attack
 from repro.data.batching import BatchSampler
 from repro.data.datasets import Dataset
+from repro.data.phishing import make_phishing_dataset
 from repro.distributed.cluster import Cluster
 from repro.distributed.network import LossyNetwork
 from repro.distributed.server import ParameterServer
 from repro.distributed.worker import HonestWorker, compute_cohort
 from repro.gars import get_gar
 from repro.models.linear import LinearRegressionModel
+from repro.models.logistic import LogisticRegressionModel
 from repro.optim.sgd import SGDOptimizer
+from repro.pipeline.builder import Experiment
+from repro.pipeline.callbacks import Callback
 from repro.rng import SeedTree
 
 NUM_FEATURES = 3
@@ -207,14 +213,20 @@ class TestCohortMatchesPerWorkerPath:
         parameters = np.linspace(-0.5, 0.5, DIMENSION)
         cohort_workers = build_workers()
         loop_workers = build_workers()
+        model = LinearRegressionModel(NUM_FEATURES)  # stateless, as the workers'
         for step in (1, 2, 3):  # multiple rounds exercise momentum state
-            submitted, clean = compute_cohort(cohort_workers, parameters, step)
+            submitted, clean, losses = compute_cohort(cohort_workers, parameters, step)
             loop = [worker.compute(parameters, step) for worker in loop_workers]
             assert np.allclose(
                 submitted, np.stack([s.submitted for s in loop]), atol=1e-12
             )
             assert np.allclose(
                 clean, np.stack([s.clean for s in loop]), atol=1e-12
+            )
+            assert np.allclose(
+                losses,
+                [model.loss(parameters, *worker.last_batch) for worker in loop_workers],
+                atol=1e-12,
             )
 
     def test_compute_override_wins_over_fast_path(self):
@@ -244,10 +256,19 @@ class TestCohortMatchesPerWorkerPath:
             )
             for i, cls in enumerate([HonestWorker, ConstantWorker, HonestWorker])
         ]
-        submitted, clean = compute_cohort(workers, np.zeros(DIMENSION), 4)
+        submitted, clean, losses = compute_cohort(workers, np.zeros(DIMENSION), 4)
         assert np.array_equal(submitted[1], np.full(DIMENSION, 4.0))
         assert np.array_equal(clean[1], np.full(DIMENSION, 4.0))
         assert not np.array_equal(submitted[0], submitted[1])
+        # The override sampled no batch, so it adds no loss.
+        assert np.allclose(
+            losses,
+            [
+                model.loss(np.zeros(DIMENSION), *workers[index].last_batch)
+                for index in (0, 2)
+            ],
+            atol=1e-12,
+        )
 
     def test_heterogeneous_cohort_falls_back(self):
         """Mixed clip modes take the per-worker fallback and still match."""
@@ -277,7 +298,77 @@ class TestCohortMatchesPerWorkerPath:
         parameters = np.zeros(DIMENSION)
         mixed = build(["batch", "per_example", "batch"])
         reference = build(["batch", "per_example", "batch"])
-        submitted, clean = compute_cohort(mixed, parameters, 1)
+        submitted, clean, losses = compute_cohort(mixed, parameters, 1)
         loop = [worker.compute(parameters, 1) for worker in reference]
         assert np.array_equal(submitted, np.stack([s.submitted for s in loop]))
         assert np.array_equal(clean, np.stack([s.clean for s in loop]))
+        assert np.allclose(
+            losses,
+            [model.loss(parameters, *worker.last_batch) for worker in reference],
+            atol=1e-12,
+        )
+
+
+class TestOneForwardPass:
+    def test_per_round_run_scores_and_differentiates_in_one_call(self):
+        """Each per-round logistic round takes its honest losses and its
+        cohort gradients from one loss_and_gradient_stack call."""
+        model = LogisticRegressionModel(10)
+        calls = Counter()
+        for name in ("loss_and_gradient_stack", "gradient_stack", "loss_stack"):
+
+            def counted(*args, _name=name, _method=getattr(model, name), **kwargs):
+                calls[_name] += 1
+                return _method(*args, **kwargs)
+
+            setattr(model, name, counted)
+        result = Experiment(
+            model=model,
+            train_dataset=make_phishing_dataset(seed=0, num_points=200, num_features=10),
+            test_dataset=None,
+            num_steps=6,
+            n=7,
+            f=2,
+            gar="krum",
+            attack="little",
+            batch_size=10,
+            g_max=1e-2,
+            epsilon=0.5,
+            momentum=0.9,
+            seed=1,
+        ).run(callbacks=[Callback()])  # any callback steps per round
+        assert dict(calls) == {"loss_and_gradient_stack": 6}
+        assert len(result.history.losses) == 6
+
+    def test_two_pass_override_is_honoured(self):
+        """A model overriding gradient_stack while inheriting a single
+        pass keeps its own gradients on the cohort path."""
+
+        class Shifted(LinearRegressionModel):
+            def gradient_stack(self, parameters, features_stack, labels_stack):
+                return super().gradient_stack(
+                    parameters, features_stack, labels_stack
+                ) + 1.0
+
+        dataset = Dataset(
+            features=np.random.default_rng(4).standard_normal((40, NUM_FEATURES)),
+            labels=np.random.default_rng(5).standard_normal(40),
+        )
+
+        def cohort(model):
+            seeds = SeedTree(8)
+            workers = [
+                HonestWorker(
+                    worker_id=i,
+                    model=model,
+                    sampler=BatchSampler(dataset, 8, seeds.generator("batch", i)),
+                    noise_rng=seeds.generator("noise", i),
+                )
+                for i in range(3)
+            ]
+            return compute_cohort(workers, np.full(DIMENSION, 0.1), 1)
+
+        _, shifted, shifted_losses = cohort(Shifted(NUM_FEATURES))
+        _, stock, stock_losses = cohort(LinearRegressionModel(NUM_FEATURES))
+        assert np.array_equal(shifted, stock + 1.0)
+        assert np.array_equal(shifted_losses, stock_losses)

@@ -410,30 +410,6 @@ class TestEligibilityFallbacks:
             == per_round.final_parameters.tolist()
         )
 
-    def test_mismatched_probe_model_steps_per_round(self):
-        """TrainingLoop with a probe model != cohort model must not fuse
-        (the fused loss would come from the cohort's model)."""
-        from repro.pipeline.loop import TrainingLoop
-
-        model, train = _environment()
-        spec = CONFIGS["krum-little-gaussian-momentum"]
-        experiment = _experiment(model, train, **spec)
-        cluster = experiment.build_cluster()
-        probe = LogisticRegressionModel(10, loss_kind="nll")
-        loop = TrainingLoop(cluster=cluster, model=probe)
-        state = loop.run(4)
-        assert state.step == 4
-        # Losses were recorded with the probe model (per-round route).
-        reference = _experiment(model, train, **spec)
-        ref_cluster = reference.build_cluster()
-        ref_loop = TrainingLoop(cluster=ref_cluster, model=probe, callbacks=[_NoopCallback()])
-        ref_state = ref_loop.run(4)
-        assert (
-            state.history.losses.tolist() == ref_state.history.losses.tolist()
-        )
-        with pytest.raises(ConfigurationError, match="cohort"):
-            cluster.engine.run(2, model=probe)
-
     def test_fallback_path_still_bit_identical(self):
         """per_example configs run per-round in both cases: identical."""
         model, train = _environment()

@@ -173,8 +173,7 @@ class TestResolvedFaultPlan:
         assert resolved.corrupted_workers(5) == {2: 10.0}
         assert resolved.slow_factor(5, 0) == 4.0
         assert resolved.slow_factor(5, 1) == 1.0
-        assert resolved.live_workers(2) == (0, 2)
-        assert resolved.live_workers(4) == (0, 1, 2)
+        assert resolved.absent_workers(4) == frozenset()
 
     def test_worker_bounds_checked_at_resolve(self):
         plan = FaultPlan(
@@ -223,7 +222,7 @@ class TestSampling:
         )
         resolved = plan.resolve(4)
         for round_index in range(1, 31):
-            assert resolved.live_workers(round_index)
+            assert len(resolved.absent_workers(round_index)) < 4
 
     def test_rejoin_after_reopens_the_shard(self):
         plan = sample_fault_plan(

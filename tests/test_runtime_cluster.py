@@ -129,12 +129,11 @@ def test_basic_run_and_surface():
     with build_runtime(experiment) as runtime:
         assert runtime.honest_workers == []
         assert runtime.n == 4 and runtime.num_honest == 4
-        assert runtime.last_honest_losses is None
         result = runtime.run(3)
         assert runtime.step_count == 3 and result.step == 3
         assert result.honest_submitted.shape == (4, 7)
         assert np.all(np.isfinite(runtime.parameters))
-        assert runtime.last_honest_losses.shape == (4,)
+        assert result.honest_losses.shape == (4,)
         assert runtime.live_worker_count == 4 and runtime.departed == {}
     # Shutdown is terminal and idempotent.
     runtime.shutdown()
@@ -185,7 +184,7 @@ def test_graceful_leave_zeroes_rows_permanently():
         result = runtime.step()
         assert np.all(result.honest_submitted[2:] == 0.0)
         assert np.any(result.honest_submitted[:2] != 0.0)
-        assert runtime.last_honest_losses.shape == (2,)
+        assert result.honest_losses.shape == (2,)
         runtime.leave(1)  # already departed: a no-op
         with pytest.raises(ConfigurationError, match="unknown shard"):
             runtime.leave(9)

@@ -95,6 +95,9 @@ def test_rounds_bit_identical(name):
                 == expected.honest_submitted.tolist()
             )
             assert actual.honest_clean.tolist() == expected.honest_clean.tolist()
+            assert (
+                actual.honest_losses.tolist() == expected.honest_losses.tolist()
+            )
             if expected.byzantine_gradient is None:
                 assert actual.byzantine_gradient is None
             else:
