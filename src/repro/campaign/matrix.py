@@ -258,8 +258,9 @@ def expand_matrix(document: dict) -> list[CampaignCell]:
         )
         if cell.name in names:
             raise ConfigurationError(
-                f"matrix expansion produced duplicate cell name {cell.name!r} "
-                "(add distinguishing axes to name_template)"
+                f"matrix expansion produced duplicate cell name {cell.name!r}; "
+                "config field 'name' must be unique (add distinguishing axes "
+                "to name_template)"
             )
         names.add(cell.name)
         cells.append(cell)
@@ -277,7 +278,8 @@ def expand_matrix(document: dict) -> list[CampaignCell]:
         )
         if cell.name in names:
             raise ConfigurationError(
-                f"include entry {index} duplicates cell name {cell.name!r}"
+                f"include entry {index} duplicates cell name {cell.name!r}; "
+                "config field 'name' must be unique"
             )
         names.add(cell.name)
         cells.append(cell)
@@ -330,14 +332,7 @@ class ScenarioMatrix:
         pass never pollutes a real campaign's cache.
         """
         cells = tuple(
-            CampaignCell(
-                config=cell.config.with_updates(
-                    num_steps=min(cell.config.num_steps, 5),
-                    eval_every=min(cell.config.eval_every, 5),
-                    seeds=cell.config.seeds[:1],
-                ),
-                mode=cell.mode,
-            )
+            CampaignCell(config=cell.config.smoke(), mode=cell.mode)
             for cell in self.cells
         )
         return ScenarioMatrix(

@@ -6,10 +6,9 @@ returns a :class:`TrainingResult` with the paper's metrics (per-step
 training loss over honest batches, periodic test accuracy) plus an
 end-to-end privacy report.
 
-Since the pipeline redesign it is a thin wrapper over
-:class:`repro.pipeline.builder.Experiment`; the keyword surface and
-results are unchanged (bit for bit), and the staged builder is the
-place to go for anything this flat API cannot express.
+It is ``Experiment(**kwargs).run()``: it accepts every keyword of
+:class:`repro.pipeline.builder.Experiment`, whose staged builder is the
+place to go for anything one call cannot express.
 
 Defaults reproduce the paper's experimental setup (Section 5.1):
 n = 11 workers, f = 5 Byzantine, MDA, batch size 50, G_max = 1e-2,
@@ -18,50 +17,13 @@ learning rate 2, momentum 0.99, 1000 steps, delta = 1e-6.
 
 from __future__ import annotations
 
-from repro.attacks import ByzantineAttack
-from repro.data.datasets import Dataset
-from repro.gars import GAR
-from repro.models.base import Model
-from repro.optim.schedules import LearningRateSchedule
-from repro.pipeline.registry import MOMENTUM_PLACEMENTS, NOISE_KINDS, build_mechanism
+from repro.pipeline.registry import build_mechanism
 from repro.pipeline.results import PrivacyReport, TrainingResult
 
 __all__ = ["train", "TrainingResult", "PrivacyReport", "build_mechanism"]
 
 
-def train(
-    *,
-    model: Model,
-    train_dataset: Dataset,
-    test_dataset: Dataset | None = None,
-    num_steps: int = 1000,
-    n: int = 11,
-    f: int = 5,
-    num_byzantine: int | None = None,
-    gar: str | GAR = "mda",
-    gar_kwargs: dict | None = None,
-    attack: str | ByzantineAttack | None = None,
-    attack_kwargs: dict | None = None,
-    batch_size: int = 50,
-    g_max: float | None = 1e-2,
-    epsilon: float | None = None,
-    delta: float = 1e-6,
-    noise_kind: str = "gaussian",
-    learning_rate: float | LearningRateSchedule = 2.0,
-    momentum: float = 0.99,
-    momentum_at: str = "worker",
-    nesterov: bool = False,
-    clip_mode: str = "batch",
-    drop_probability: float = 0.0,
-    data_distribution: str = "shared",
-    eval_every: int = 50,
-    seed: int = 1,
-    record_gradients: bool = False,
-    codec: str | dict | None = None,
-    codec_kwargs: dict | None = None,
-    callbacks=(),
-    telemetry=None,
-) -> TrainingResult:
+def train(**kwargs) -> TrainingResult:
     """Run one distributed training experiment end to end.
 
     Parameters mirror the paper's Section 5.1; see the module docstring
@@ -106,36 +68,4 @@ def train(
     """
     from repro.pipeline.builder import Experiment
 
-    experiment = Experiment(
-        model=model,
-        train_dataset=train_dataset,
-        test_dataset=test_dataset,
-        num_steps=num_steps,
-        n=n,
-        f=f,
-        num_byzantine=num_byzantine,
-        gar=gar,
-        gar_kwargs=gar_kwargs,
-        attack=attack,
-        attack_kwargs=attack_kwargs,
-        batch_size=batch_size,
-        g_max=g_max,
-        epsilon=epsilon,
-        delta=delta,
-        noise_kind=noise_kind,
-        learning_rate=learning_rate,
-        momentum=momentum,
-        momentum_at=momentum_at,
-        nesterov=nesterov,
-        clip_mode=clip_mode,
-        drop_probability=drop_probability,
-        data_distribution=data_distribution,
-        eval_every=eval_every,
-        seed=seed,
-        record_gradients=record_gradients,
-        codec=codec,
-        codec_kwargs=codec_kwargs,
-        callbacks=callbacks,
-        telemetry=telemetry,
-    )
-    return experiment.run()
+    return Experiment(**kwargs).run()

@@ -360,11 +360,6 @@ def _resolve_data_seed(flag_value: int | None, file_value: int | None) -> int:
     return 0
 
 
-def _build_environment(model_spec, data_seed: int):
-    """The shared task environment for ``run``/``simulate`` configs."""
-    return build_environment(model_spec, data_seed)
-
-
 def _non_finite_cells(histories_by_name: dict[str, list]) -> list[str]:
     """Cells whose recorded losses went non-finite (diverged runs)."""
     failed = []
@@ -545,7 +540,7 @@ def _dispatch(arguments: argparse.Namespace) -> int:
             ]
         data_seed = _resolve_data_seed(arguments.data_seed, file_data_seed)
         telemetry = _resolve_telemetry(arguments.telemetry, file_telemetry)
-        model, train_set, test_set = _build_environment(model_spec, data_seed)
+        model, train_set, test_set = build_environment(model_spec, data_seed)
         outcomes = run_grid(
             configs,
             model,
@@ -573,18 +568,14 @@ def _dispatch(arguments: argparse.Namespace) -> int:
         )
         data_seed = _resolve_data_seed(arguments.data_seed, file_data_seed)
         telemetry = _resolve_telemetry(arguments.telemetry, file_telemetry)
-        model, train_set, test_set = _build_environment(model_spec, data_seed)
+        model, train_set, test_set = build_environment(model_spec, data_seed)
         multi_config = len(configs) > 1
         results: dict[str, list] = {}
         for config in configs:
             if config.name in results:
                 raise ValueError(f"duplicate config name {config.name!r}")
             if arguments.smoke:
-                config = config.with_updates(
-                    num_steps=min(config.num_steps, 5),
-                    eval_every=min(config.eval_every, 5),
-                    seeds=config.seeds[:1],
-                )
+                config = config.smoke()
             print(f"simulating {config.describe()}")
             multi_seed = len(config.seeds) > 1
             cell_results = []

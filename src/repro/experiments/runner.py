@@ -17,7 +17,7 @@ from pathlib import Path
 from repro.data.datasets import Dataset, train_test_split
 from repro.data.phishing import PHISHING_TRAIN_SIZE, make_phishing_dataset
 from repro.distributed.trainer import PrivacyReport, TrainingResult
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, spec_name
 from repro.metrics.aggregate import SeriesStats, aggregate_accuracy, aggregate_losses
 from repro.metrics.history import TrainingHistory
 from repro.models.base import Model
@@ -70,8 +70,8 @@ class RunOutcome:
         """Flat dict for table printing / JSON export."""
         return {
             "name": self.config.name,
-            "gar": self.config.gar,
-            "attack": self.config.attack or "none",
+            "gar": spec_name(self.config.gar),
+            "attack": spec_name(self.config.attack) or "none",
             "batch_size": self.config.batch_size,
             "epsilon": self.config.epsilon,
             "final_loss": self.final_loss_mean,
@@ -155,6 +155,9 @@ def run_config(
 ) -> RunOutcome:
     """Run one cell over all its seeds and aggregate the curves.
 
+    Each seed's run is built from
+    :meth:`ExperimentConfig.experiment_kwargs`, the mapping
+    :meth:`repro.pipeline.Experiment.from_config` uses too.
     ``max_workers`` > 1 runs the seeds on a multiprocessing pool;
     histories are bit-identical to the serial default.
 
@@ -167,9 +170,9 @@ def run_config(
     multi_seed = len(config.seeds) > 1
     jobs = []
     for seed in config.seeds:
-        train_kwargs = config.train_kwargs(seed)
+        kwargs = config.experiment_kwargs(seed)
         if telemetry is not None:
-            train_kwargs["telemetry"] = telemetry_path_for(
+            kwargs["telemetry"] = telemetry_path_for(
                 telemetry, seed=seed if multi_seed else None
             )
         jobs.append(
@@ -177,7 +180,7 @@ def run_config(
                 model=model,
                 train_dataset=train_dataset,
                 test_dataset=test_dataset,
-                train_kwargs=train_kwargs,
+                train_kwargs=kwargs,
             )
         )
     results: list[TrainingResult] = run_jobs(jobs, max_workers=max_workers)

@@ -11,6 +11,8 @@ rate changes of *other* kinds.
 
 from __future__ import annotations
 
+from numbers import Integral, Real
+
 import numpy as np
 
 from repro.exceptions import ConfigurationError
@@ -20,6 +22,10 @@ __all__ = ["FAULT_MODEL_NAMES", "build_fault_plan", "sample_fault_plan"]
 
 #: Names accepted by the ``faults`` config key / ``--faults`` flag.
 FAULT_MODEL_NAMES = ("schedule", "random")
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
 
 
 def sample_fault_plan(
@@ -55,11 +61,15 @@ def sample_fault_plan(
         ("corrupt_rate", corrupt_rate),
         ("slow_rate", slow_rate),
     ):
-        if not 0.0 <= rate <= 1.0:
-            raise ConfigurationError(f"{name} must be in [0, 1], got {rate}")
-    if rejoin_after is not None and rejoin_after < 1:
+        if isinstance(rate, bool) or not isinstance(rate, Real) or not 0 <= rate <= 1:
+            raise ConfigurationError(f"{name} must be in [0, 1], got {rate!r}")
+    if not _is_count(num_shards):
         raise ConfigurationError(
-            f"rejoin_after must be >= 1 round, got {rejoin_after}"
+            f"num_shards must be an integer >= 1, got {num_shards!r}"
+        )
+    if rejoin_after is not None and not _is_count(rejoin_after):
+        raise ConfigurationError(
+            f"rejoin_after must be an integer >= 1 round, got {rejoin_after!r}"
         )
 
     events: list[FaultEvent] = []

@@ -210,10 +210,13 @@ class FaultPlan:
     num_shards: int = 1
 
     def __post_init__(self) -> None:
-        if self.num_shards < 1:
+        num_shards = self.num_shards
+        if isinstance(num_shards, bool) or not isinstance(num_shards, Integral):
             raise ConfigurationError(
-                f"num_shards must be >= 1, got {self.num_shards}"
+                f"fault plan field 'num_shards' must be an integer, got {num_shards!r}"
             )
+        if num_shards < 1:
+            raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
         events = tuple(self.events)
         object.__setattr__(self, "events", events)
         for event in events:

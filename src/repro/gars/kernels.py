@@ -370,6 +370,8 @@ def mda_aggregate(gradients: Matrix, f: int) -> Vector:
             candidates = [subsets[diameters == best_diameter]]
         elif block_best == best_diameter:
             candidates.append(subsets[diameters == best_diameter])
+    if not candidates:  # every diameter is NaN: the distances overflowed
+        raise AggregationError("mda received gradients with non-finite distances")
     tied = np.concatenate(candidates, axis=0)
     # Rows stay ascending within each subset: the mean's summation
     # order, and so its last bits, depend on it.

@@ -4,8 +4,8 @@ The public experiment API: a unified component registry
 (:mod:`repro.pipeline.registry`), a staged :class:`Experiment` builder
 (:mod:`repro.pipeline.builder`) with a callback-driven training loop
 (:mod:`repro.pipeline.loop`, :mod:`repro.pipeline.callbacks`), and a
-parallel multi-seed executor (:mod:`repro.pipeline.parallel`).  The
-legacy ``train()`` keyword API is a thin wrapper over this package.
+parallel multi-seed executor (:mod:`repro.pipeline.parallel`).
+:func:`repro.distributed.train` is ``Experiment(**kwargs).run()``.
 """
 
 # Import order matters: results and registry are leaves; loop/builder
@@ -36,7 +36,7 @@ from repro.pipeline.callbacks import (
 )
 from repro.pipeline.loop import LoopState, TrainingLoop
 from repro.pipeline.builder import Experiment
-from repro.pipeline.parallel import TrainingJob, execute_job, jobs_for_seeds, run_jobs
+from repro.pipeline.parallel import TrainingJob, execute_job, run_jobs
 
 __all__ = [
     "AccuracyCallback",
@@ -59,7 +59,6 @@ __all__ = [
     "build_mechanism",
     "component_families",
     "execute_job",
-    "jobs_for_seeds",
     "privacy_report",
     "register_component",
     "run_jobs",

@@ -1,7 +1,7 @@
 """Composable experiment builder.
 
-:class:`Experiment` decomposes the monolithic ``train()`` into explicit
-stages — :meth:`~Experiment.build_data`, :meth:`~Experiment.build_workers`,
+:class:`Experiment` runs one experiment in explicit stages —
+:meth:`~Experiment.build_data`, :meth:`~Experiment.build_workers`,
 :meth:`~Experiment.build_server`, :meth:`~Experiment.build_cluster`,
 :meth:`~Experiment.run` — each cached and independently inspectable.
 Every pluggable component (GAR, attack, model, noise mechanism,
@@ -11,8 +11,7 @@ resolved through :mod:`repro.pipeline.registry`.
 
 Seed streams come from a path-addressed :class:`repro.rng.SeedTree`, so
 the stage *order* never affects randomness: building workers before or
-after the server yields bit-identical runs, and an ``Experiment`` built
-from the same arguments reproduces ``train()`` exactly.
+after the server yields bit-identical runs.
 
 >>> from repro.pipeline import Experiment
 >>> from repro.experiments.runner import phishing_environment
@@ -31,10 +30,12 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.attacks import ByzantineAttack, get_attack
+from repro.compression import GradientCodec
 from repro.data.batching import BatchSampler
 from repro.data.datasets import Dataset
 from repro.distributed.cluster import Cluster
-from repro.distributed.runtime import BACKENDS, MultiprocessCluster, WorkerShardSpec
+from repro.distributed.network import Network
+from repro.distributed.runtime import MultiprocessCluster, WorkerShardSpec
 from repro.distributed.server import ParameterServer
 from repro.distributed.worker import HonestWorker
 from repro.exceptions import ConfigurationError
@@ -46,17 +47,12 @@ from repro.optim.schedules import LearningRateSchedule
 from repro.optim.sgd import SGDOptimizer
 from repro.pipeline.callbacks import AccuracyCallback, Callback, CallbackList
 from repro.pipeline.loop import LoopState, TrainingLoop
-from repro.pipeline.registry import (
-    MOMENTUM_PLACEMENTS,
-    REGISTRY,
-    ComponentRegistry,
-    build_mechanism,
-)
+from repro.pipeline.registry import REGISTRY, ComponentRegistry
 from repro.pipeline.results import TrainingResult, privacy_report
 from repro.privacy.mechanisms import NoiseMechanism
 from repro.rng import SeedTree
 
-__all__ = ["Experiment", "MOMENTUM_PLACEMENTS", "BACKENDS"]
+__all__ = ["Experiment"]
 
 
 def _resolve_gar(gar, n: int, f: int, gar_kwargs: dict | None) -> GAR:
@@ -102,17 +98,18 @@ def _resolve_schedule(learning_rate):
 class Experiment:
     """One distributed training experiment, built stage by stage.
 
-    Accepts exactly the keyword surface of the legacy
-    :func:`repro.distributed.trainer.train` (which is now a thin wrapper
-    over this class), with three extensions: components may be given as
-    registry specs, a ``network`` spec/instance can replace the
-    ``drop_probability`` shorthand, and ``callbacks`` hook into the
-    training loop.
+    Components may be given as instances, registry names or specs; a
+    ``network`` spec/instance can replace the ``drop_probability``
+    shorthand, and ``callbacks`` hook into the training loop.
+    :func:`repro.distributed.train` is ``Experiment(**kwargs).run()``.
 
-    Structural parameters and component *names* are validated at
-    construction time; component-specific keyword errors surface when
-    the owning stage builds.  The build stages are lazy and cached, and
-    :meth:`run` re-builds from scratch if the cluster was already
+    Every setting is checked at construction by
+    :func:`repro.experiments.config.check_cell`, the check an
+    :class:`~repro.experiments.config.ExperimentConfig` runs too, and
+    an error names the field; ``__init__`` itself only checks the
+    runtime objects it is given.  A component's own keyword errors
+    surface when it is built.  The build stages are lazy and cached,
+    and :meth:`run` re-builds from scratch if the cluster was already
     stepped, so a single ``Experiment`` can be run repeatedly with
     bit-identical results.
     """
@@ -165,118 +162,81 @@ class Experiment:
         checkpoint: str | Path | None = None,
         checkpoint_every: int = 1,
     ):
-        if num_steps < 1:
-            raise ConfigurationError(f"num_steps must be >= 1, got {num_steps}")
-        if eval_every < 1:
-            raise ConfigurationError(f"eval_every must be >= 1, got {eval_every}")
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
-        if num_shards is not None and num_shards < 1:
-            raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-        if round_timeout <= 0:
-            raise ConfigurationError(
-                f"round_timeout must be > 0, got {round_timeout}"
-            )
-        if momentum_at not in MOMENTUM_PLACEMENTS:
-            raise ConfigurationError(
-                f"momentum_at must be one of {MOMENTUM_PLACEMENTS}, got {momentum_at!r}"
-            )
-        if isinstance(model, (str, dict)):
-            model = REGISTRY.build("model", model)
+        from repro.experiments.config import check_cell
+        from repro.simulation.latency import LatencyModel
+        from repro.simulation.policies import ServerPolicy
+
         if num_byzantine is None:
             num_byzantine = f if attack is not None else 0
-        if num_byzantine < 0:
-            raise ConfigurationError(
-                f"num_byzantine must be >= 0, got {num_byzantine}"
+        check_cell(
+            dict(
+                num_steps=num_steps,
+                n=n,
+                f=f,
+                num_byzantine=num_byzantine,
+                gar=gar,
+                gar_kwargs=gar_kwargs,
+                attack=attack,
+                attack_kwargs=attack_kwargs,
+                batch_size=batch_size,
+                noise_kind=noise_kind,
+                momentum_at=momentum_at,
+                clip_mode=clip_mode,
+                data_distribution=data_distribution,
+                eval_every=eval_every,
+                network=network,
+                policy=policy,
+                policy_kwargs=policy_kwargs,
+                latency=latency,
+                latency_kwargs=latency_kwargs,
+                codec=codec,
+                codec_kwargs=codec_kwargs,
+                participation_rate=participation_rate,
+                participation_kind=participation_kind,
+                backend=backend,
+                num_shards=num_shards,
+                round_timeout=round_timeout,
+                faults=faults,
+                faults_kwargs=faults_kwargs,
+                checkpoint=checkpoint,
+                checkpoint_every=checkpoint_every,
             )
-        if num_byzantine > f:
-            raise ConfigurationError(
-                f"num_byzantine ({num_byzantine}) cannot exceed the declared f ({f})"
-            )
+        )
+        # A component given as an object skips the registry: its type.
+        for argument, component, base in (
+            ("network", network, Network),
+            ("codec", codec, GradientCodec),
+            ("policy", policy, ServerPolicy),
+            ("latency", latency, LatencyModel),
+        ):
+            if component is not None and not isinstance(component, (str, dict, base)):
+                raise ConfigurationError(
+                    f"{argument} must be a name, spec or {base.__name__}, "
+                    f"got {type(component).__name__}"
+                )
+        if isinstance(model, (str, dict)):
+            model = REGISTRY.build("model", model)
         num_honest = n - num_byzantine
-        if num_honest < 1:
-            raise ConfigurationError("need at least one honest worker")
-        if checkpoint_every < 1:
-            raise ConfigurationError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
-        if checkpoint is not None and backend != "inprocess":
-            raise ConfigurationError(
-                "checkpointing requires the inprocess backend (shard-process "
-                "state lives behind the fault plane's respawn path instead)"
-            )
 
         self.seeds = SeedTree(seed)
         self.gar = _resolve_gar(gar, n, f, gar_kwargs)
         self.attack = _resolve_attack(attack, attack_kwargs)
-        if num_byzantine > 0 and self.attack is None:
-            raise ConfigurationError("num_byzantine > 0 requires an attack")
 
         self.mechanism: NoiseMechanism | None = None
         self._noise_kind_name: str | None = None
         if epsilon is not None:
             if g_max is None:
                 raise ConfigurationError("DP requires g_max (Assumption 1)")
-            if isinstance(noise_kind, dict):
-                self._noise_kind_name = ComponentRegistry.parse_spec(noise_kind)[0]
-                self.mechanism = REGISTRY.build(
-                    "mechanism",
-                    noise_kind,
-                    epsilon=epsilon,
-                    delta=delta,
-                    g_max=g_max,
-                    batch_size=batch_size,
-                    dimension=model.dimension,
-                )
-            else:
-                self._noise_kind_name = noise_kind
-                self.mechanism = build_mechanism(
-                    noise_kind, epsilon, delta, g_max, batch_size, model.dimension
-                )
-
-        # Names and specs must be registered; instances bypass the registry.
-        for argument, family, spec in (
-            ("data_distribution", "distribution", data_distribution),
-            ("network", "network", network),
-            ("policy", "policy", policy),
-            ("latency", "latency", latency),
-            ("codec", "codec", codec),
-        ):
-            if isinstance(spec, (str, dict)):
-                name = ComponentRegistry.parse_spec(spec)[0]
-                if not REGISTRY.has(family, name):
-                    raise ConfigurationError(
-                        f"{argument} must be one of {REGISTRY.available(family)}, "
-                        f"got {name!r}"
-                    )
-        if not 0.0 < participation_rate <= 1.0:
-            raise ConfigurationError(
-                f"participation_rate must be in (0, 1], got {participation_rate}"
+            self._noise_kind_name = ComponentRegistry.parse_spec(noise_kind)[0]
+            self.mechanism = REGISTRY.build(
+                "mechanism",
+                noise_kind,
+                epsilon=epsilon,
+                delta=delta,
+                g_max=g_max,
+                batch_size=batch_size,
+                dimension=model.dimension,
             )
-        from repro.simulation.participation import PARTICIPATION_KINDS
-
-        if participation_kind not in PARTICIPATION_KINDS:
-            raise ConfigurationError(
-                f"participation_kind must be one of {PARTICIPATION_KINDS}, "
-                f"got {participation_kind!r}"
-            )
-        if participation_rate < 1.0:
-            # Per-round sampling needs rounds: a non-barrier policy would
-            # freeze the round-1 draw for the whole run (the engine also
-            # enforces this; checking here fails fast at construction).
-            if isinstance(policy, (str, dict)):
-                factory = REGISTRY.get("policy", ComponentRegistry.parse_spec(policy)[0])
-                policy_is_barrier = getattr(factory, "barrier", True)
-            else:
-                policy_is_barrier = getattr(policy, "barrier", True)
-            if not policy_is_barrier:
-                raise ConfigurationError(
-                    "participation_rate < 1 requires a barrier-style policy "
-                    "(sync / semi-sync); non-barrier policies drive workers "
-                    "individually, so per-round sampling is undefined"
-                )
 
         self.model = model
         self.train_dataset = train_dataset
@@ -329,12 +289,16 @@ class Experiment:
                 raise ConfigurationError(
                     "faults_kwargs only apply when faults is given by name/spec"
                 )
-            plan = build_fault_plan(
-                spec,
-                num_rounds=self.num_steps,
-                num_workers=self.num_honest,
-                seeds=self.seeds,
-            )
+            try:
+                plan = build_fault_plan(
+                    spec,
+                    num_rounds=self.num_steps,
+                    num_workers=self.num_honest,
+                    seeds=self.seeds,
+                )
+                self._resolved_faults = plan.resolve(self.num_honest)
+            except ConfigurationError as error:
+                raise ConfigurationError(f"config field 'faults': {error}") from None
             if backend == "multiprocess":
                 effective_shards = (
                     self.num_honest
@@ -348,9 +312,6 @@ class Experiment:
                         "set num_shards to match the plan"
                     )
             self.fault_plan = plan
-            self._resolved_faults = plan.resolve(self.num_honest)
-        elif faults_kwargs:
-            raise ConfigurationError("faults_kwargs require faults")
         # None | Telemetry instance | trace path.  A path means each
         # run()/simulate() opens a fresh run-owned handle writing one
         # JSONL trace there; an instance is caller-owned (we open/close
@@ -388,22 +349,19 @@ class Experiment:
     ) -> "Experiment":
         """Build one seed's experiment from an :class:`ExperimentConfig` cell.
 
-        ``seed`` defaults to the config's first seed.  The config's
-        simulation fields (policy/latency/participation) are carried
-        over too, so the same cell drives :meth:`run` and
-        :meth:`simulate` alike.  ``telemetry`` is run infrastructure,
-        not part of the cell (it never enters the config's identity).
+        ``seed`` defaults to the config's first seed.  Every field maps
+        through :meth:`ExperimentConfig.experiment_kwargs`, so the same
+        cell drives :meth:`run` and :meth:`simulate` alike.
+        ``telemetry`` is run infrastructure, not part of the cell (it
+        never enters the config's identity).
         """
-        if seed is None:
-            seed = config.seeds[0]
         return cls(
             model=model,
             train_dataset=train_dataset,
             test_dataset=test_dataset,
             callbacks=callbacks,
             telemetry=telemetry,
-            **config.train_kwargs(seed),
-            **config.simulation_kwargs(),
+            **config.experiment_kwargs(config.seeds[0] if seed is None else seed),
         )
 
     # ------------------------------------------------------------------
@@ -411,11 +369,7 @@ class Experiment:
     # ------------------------------------------------------------------
 
     def build_data(self) -> list[Dataset]:
-        """Stage 1: per-honest-worker datasets from the data distribution.
-
-        The distribution name was validated in ``__init__``; the
-        registry itself backstops any later mutation.
-        """
+        """Stage 1: per-honest-worker datasets from the data distribution."""
         if self._worker_datasets is None:
             self._worker_datasets = REGISTRY.build(
                 "distribution",
@@ -595,34 +549,19 @@ class Experiment:
         """
         if self._simulator is None:
             from repro.simulation.engine import ClusterSimulator
-            from repro.simulation.latency import ConstantLatency, LatencyModel
             from repro.simulation.participation import make_participation
-            from repro.simulation.policies import ServerPolicy, SyncPolicy
 
-            def resolve(family, spec, kwargs, default_cls, base_cls):
-                if spec is None:
-                    return default_cls(**kwargs)
-                if isinstance(spec, (str, dict)):
-                    name, spec_kwargs = ComponentRegistry.parse_spec(spec)
-                    return REGISTRY.build(
-                        family, {"name": name, **{**kwargs, **spec_kwargs}}
-                    )
-                if isinstance(spec, base_cls):
-                    return spec
-                raise ConfigurationError(
-                    f"{family} must be a name, spec or {base_cls.__name__}, "
-                    f"got {type(spec).__name__}"
+            def resolve(family, spec, kwargs):
+                if not isinstance(spec, (str, dict)):
+                    return spec  # an instance, checked in __init__
+                name, spec_kwargs = ComponentRegistry.parse_spec(spec)
+                return REGISTRY.build(
+                    family, {"name": name, **{**kwargs, **spec_kwargs}}
                 )
 
-            policy = resolve(
-                "policy", self.policy_spec, self.policy_kwargs, SyncPolicy, ServerPolicy
-            )
+            policy = resolve("policy", self.policy_spec or "sync", self.policy_kwargs)
             latency = resolve(
-                "latency",
-                self.latency_spec,
-                self.latency_kwargs,
-                ConstantLatency,
-                LatencyModel,
+                "latency", self.latency_spec or "constant", self.latency_kwargs
             )
             self._simulator = ClusterSimulator(
                 honest_workers=self.build_workers(),

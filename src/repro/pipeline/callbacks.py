@@ -1,8 +1,7 @@
 """Callback protocol for the training loop.
 
-Everything that used to be an inlined branch of the monolithic
-``train()`` — periodic accuracy evaluation, early stopping, gradient
-recording, the VN-ratio tracker — is a :class:`Callback` plugged into
+Periodic accuracy evaluation, early stopping, gradient recording and
+the VN-ratio tracker are each a :class:`Callback` plugged into
 :class:`repro.pipeline.loop.TrainingLoop`, which drives every backend,
 the discrete-event simulator included.  Hooks fire in this order per
 run::
@@ -114,7 +113,7 @@ class AccuracyCallback(Callback):
     """Record test accuracy at step 0 and every ``eval_every`` rounds.
 
     Models that do not implement ``accuracy()`` (pure regression) are
-    skipped silently, matching the legacy trainer's behaviour.  Each
+    skipped silently.  Each
     recorded evaluation is re-broadcast via ``on_evaluate``.
     """
 

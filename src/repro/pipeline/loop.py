@@ -1,11 +1,11 @@
 """Callback-driven training loop, one for every backend.
 
-:class:`TrainingLoop` owns the round-by-round execution that used to be
-inlined in ``train()``: step the round core — the in-process cluster,
-the multiprocess runtime or the discrete-event simulator — record the
-paper's per-step training loss, the mean of the honest workers' batch
-losses each round returns on :attr:`StepResult.honest_losses`, and fire
-the :mod:`repro.pipeline.callbacks` hooks around every round.
+:class:`TrainingLoop` owns the round-by-round execution: step the
+round core — the in-process cluster, the multiprocess runtime or the
+discrete-event simulator — record the paper's per-step training loss,
+the mean of the honest workers' batch losses each round returns on
+:attr:`StepResult.honest_losses`, and fire the
+:mod:`repro.pipeline.callbacks` hooks around every round.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 The paper repeats every experimental cell over independent seeds; the
 runs share no state, so they parallelise perfectly.  A
 :class:`TrainingJob` is a picklable description of one run (environment
-plus ``train()`` keyword arguments); :func:`run_jobs` executes a batch
-of them either serially or on a :mod:`multiprocessing` pool.
+plus :class:`~repro.pipeline.builder.Experiment` keyword arguments);
+:func:`run_jobs` executes a batch of them either serially or on a
+:mod:`multiprocessing` pool.
 
 Determinism: each job derives all randomness from its own seed, so the
 parallel path returns bit-identical results to the serial path, in the
@@ -14,7 +15,7 @@ same order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.data.datasets import Dataset
 from repro.distributed.runtime.context import multiprocessing_context
@@ -27,7 +28,6 @@ __all__ = [
     "TrainingJob",
     "default_chunksize",
     "execute_job",
-    "jobs_for_seeds",
     "map_tasks",
     "run_jobs",
 ]
@@ -41,9 +41,9 @@ class TrainingJob:
     """One self-contained training run, safe to ship to a worker process.
 
     ``train_kwargs`` holds the keyword arguments of
-    :class:`repro.pipeline.builder.Experiment` (equivalently, of the
-    legacy ``train()``), minus the environment triple stored explicitly.
-    Callbacks are process-local objects and therefore not part of a job.
+    :class:`repro.pipeline.builder.Experiment`, minus the environment
+    triple stored explicitly.  Callbacks are process-local objects and
+    therefore not part of a job.
     """
 
     model: Model
@@ -53,7 +53,8 @@ class TrainingJob:
 
 
 def execute_job(job: TrainingJob) -> TrainingResult:
-    """Run one job to completion (module-level, so pools can pickle it)."""
+    """Run one job's :class:`~repro.pipeline.builder.Experiment` to
+    completion (module-level, so pools can pickle it)."""
     experiment = Experiment(
         model=job.model,
         train_dataset=job.train_dataset,
@@ -144,21 +145,3 @@ def map_tasks(
         mapper = pool.imap if ordered else pool.imap_unordered
         yield from mapper(function, tasks, chunksize=chunksize)
 
-
-def jobs_for_seeds(
-    model: Model,
-    train_dataset: Dataset,
-    test_dataset: Dataset | None,
-    seeds: Sequence[int],
-    **train_kwargs,
-) -> list[TrainingJob]:
-    """One job per seed, sharing the environment and hyperparameters."""
-    return [
-        TrainingJob(
-            model=model,
-            train_dataset=train_dataset,
-            test_dataset=test_dataset,
-            train_kwargs={**train_kwargs, "seed": seed},
-        )
-        for seed in seeds
-    ]

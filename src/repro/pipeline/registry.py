@@ -2,7 +2,8 @@
 
 One registry covers every pluggable component family of the library —
 aggregation rules, attacks, models, noise mechanisms, learning-rate
-schedules, data distributions and networks — so that any component is
+schedules, data distributions, networks, latency models, server
+policies and wire codecs — so that any component is
 constructible from a plain ``{"name": ..., **kwargs}`` spec (or a bare
 name string).  This subsumes the ad-hoc ``get_gar``/``get_attack``
 dispatch: both now delegate here, and anything registered through this
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 
 __all__ = [
     "ComponentRegistry",
@@ -31,7 +32,6 @@ __all__ = [
     "available_components",
     "component_families",
     "build_mechanism",
-    "NOISE_KINDS",
     "MOMENTUM_PLACEMENTS",
 ]
 
@@ -48,9 +48,6 @@ BUILTIN_FAMILIES = (
     "policy",
     "codec",
 )
-
-#: Legacy alias kept for the trainer's historical error message.
-NOISE_KINDS = ("gaussian", "laplace")
 
 #: Valid values for the momentum buffer placement (not a registry
 #: family — placement is a structural choice, not a component).
@@ -177,11 +174,20 @@ class ComponentRegistry:
         """Construct a component from ``spec``.
 
         ``context`` keywords are call-site defaults (a GAR's ``n``/``f``,
-        a distribution's ``dataset``/``rng``); keys in the spec win.
+        a distribution's ``dataset``/``rng``); keys in the spec win.  An
+        error the factory raises names the family and the component: a
+        library error keeps its type, and a ``TypeError`` or
+        ``ValueError`` (a rejected keyword) becomes a
+        :class:`ConfigurationError`.
         """
         name, kwargs = self.parse_spec(spec)
         factory = self.get(family, name)
-        return factory(**{**context, **kwargs})
+        try:
+            return factory(**{**context, **kwargs})
+        except ReproError as error:
+            raise type(error)(f"{family} {name!r}: {error}") from error
+        except (TypeError, ValueError) as error:
+            raise ConfigurationError(f"{family} {name!r}: {error}") from error
 
     def available(self, family: str) -> tuple[str, ...]:
         """Sorted names registered under ``family``."""
@@ -331,11 +337,9 @@ def build_mechanism(
     Dispatches through the ``"mechanism"`` registry family, so custom
     mechanisms registered there are reachable by name too.
     """
-    if not REGISTRY.has("mechanism", noise_kind):
-        raise ConfigurationError(
-            f"noise_kind must be one of {REGISTRY.available('mechanism')}, "
-            f"got {noise_kind!r}"
-        )
+    from repro.experiments.config import check_cell
+
+    check_cell({"noise_kind": noise_kind})
     return REGISTRY.build(
         "mechanism",
         noise_kind,

@@ -2,8 +2,8 @@
 
 These types used to live inside :mod:`repro.distributed.trainer`; they
 are defined here (a leaf module with no distributed/pipeline imports)
-so both the legacy :func:`repro.distributed.trainer.train` wrapper and
-the :class:`repro.pipeline.builder.Experiment` builder can share them
+so both :func:`repro.distributed.trainer.train` and the
+:class:`repro.pipeline.builder.Experiment` builder can share them
 without circular imports.  The trainer re-exports them, so
 ``from repro.distributed.trainer import TrainingResult`` keeps working.
 """

@@ -140,8 +140,12 @@ class RDPAccountant:
                 f"noise_multiplier must be positive, got {noise_multiplier}"
             )
         _validate_steps(steps)
+        try:
+            denominator = 2.0 * noise_multiplier**2
+        except OverflowError:  # a multiplier past ~1e154 spends nothing
+            denominator = math.inf
         for index, order in enumerate(self._orders):
-            self._rdp[index] += steps * order / (2.0 * noise_multiplier**2)
+            self._rdp[index] += steps * order / denominator
 
     def get_privacy_spent(self, delta: float) -> PrivacySpend:
         """Best ``(epsilon, delta)`` conversion over all tracked orders."""

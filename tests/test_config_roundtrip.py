@@ -66,7 +66,7 @@ def test_from_dict_accepts_mapping_attack_kwargs():
         {"name": "cell", "attack": "little", "attack_kwargs": {"factor": 2.0}}
     )
     assert config.attack_kwargs == (("factor", 2.0),)
-    assert config.train_kwargs(1)["attack_kwargs"] == {"factor": 2.0}
+    assert config.experiment_kwargs(1)["attack_kwargs"] == {"factor": 2.0}
 
 
 def test_from_dict_accepts_null_attack_kwargs():
@@ -74,7 +74,7 @@ def test_from_dict_accepts_null_attack_kwargs():
         {"name": "cell", "attack": "little", "attack_kwargs": None}
     )
     assert config.attack_kwargs == ()
-    assert config.train_kwargs(1)["attack_kwargs"] is None  # legacy shape
+    assert config.experiment_kwargs(1)["attack_kwargs"] is None
 
 
 def test_from_dict_defaults_match_constructor():

@@ -66,7 +66,7 @@ class TestExperimentConfig:
 
     def test_train_kwargs_contents(self):
         config = tiny_config(attack="little", attack_kwargs=(("factor", 2.0),))
-        kwargs = config.train_kwargs(seed=3)
+        kwargs = config.experiment_kwargs(seed=3)
         assert kwargs["seed"] == 3
         assert kwargs["attack_kwargs"] == {"factor": 2.0}
         assert kwargs["gar"] == "mda"

@@ -171,6 +171,11 @@ class TestStages:
         with pytest.raises(ConfigurationError, match="network"):
             make_experiment(environment, network="carrier-pigeon")
 
+    @pytest.mark.parametrize("argument", ["codec", "network"])
+    def test_non_component_object_rejected_at_construction(self, environment, argument):
+        with pytest.raises(ConfigurationError, match=f"{argument} must be a name"):
+            make_experiment(environment, **{argument: 7})
+
     def test_invalid_callback_rejected(self, environment):
         with pytest.raises(ConfigurationError, match="Callback"):
             make_experiment(environment, callbacks=[object()]).run()

@@ -9,7 +9,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_config, run_grid
 from repro.models.logistic import LogisticRegressionModel
-from repro.pipeline.parallel import TrainingJob, execute_job, jobs_for_seeds, run_jobs
+from repro.pipeline.parallel import TrainingJob, execute_job, run_jobs
 from repro.rng import generator_from_seed
 
 
@@ -39,11 +39,16 @@ def tiny_config(name="cell", **overrides):
 class TestRunJobs:
     def test_serial_matches_parallel_bit_for_bit(self, tiny_environment):
         model, train_set, test_set = tiny_environment
-        jobs = jobs_for_seeds(
-            model, train_set, test_set, seeds=(1, 2, 3),
-            num_steps=10, n=7, f=3, gar="mda", attack="little",
-            epsilon=0.3, batch_size=8, eval_every=5,
-        )
+        jobs = [
+            TrainingJob(
+                model=model, train_dataset=train_set, test_dataset=test_set,
+                train_kwargs=dict(
+                    num_steps=10, n=7, f=3, gar="mda", attack="little",
+                    epsilon=0.3, batch_size=8, eval_every=5, seed=seed,
+                ),
+            )
+            for seed in (1, 2, 3)
+        ]
         serial = run_jobs(jobs, max_workers=None)
         parallel = run_jobs(jobs, max_workers=2)
         assert len(serial) == len(parallel) == 3
@@ -55,10 +60,12 @@ class TestRunJobs:
 
     def test_single_job_runs_in_process(self, tiny_environment):
         model, train_set, _ = tiny_environment
-        jobs = jobs_for_seeds(
-            model, train_set, None, seeds=(5,),
-            num_steps=5, n=7, f=3, gar="mda", batch_size=8,
-        )
+        jobs = [
+            TrainingJob(
+                model=model, train_dataset=train_set,
+                train_kwargs=dict(num_steps=5, n=7, f=3, gar="mda", batch_size=8, seed=5),
+            )
+        ]
         results = run_jobs(jobs, max_workers=8)
         assert len(results) == 1
         assert results[0].config["seed"] == 5

@@ -126,7 +126,7 @@ MUTATIONS = {
     "learning_rate": [0.5, 2.0],
     "momentum": [0.0, 0.99],
     "momentum_at": ["worker", "server"],
-    "clip_mode": ["batch", "sample"],
+    "clip_mode": ["batch", "per_example"],
     "drop_probability": [0.0, 0.1],
     "eval_every": [2, 50],
     "policy": ["sync", "semi-sync", "async-staleness"],

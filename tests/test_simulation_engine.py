@@ -324,6 +324,17 @@ class TestSimulatorValidation:
         with pytest.raises(ConfigurationError, match="ServerPolicy"):
             small_experiment(policy=42).build_simulation()
 
+    @pytest.mark.parametrize(
+        "overrides, component",
+        [
+            ({"latency_kwargs": {"x": 1}}, "latency 'constant'"),
+            ({"policy_kwargs": {"x": 1}}, "policy 'sync'"),
+        ],
+    )
+    def test_default_component_keyword_errors_name_it(self, overrides, component):
+        with pytest.raises(ConfigurationError, match=component):
+            small_experiment(**overrides).build_simulation()
+
 
 class TestSimulatorExecution:
     def test_constant_latency_advances_clock_one_round_trip_per_round(self):
