@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.rng import SeedTree
-from repro.typing import Matrix, Vector
+from repro.typing import Matrix, Vector, is_integer
 
 __all__ = ["GradientCodec"]
 
@@ -54,10 +54,10 @@ class GradientCodec:
         exactly once at construction, so two codecs built from
         identically-seeded generators encode identically.
     seed:
-        Direct root seed; takes precedence over ``rng``.  Deterministic
-        codecs (``stochastic = False``) never draw randomness and
-        default to seed 0 when neither is given; stochastic codecs
-        require one or the other.
+        Direct root seed, an integer >= 0; takes precedence over
+        ``rng``.  Deterministic codecs (``stochastic = False``) never
+        draw randomness and default to seed 0 when neither is given;
+        stochastic codecs require one or the other.
     """
 
     #: Registry name of the codec (set by subclasses).
@@ -81,6 +81,8 @@ class GradientCodec:
                     f"codec {self.name!r} is stochastic and needs rng or seed"
                 )
             seed = 0
+        if not is_integer(seed) or seed < 0:
+            raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
         self._seeds = SeedTree(int(seed))
 
     @property
@@ -118,13 +120,7 @@ class GradientCodec:
         construction; overrides must preserve that equivalence
         bit-for-bit (the property suite enforces it).
         """
-        workers = [int(worker) for worker in workers]
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != len(workers):
-            raise ConfigurationError(
-                f"encode_block needs one row per worker: matrix has shape "
-                f"{matrix.shape} for {len(workers)} worker id(s)"
-            )
+        matrix, workers = self._block_arguments(matrix, workers)
         encoded = np.empty_like(matrix)
         nbytes = np.empty(len(workers), dtype=np.int64)
         for row, worker in enumerate(workers):
@@ -132,6 +128,21 @@ class GradientCodec:
             encoded[row] = wire
             nbytes[row] = count
         return encoded, nbytes
+
+    @staticmethod
+    def _block_arguments(
+        matrix: Matrix, workers: Sequence[int]
+    ) -> tuple[Matrix, list[int]]:
+        """``encode_block``'s arguments as a float64 matrix and int ids,
+        checked to hold one 2-D row per worker id."""
+        workers = [int(worker) for worker in workers]
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != len(workers):
+            raise ConfigurationError(
+                f"encode_block needs one row per worker: matrix has shape "
+                f"{matrix.shape} for {len(workers)} worker id(s)"
+            )
+        return matrix, workers
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(seed={self.seed})"

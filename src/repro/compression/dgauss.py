@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.compression.base import FLOAT_BYTES, GradientCodec
 from repro.exceptions import ConfigurationError
-from repro.typing import Vector
+from repro.typing import Vector, is_finite_number
 
 __all__ = ["DiscreteGaussianCodec", "sample_discrete_gaussian"]
 
@@ -98,10 +98,14 @@ class DiscreteGaussianCodec(GradientCodec):
         seed: int | None = None,
     ):
         super().__init__(rng, seed=seed)
-        if not float(granularity) > 0.0:
-            raise ConfigurationError(f"granularity must be > 0, got {granularity}")
-        if float(sigma) < 0.0:
-            raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
+        if not is_finite_number(granularity) or not granularity > 0.0:
+            raise ConfigurationError(
+                f"granularity must be a finite number > 0, got {granularity!r}"
+            )
+        if not is_finite_number(sigma) or sigma < 0.0:
+            raise ConfigurationError(
+                f"sigma must be a finite number >= 0, got {sigma!r}"
+            )
         self._granularity = float(granularity)
         self._sigma = float(sigma)
 

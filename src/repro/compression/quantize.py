@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.compression.base import FLOAT_BYTES, GradientCodec
 from repro.exceptions import ConfigurationError
-from repro.typing import Matrix, Vector
+from repro.typing import Matrix, Vector, is_integer
 
 __all__ = ["StochasticQuantizationCodec"]
 
@@ -56,8 +56,8 @@ class StochasticQuantizationCodec(GradientCodec):
         seed: int | None = None,
     ):
         super().__init__(rng, seed=seed)
-        if int(levels) < 1:
-            raise ConfigurationError(f"levels must be >= 1, got {levels}")
+        if not is_integer(levels) or levels < 1:
+            raise ConfigurationError(f"levels must be an integer >= 1, got {levels!r}")
         self._levels = int(levels)
 
     @property
@@ -111,13 +111,7 @@ class StochasticQuantizationCodec(GradientCodec):
         Bit-identical to the per-row path: each row consumes exactly
         its worker's block of the per-step stream.
         """
-        workers = [int(worker) for worker in workers]
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != len(workers):
-            raise ConfigurationError(
-                f"encode_block needs one row per worker: matrix has shape "
-                f"{matrix.shape} for {len(workers)} worker id(s)"
-            )
+        matrix, workers = self._block_arguments(matrix, workers)
         dimension = int(matrix.shape[-1])
         encoded = np.empty_like(matrix)
         nbytes = np.empty(len(workers), dtype=np.int64)

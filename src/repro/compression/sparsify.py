@@ -1,10 +1,17 @@
 """Top-k sparsification: keep the k largest-magnitude coordinates.
 
 The classic bandwidth reducer — the wire message is k (index, value)
-pairs, everything else reconstructs to zero.  Deterministic: ties in
-magnitude break by coordinate order (stable argsort), so the encoding
-is a pure function of the input vector and the codec draws no
-randomness at all.
+pairs, everything else reconstructs to zero.  Deterministic: each row
+keeps the k coordinates that come first in the order "largest
+magnitude first, NaN last, equal magnitudes by coordinate index", so
+the encoding is a pure function of the input vector and the codec
+draws no randomness at all.
+
+A block is selected with one ``np.partition`` over its rows: the k-th
+smallest key ``-|v|`` (NaN mapped to ``+inf``) is each row's threshold,
+every key below it is kept, and the remaining slots go to the keys
+equal to it in coordinate order.  :meth:`TopKCodec.encode_row` is a
+one-row block.
 
 The reconstruction error is the best possible for any k-sparse
 approximation: ``||enc(v) - v||² = sum of the d-k smallest squared
@@ -14,12 +21,13 @@ magnitudes ≤ (1 - k/d) ||v||²`` — the bound the property suite checks.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from repro.compression.base import FLOAT_BYTES, INDEX_BYTES, GradientCodec
 from repro.exceptions import ConfigurationError
-from repro.typing import Vector
+from repro.typing import Matrix, Vector, is_finite_number, is_integer
 
 __all__ = ["TopKCodec"]
 
@@ -52,10 +60,12 @@ class TopKCodec(GradientCodec):
         seed: int | None = None,
     ):
         super().__init__(rng, seed=seed)
-        if k is not None and int(k) < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        if not 0.0 < float(fraction) <= 1.0:
-            raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
+        if k is not None and (not is_integer(k) or k < 1):
+            raise ConfigurationError(f"k must be an integer >= 1, got {k!r}")
+        if not is_finite_number(fraction) or not 0.0 < fraction <= 1.0:
+            raise ConfigurationError(
+                f"fraction must be a finite number in (0, 1], got {fraction!r}"
+            )
         self._k = int(k) if k is not None else None
         self._fraction = float(fraction)
 
@@ -80,12 +90,34 @@ class TopKCodec(GradientCodec):
 
         Bytes: k 8-byte values + k 4-byte indices.
         """
-        del step, worker
-        dimension = int(vector.shape[-1])
+        encoded, nbytes = self.encode_block(np.asarray(vector)[None], step, (worker,))
+        return encoded[0], int(nbytes[0])
+
+    def encode_block(
+        self, matrix: Matrix, step: int, workers: Sequence[int]
+    ) -> tuple[Matrix, np.ndarray]:
+        """Zero all but each row's k largest-magnitude coordinates.
+
+        One partition finds every row's threshold key; the
+        coordinate-order tie fill runs only when some row has more keys
+        equal to its threshold than slots left.
+        """
+        del step
+        matrix, workers = self._block_arguments(matrix, workers)
+        dimension = int(matrix.shape[1])
         k = self.support_size(dimension)
+        row_bytes = min(k, dimension) * (FLOAT_BYTES + INDEX_BYTES)
+        nbytes = np.full(len(workers), row_bytes, dtype=np.int64)
         if k >= dimension:
-            return vector.copy(), dimension * (FLOAT_BYTES + INDEX_BYTES)
-        keep = np.argsort(-np.abs(vector), kind="stable")[:k]
-        encoded = np.zeros_like(vector)
-        encoded[keep] = vector[keep]
-        return encoded, k * (FLOAT_BYTES + INDEX_BYTES)
+            return matrix.copy(), nbytes
+        key = np.abs(matrix)
+        np.negative(key, out=key)
+        key[np.isnan(key)] = np.inf
+        threshold = np.partition(key, k - 1, axis=1)[:, k - 1 : k]
+        keep = key < threshold
+        ties = key == threshold
+        slots = k - np.count_nonzero(keep, axis=1)
+        if (np.count_nonzero(ties, axis=1) > slots).any():
+            ties &= np.cumsum(ties, axis=1) <= slots[:, None]
+        keep |= ties
+        return np.where(keep, matrix, 0.0), nbytes

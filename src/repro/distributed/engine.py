@@ -16,8 +16,14 @@ rounds that remove that overhead without changing a single output bit:
   stream as the per-round draws (pinned by hypothesis properties and
   the golden traces);
 * **preallocated round buffers** — one ``(n, d)`` wire matrix, one
-  ``(W, b, p)`` batch gather target and persistent ``(W, d)`` momentum
-  stacks are reused across every round of the run;
+  ``(W, d)`` clean-gradient matrix, persistent ``(W, d)`` momentum
+  stacks and one ``(C, b, p)`` batch gather target are reused across
+  every round of the run;
+* **chunked cohort pass** — each round gathers ``C`` workers' batches
+  at a time (``C`` set by the ``_GATHER_BYTES`` byte budget, so
+  ``C = W`` at small d) and runs the forward/backward pass on each
+  chunk while it is still in cache.  Workers' ``last_batch`` is rebuilt
+  from the last round's indices when the run ends;
 * **in-place server updates** — the optimizer writes the parameter
   buffer through :meth:`repro.optim.sgd.SGDOptimizer.step`'s ``out=``
   path, and the loop reads :attr:`ParameterServer.parameters_view`
@@ -59,6 +65,12 @@ __all__ = ["RoundEngine", "default_block_rounds"]
 #: batch indices).  Blocks are sized so the pre-draw stays cache-warm
 #: instead of ballooning on large-d configurations.
 _BLOCK_BYTES = 8 << 20
+
+#: Target footprint of one chunk of gathered worker batches.  Each round
+#: gathers and differentiates the cohort this many bytes of batches at a
+#: time, so the forward/backward pass reads its rows from cache instead
+#: of from a whole-cohort gather (56 MB at d = 10 000).
+_GATHER_BYTES = 4 << 20
 
 #: Hard cap on rounds per block; past this the amortisation is flat.
 _MAX_BLOCK_ROUNDS = 256
@@ -255,20 +267,29 @@ class RoundEngine:
                 if key not in caches:
                     caches[key] = self._model.augment_features(dataset.features)
                 self._feature_sources.append(caches[key])
-            self._raw_feature_width = int(first.features.shape[1])
         else:
             self._feature_sources = [w._sampler.dataset.features for w in workers]
-            self._raw_feature_width = None
         self._label_sources = [w._sampler.dataset.labels for w in workers]
+        # The cohort pass runs in chunks of workers whose gathered
+        # batches fit _GATHER_BYTES; every chunk reuses the leading
+        # rows of one (chunk, b, p) buffer.  A stacked pass computes
+        # each worker's loss and row from that worker's batch alone, so
+        # chunking changes no bit of them (the chunk tests pin this).
+        feature_source = self._feature_sources[0]
+        label_source = self._label_sources[0]
+        worker_bytes = batch_size * (
+            feature_source[:1].nbytes + label_source[:1].nbytes
+        )
+        self._chunk = int(np.clip(_GATHER_BYTES // max(worker_bytes, 1), 1, num_honest))
         self._features_buf = np.empty(
-            (num_honest, batch_size) + self._feature_sources[0].shape[1:],
-            dtype=self._feature_sources[0].dtype,
+            (self._chunk, batch_size) + feature_source.shape[1:],
+            dtype=feature_source.dtype,
         )
         self._labels_buf = np.empty(
-            (num_honest, batch_size) + first.labels.shape[1:],
-            dtype=first.labels.dtype,
+            (self._chunk, batch_size) + label_source.shape[1:],
+            dtype=label_source.dtype,
         )
-        self._have_batches = False
+        self._clean = np.empty((num_honest, dimension), dtype=np.float64)
         self._g_max = np.array(
             [np.inf if w._g_max is None else w._g_max for w in workers]
         )
@@ -299,23 +320,20 @@ class RoundEngine:
                 self._velocity_submitted[index] = worker._velocity_submitted
                 self._velocity_clean[index] = worker._velocity_clean
 
-    def _export_state(self) -> None:
-        """Write engine-held per-worker state back onto the workers."""
+    def _export_state(self, index_blocks, r: int) -> None:
+        """Write engine-held per-worker state back onto the workers.
+
+        Each worker's ``last_batch`` is rebuilt from its indices for
+        round ``r`` of ``index_blocks`` (the last round entered): the
+        gather buffer holds one chunk of workers, not the cohort.
+        """
         for index, worker in enumerate(self._workers):
             if self._any_momentum and self._momentum_mask[index]:
                 worker._velocity_submitted = self._velocity_submitted[index].copy()
                 worker._velocity_clean = self._velocity_clean[index].copy()
-            if self._have_batches:
-                # The gather buffers are reused next round, so the
-                # workers get copies; on the augmented path the bias
-                # column is sliced back off.
-                features = self._features_buf[index]
-                if self._augmented:
-                    features = features[:, : self._raw_feature_width]
-                worker._last_batch = (
-                    features.copy(),
-                    self._labels_buf[index].copy(),
-                )
+            rows = index_blocks[index][r]
+            dataset = worker._sampler.dataset
+            worker._last_batch = (dataset.features[rows], dataset.labels[rows])
 
     # ------------------------------------------------------------------
     # execution
@@ -373,7 +391,10 @@ class RoundEngine:
         noise_blocks = [None] * len(workers)
         result = None
         remaining = int(num_rounds)
-        self._rounds_executed = 0
+        # The last round entered, as an index into index_blocks; kept
+        # as a round number (not index views) so a new block's pre-draw
+        # can free the previous block's indices worker by worker.
+        last_round = None
         # Loss recording is deferred per block: each round parks its
         # (W,) cohort losses and the whole block's means are computed
         # with one axis reduction — bit-identical to the per-round
@@ -426,6 +447,7 @@ class RoundEngine:
                 # work, amortised: charge it to its own phase.
                 timer.lap("round.predraw")
                 for r in range(rounds):
+                    last_round = r
                     is_last = remaining == rounds and r == rounds - 1
                     round_result = self._fused_round(
                         index_blocks,
@@ -449,8 +471,8 @@ class RoundEngine:
             # rounds that did run (matching the per-round path, which
             # never records the diverging round's loss).
             flush_losses()
-            if self._rounds_executed > 0:
-                self._export_state()
+            if last_round is not None:
+                self._export_state(index_blocks, last_round)
         return result
 
     def _emit_block_telemetry(self, telemetry, rounds: int, timer) -> None:
@@ -493,52 +515,56 @@ class RoundEngine:
         server = self._server
         num_honest = len(workers)
         cluster._step += 1
-        self._rounds_executed += 1
         step = cluster._step
         parameters = server.parameters_view
         timer.restart()
 
-        # Batch gather into the warm preallocated buffers: one indexed
-        # take for the whole cohort on shared data, per-worker takes on
+        # Chunk by chunk: gather the chunk's batches into the warm
+        # buffers, then run one shared forward/backward pass over them
+        # for the chunk's losses and clean rows.  The gather is one
+        # indexed take per chunk on shared data and per-worker takes on
         # sharded data.  Sources carry the pre-appended bias column
         # when the model supports it; ``mode='clip'`` is exact for the
         # always-in-range sampler indices (see ``_ensure_buffers``).
-        features = self._features_buf
-        labels = self._labels_buf
-        if block_indices is not None:
-            round_indices = block_indices[r]
-            np.take(
-                self._feature_sources[0], round_indices, axis=0,
-                out=features, mode="clip",
-            )
-            np.take(
-                self._label_sources[0], round_indices, axis=0,
-                out=labels, mode="clip",
-            )
-        else:
-            for index in range(num_honest):
+        # ``losses`` is new each round: ``pending_losses`` parks it.
+        losses = np.empty(num_honest)
+        clean = self._clean
+        for start in range(0, num_honest, self._chunk):
+            stop = min(start + self._chunk, num_honest)
+            features = self._features_buf[: stop - start]
+            labels = self._labels_buf[: stop - start]
+            if block_indices is not None:
+                chunk_indices = block_indices[r, start:stop]
                 np.take(
-                    self._feature_sources[index], index_blocks[index][r], axis=0,
-                    out=features[index], mode="clip",
+                    self._feature_sources[0], chunk_indices, axis=0,
+                    out=features, mode="clip",
                 )
                 np.take(
-                    self._label_sources[index], index_blocks[index][r], axis=0,
-                    out=labels[index], mode="clip",
+                    self._label_sources[0], chunk_indices, axis=0,
+                    out=labels, mode="clip",
                 )
-        self._have_batches = True
-        timer.lap("round.sample")
-
-        # Forward/backward: one shared pass for the round's loss and
-        # cohort gradients.
-        if self._augmented:
-            losses, gradients = self._model.loss_and_gradient_stack(
-                parameters, features, labels, augmented=True
-            )
-        else:
-            losses, gradients = self._model.loss_and_gradient_stack(
-                parameters, features, labels
-            )
-        clean = np.asarray(gradients, dtype=np.float64)
+            else:
+                for index in range(start, stop):
+                    np.take(
+                        self._feature_sources[index], index_blocks[index][r],
+                        axis=0, out=features[index - start], mode="clip",
+                    )
+                    np.take(
+                        self._label_sources[index], index_blocks[index][r],
+                        axis=0, out=labels[index - start], mode="clip",
+                    )
+            timer.lap("round.sample")
+            if self._augmented:
+                losses[start:stop], clean[start:stop] = (
+                    self._model.loss_and_gradient_stack(
+                        parameters, features, labels, augmented=True
+                    )
+                )
+            else:
+                losses[start:stop], clean[start:stop] = (
+                    self._model.loss_and_gradient_stack(parameters, features, labels)
+                )
+            timer.lap("round.cohort")
 
         # Batched clip — the identical operations compute_cohort runs.
         norms = np.sqrt(np.einsum("wd,wd->w", clean, clean))

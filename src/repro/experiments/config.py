@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from numbers import Integral, Real
 
 from repro.distributed.runtime import BACKENDS
 from repro.distributed.worker import CLIP_MODES
 from repro.exceptions import ConfigurationError
 from repro.pipeline.registry import MOMENTUM_PLACEMENTS, REGISTRY
 from repro.simulation.participation import PARTICIPATION_KINDS
+from repro.typing import is_finite_number, is_integer
 
 __all__ = ["ExperimentConfig", "PAPER_SEEDS", "check_cell"]
 
@@ -198,22 +198,9 @@ def _check_rules(values: dict) -> None:
         )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
 def _is_seeds(value) -> bool:
     return isinstance(value, tuple) and all(
-        _is_int(seed) and seed >= 0 for seed in value
+        is_integer(seed) and seed >= 0 for seed in value
     )
 
 
@@ -231,8 +218,8 @@ _SEEDS = "tuple[int, ...]"
 #: Each annotation alternative: whether a value fits it, and its name.
 _SHAPES = {
     "None": (lambda value: value is None, "null"),
-    "int": (_is_int, "an integer"),
-    "float": (_is_finite, "a finite number"),
+    "int": (is_integer, "an integer"),
+    "float": (is_finite_number, "a finite number"),
     "str": (lambda value: isinstance(value, str), "a string"),
     "dict": (lambda value: isinstance(value, dict), "an object"),
     _PAIRS: (_is_pairs, "an object or a list of [key, value] pairs"),

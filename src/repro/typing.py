@@ -8,6 +8,8 @@ malformed inputs the same way.
 
 from __future__ import annotations
 
+import math
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -18,6 +20,8 @@ __all__ = [
     "as_vector",
     "as_gradient_matrix",
     "check_finite",
+    "is_finite_number",
+    "is_integer",
 ]
 
 # A model parameter vector or a single gradient: shape (d,).
@@ -65,3 +69,19 @@ def check_finite(array: np.ndarray, name: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(array)):
         raise ValueError(f"{name} contains non-finite values")
     return array
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a finite real number; a bool is not one, and
+    neither is an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False

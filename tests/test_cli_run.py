@@ -252,6 +252,27 @@ class TestRunCommand:
         assert len(errors) == 1
         assert "codec 'top-k'" in errors[0]
 
+    @pytest.mark.parametrize(
+        "codec, kwargs, parameter",
+        [
+            ("top-k", {"k": 2.5}, "k"),
+            ("discrete-gaussian", {"sigma": float("nan")}, "sigma"),
+            ("discrete-gaussian", {"sigma": float("inf")}, "sigma"),
+        ],
+        ids=["top-k-fractional-k", "sigma-nan", "sigma-infinity"],
+    )
+    def test_codec_parameter_exits_2_naming_it(
+        self, tmp_path, capsys, codec, kwargs, parameter
+    ):
+        """Once coerced (k = 2 ran) or crashed at the first encode."""
+        path = tmp_path / "cell.json"
+        path.write_text(json.dumps(tiny_cell(codec=codec, codec_kwargs=kwargs)))
+        assert main(["run", str(path)]) == 2
+        stderr = capsys.readouterr().err
+        errors = [line for line in stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1, stderr
+        assert f"codec '{codec}': {parameter} must be" in errors[0]
+
     def test_dict_component_specs_summarise_by_name(self, tmp_path, capsys):
         path = tmp_path / "cell.json"
         path.write_text(

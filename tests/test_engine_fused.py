@@ -600,3 +600,148 @@ class TestDivergenceThroughEngine:
             _experiment(model, train, **spec).run(callbacks=[_NoopCallback()])
         # The fused block aborts at the same round, for the same reason.
         assert type(fused_error.value) is type(slow_error.value)
+
+
+def _worker_batch_bytes(train, batch_size):
+    """One worker's gathered batch: bias-augmented float64 feature rows
+    and float64 labels, as the engine gathers them for linear models."""
+    return batch_size * 8 * (train.features.shape[1] + 2)
+
+
+class TestChunkedCohortPass:
+    """The cohort pass in worker chunks equals the whole-cohort pass.
+
+    ``_GATHER_BYTES`` sets how many workers' batches one chunk gathers;
+    forcing one-worker chunks and a ragged 3 + 3 + 1 split of seven
+    workers must change no bit of anything a run produces.
+    """
+
+    SPEC = dict(gar="krum", attack="little", n=10, f=3, epsilon=0.5, momentum=0.99)
+    #: Gather budgets, as a function of one worker's batch bytes, and
+    #: the chunk size each gives for seven workers.
+    SPLITS = {"one-worker": (lambda w: 1, 1), "ragged-3+3+1": (lambda w: 3 * w, 3)}
+
+    def _run(self, distribution, rounds=7, **overrides):
+        model, train = _environment()
+        spec = dict(self.SPEC, data_distribution=distribution)
+        spec.update(overrides)
+        cluster = _experiment(model, train, **spec).build_cluster()
+        history = TrainingHistory()
+        result = cluster.engine.run(rounds, history=history, block_size=3)
+        return cluster, history, result
+
+    @staticmethod
+    def _assert_identical(chunked, whole):
+        (cluster_a, history_a, result_a), (cluster_b, history_b, result_b) = (
+            chunked,
+            whole,
+        )
+        assert cluster_a.parameters.tobytes() == cluster_b.parameters.tobytes()
+        assert history_a.losses.tobytes() == history_b.losses.tobytes()
+        assert history_a.loss_steps.tolist() == history_b.loss_steps.tolist()
+        for field in (
+            "aggregated",
+            "honest_submitted",
+            "honest_clean",
+            "byzantine_gradient",
+            "honest_losses",
+        ):
+            assert (
+                getattr(result_a, field).tobytes() == getattr(result_b, field).tobytes()
+            ), field
+        assert result_a.step == result_b.step
+        for worker_a, worker_b in zip(
+            cluster_a._honest_workers, cluster_b._honest_workers
+        ):
+            for a, b in zip(worker_a.last_batch, worker_b.last_batch):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert (
+                worker_a._velocity_submitted.tobytes()
+                == worker_b._velocity_submitted.tobytes()
+            )
+            assert (
+                worker_a._velocity_clean.tobytes() == worker_b._velocity_clean.tobytes()
+            )
+
+    @pytest.mark.parametrize("distribution", ["shared", "iid-shards"])
+    @pytest.mark.parametrize("split", sorted(SPLITS))
+    def test_chunked_equals_default_chunk(self, monkeypatch, split, distribution):
+        import repro.distributed.engine as engine_module
+
+        whole = self._run(distribution)
+        assert whole[0].engine._features_buf.shape[0] == 7
+        _, train = _environment()
+        budget, chunk = self.SPLITS[split]
+        monkeypatch.setattr(
+            engine_module, "_GATHER_BYTES", budget(_worker_batch_bytes(train, 10))
+        )
+        chunked = self._run(distribution)
+        assert chunked[0].engine._features_buf.shape[0] == chunk
+        self._assert_identical(chunked, whole)
+
+    @pytest.mark.parametrize("distribution", ["shared", "iid-shards"])
+    @pytest.mark.parametrize("split", sorted(SPLITS))
+    def test_mid_block_divergence_identical(self, monkeypatch, split, distribution):
+        """A run that diverges mid-block stops at the same round with
+        the same state, the diverging round's batch included."""
+        import repro.distributed.engine as engine_module
+        from repro.exceptions import AggregationError, TrainingError
+        from repro.models.linear import LinearRegressionModel
+
+        _, train = _environment()
+        spec = dict(
+            gar="average", attack=None, n=7, f=0, epsilon=None, momentum=0.0,
+            learning_rate=1e12, g_max=None, data_distribution=distribution,
+        )
+
+        def diverge():
+            cluster = _experiment(
+                LinearRegressionModel(10), train, **spec
+            ).build_cluster()
+            history = TrainingHistory()
+            with pytest.raises((TrainingError, AggregationError)) as error:
+                cluster.engine.run(60, history=history, block_size=16)
+            return cluster, history, error.value
+
+        whole = diverge()
+        budget, _ = self.SPLITS[split]
+        monkeypatch.setattr(
+            engine_module, "_GATHER_BYTES", budget(_worker_batch_bytes(train, 10))
+        )
+        chunked = diverge()
+        (cluster_a, history_a, error_a), (cluster_b, history_b, error_b) = (
+            chunked,
+            whole,
+        )
+        assert type(error_a) is type(error_b) and str(error_a) == str(error_b)
+        assert cluster_a._step == cluster_b._step
+        assert cluster_a._step % 16 != 0  # the divergence is mid-block
+        assert history_a.losses.tobytes() == history_b.losses.tobytes()
+        assert cluster_a.parameters.tobytes() == cluster_b.parameters.tobytes()
+        for worker_a, worker_b in zip(
+            cluster_a._honest_workers, cluster_b._honest_workers
+        ):
+            for a, b in zip(worker_a.last_batch, worker_b.last_batch):
+                assert a.tobytes() == b.tobytes()
+
+    def test_large_d_topk_cell_equals_cluster_step(self):
+        """Krum + DP + top-k at d = 2000, where the default budget
+        splits the 14 honest workers into chunks: the golden fixtures
+        run at small d, where one chunk holds the whole cohort."""
+        import repro.distributed.engine as engine_module
+
+        train = make_phishing_dataset(seed=0, num_points=200, num_features=1999)
+        model = LogisticRegressionModel(1999)
+        spec = dict(
+            gar="krum", attack="little", n=25, f=11, epsilon=0.5, momentum=0.99,
+            codec="top-k", batch_size=50, num_steps=4,
+        )
+        fused_experiment = _experiment(model, train, **spec)
+        fused = fused_experiment.run()
+        per_round = _experiment(model, train, **spec).run(callbacks=[_NoopCallback()])
+        assert fused.history.losses.tobytes() == per_round.history.losses.tobytes()
+        assert fused.final_parameters.tobytes() == per_round.final_parameters.tobytes()
+        held = fused_experiment.build_cluster().engine._features_buf.shape[0]
+        limit = max(1, engine_module._GATHER_BYTES // _worker_batch_bytes(train, 50))
+        assert held <= limit
+        assert 1 < held < 14

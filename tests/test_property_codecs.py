@@ -279,3 +279,151 @@ class TestGradientCodecBase:
         codec = GradientCodec()
         with pytest.raises(NotImplementedError):
             codec.encode_row(np.zeros(3), 0, 0)
+
+
+#: Values whose order under ``-|v|`` the top-k oracle pins: NaN sorts
+#: last, ±inf first, ±0.0 and the small integers tie exactly.
+SPECIAL_VALUES = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0)
+
+#: Hand-built rows of dimension 8: all-zero, all-NaN, signed zeros,
+#: every special value, and exact ties on both sides of the threshold.
+HAND_ROWS = np.array(
+    [
+        [0.0] * 8,
+        [np.nan] * 8,
+        [0.0, -0.0, 0.0, -0.0, 1.0, -0.0, 0.0, -1.0],
+        [np.nan, -np.inf, 1.0, np.inf, -1.0, np.nan, -0.0, 2.0],
+        [1.0, -3.0, 1.0, -1.0, 2.0, 1.0, -1.0, 0.5],
+        [2.0, -2.0, 2.0, 1.0, -2.0, 1.0, 2.0, -1.0],
+        [-1.0, np.nan, 1.0, -1.0, np.nan, 1.0, 0.0, -0.0],
+    ]
+)
+
+#: The support sizes the oracle is checked at, as functions of d.
+ORACLE_KS = {
+    "1": lambda d: 1,
+    "d-1": lambda d: d - 1,
+    "d": lambda d: d,
+    "d+3": lambda d: d + 3,
+}
+
+
+def _special_block(rows, d):
+    element = st.one_of(
+        st.sampled_from(SPECIAL_VALUES),
+        st.integers(-3, 3).map(float),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    return st.lists(
+        st.lists(element, min_size=d, max_size=d), min_size=rows, max_size=rows
+    ).map(lambda block: np.asarray(block, dtype=np.float64))
+
+
+def _assert_topk_matches_oracle(matrix, k):
+    """``encode_block`` and ``encode_row`` equal the stable-argsort
+    oracle byte for byte, and leave the input untouched."""
+    from tests.reference_codecs import topk_reference
+
+    before = matrix.tobytes()
+    codec = TopKCodec(k=k)
+    encoded, nbytes = codec.encode_block(matrix, 4, range(len(matrix)))
+    assert encoded is not matrix
+    for row, vector in enumerate(matrix):
+        expected, expected_bytes = topk_reference(vector, k)
+        wire, count = codec.encode_row(vector, 4, row)
+        assert encoded[row].tobytes() == expected.tobytes(), (vector, k)
+        assert wire.tobytes() == expected.tobytes(), (vector, k)
+        assert nbytes[row] == count == expected_bytes
+    assert matrix.tobytes() == before
+
+
+class TestTopKMatchesArgsortOracle:
+    """The block partition selects what a per-row stable argsort does."""
+
+    @pytest.mark.parametrize("k_of", ORACLE_KS.values(), ids=ORACLE_KS)
+    def test_hand_rows_one_at_a_time(self, k_of):
+        for row in HAND_ROWS:
+            _assert_topk_matches_oracle(row[None].copy(), k_of(row.size))
+
+    @pytest.mark.parametrize("k_of", ORACLE_KS.values(), ids=ORACLE_KS)
+    def test_hand_rows_in_a_25_row_block(self, k_of):
+        rng = np.random.default_rng(11)
+        drawn = rng.choice(np.array(SPECIAL_VALUES), size=(25 - len(HAND_ROWS), 8))
+        block = np.concatenate([HAND_ROWS, drawn])
+        _assert_topk_matches_oracle(block, k_of(block.shape[1]))
+
+    @pytest.mark.parametrize("rows", [1, 25])
+    @pytest.mark.parametrize("k_of", ORACLE_KS.values(), ids=ORACLE_KS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_drawn_blocks(self, rows, k_of, data):
+        d = data.draw(st.integers(2, 12))
+        block = data.draw(_special_block(rows, d))
+        _assert_topk_matches_oracle(block, k_of(d))
+
+    def test_fraction_derived_support(self):
+        from tests.reference_codecs import topk_reference
+
+        block = np.random.default_rng(3).integers(-2, 3, size=(25, 40)).astype(float)
+        codec = TopKCodec(fraction=0.125)
+        encoded, _ = codec.encode_block(block, 0, range(25))
+        for row, vector in enumerate(block):
+            expected, _ = topk_reference(vector, 5)
+            assert encoded[row].tobytes() == expected.tobytes()
+
+
+#: (codec, keywords, the parameter its error must name).
+REJECTED_PARAMETERS = [
+    ("top-k", {"k": 2.5}, "k"),
+    ("top-k", {"k": "3"}, "k"),
+    ("top-k", {"k": True}, "k"),
+    ("top-k", {"fraction": "0.5"}, "fraction"),
+    ("top-k", {"fraction": True}, "fraction"),
+    ("top-k", {"fraction": float("nan")}, "fraction"),
+    ("top-k", {"fraction": float("inf")}, "fraction"),
+    ("qsgd", {"levels": 2.5, "seed": 1}, "levels"),
+    ("qsgd", {"levels": "4", "seed": 1}, "levels"),
+    ("qsgd", {"levels": True, "seed": 1}, "levels"),
+    ("qsgd", {"seed": 1.5}, "seed"),
+    ("qsgd", {"seed": "3"}, "seed"),
+    ("qsgd", {"seed": True}, "seed"),
+    ("top-k", {"seed": -1}, "seed"),
+    ("discrete-gaussian", {"sigma": float("nan"), "seed": 1}, "sigma"),
+    ("discrete-gaussian", {"sigma": float("inf"), "seed": 1}, "sigma"),
+    ("discrete-gaussian", {"sigma": "1", "seed": 1}, "sigma"),
+    ("discrete-gaussian", {"sigma": True, "seed": 1}, "sigma"),
+    ("discrete-gaussian", {"granularity": float("inf"), "seed": 1}, "granularity"),
+    ("discrete-gaussian", {"granularity": float("nan"), "seed": 1}, "granularity"),
+    ("discrete-gaussian", {"granularity": True, "seed": 1}, "granularity"),
+    ("discrete-gaussian", {"granularity": 10**400, "seed": 1}, "granularity"),
+]
+
+
+class TestParameterTypes:
+    """Codec parameters are checked, never coerced, and errors name them.
+
+    Built through the registry, as ``repro run`` builds them, so each
+    error also names the codec.
+    """
+
+    @pytest.mark.parametrize(
+        "name, kwargs, parameter",
+        REJECTED_PARAMETERS,
+        ids=[
+            f"{name}-{parameter}={kwargs[parameter]!r:.12}"
+            for name, kwargs, parameter in REJECTED_PARAMETERS
+        ],
+    )
+    def test_rejected_naming_the_parameter(self, name, kwargs, parameter):
+        with pytest.raises(ConfigurationError) as error:
+            REGISTRY.build("codec", {"name": name, **kwargs})
+        assert str(error.value).startswith(f"codec {name!r}: {parameter} must be")
+
+    def test_numpy_and_integral_numbers_are_accepted(self):
+        assert TopKCodec(k=np.int64(3)).k == 3
+        assert TopKCodec(fraction=1).fraction == 1.0
+        codec = DiscreteGaussianCodec(
+            granularity=np.float64(0.25), sigma=1, seed=np.uint32(2)
+        )
+        assert (codec.granularity, codec.sigma, codec.seed) == (0.25, 1.0, 2)
+        assert StochasticQuantizationCodec(levels=np.int32(4), seed=0).levels == 4
