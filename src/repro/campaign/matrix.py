@@ -38,6 +38,7 @@ from pathlib import Path
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.rng import SeedTree
+from repro.typing import is_integer
 
 __all__ = [
     "CAMPAIGN_MODES",
@@ -185,11 +186,12 @@ def _parse_seed_rule(spec) -> dict | None:
         rule = {"count": spec.get("count"), "root": spec.get("root", 0)}
         for key, low in (("count", 1), ("root", 0)):
             value = rule[key]
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            if not is_integer(value) or value < low:
                 raise ConfigurationError(
                     f"seeds rule field {key!r} must be an integer >= {low}, "
                     f"got {value!r}"
                 )
+            rule[key] = int(value)
         return rule
     if isinstance(spec, (list, tuple)):
         return {"explicit": list(spec)}

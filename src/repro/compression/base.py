@@ -64,7 +64,11 @@ class GradientCodec:
     name: str = "?"
     #: Whether ``encode`` reconstructs its input bit-for-bit.
     lossless: bool = False
-    #: Whether the codec draws per-message randomness.
+    #: Whether the codec draws per-message randomness.  ``False`` means
+    #: the encoding depends on the vector alone — not on ``step``,
+    #: ``worker`` or the seed — so identical vectors encode to identical
+    #: rows and byte counts, and a round encodes the ``f`` identical
+    #: Byzantine copies once.
     stochastic: bool = False
 
     def __init__(

@@ -85,7 +85,9 @@ class BatchSampler:
         sequential ``(b,)`` fills).  Without replacement each round is
         its own partial-shuffle draw, so the block is assembled from the
         sequential draws themselves — trivially identical, and still
-        hoisted out of the hot loop.
+        hoisted out of the hot loop.  A one-round block is that one
+        draw as a ``(1, b)`` view, which is how the per-round cohort
+        path samples.
         """
         if rounds < 1:
             raise DataError(f"rounds must be >= 1, got {rounds}")
@@ -98,6 +100,8 @@ class BatchSampler:
         choice = self._rng.choice
         num_points = self._dataset.num_points
         batch_size = self._batch_size
+        if rounds == 1:
+            return choice(num_points, size=batch_size, replace=False)[np.newaxis]
         return np.stack(
             [choice(num_points, size=batch_size, replace=False) for _ in range(rounds)]
         )

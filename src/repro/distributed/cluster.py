@@ -43,7 +43,7 @@ from repro.attacks.base import AttackContext, ByzantineAttack
 from repro.compression.base import GradientCodec
 from repro.distributed.network import PerfectNetwork
 from repro.distributed.server import ParameterServer
-from repro.distributed.worker import HonestWorker, compute_cohort
+from repro.distributed.worker import CohortPass, HonestWorker, compute_cohort
 from repro.exceptions import ConfigurationError, DegradedRunError
 from repro.faults.apply import apply_wire_faults, reset_absent_momentum
 from repro.faults.plan import ResolvedFaultPlan
@@ -242,14 +242,15 @@ class RoundCore:
     def _cohort_rows(self, timer, parameters, step, worker_ids=None, **attrs):
         """In-process honest rows: compute, encode, then the fault stage.
 
-        The whole cohort runs in stacked matrix ops (vectorized gradient
-        + clip + momentum; per-worker RNG streams preserved).
-        ``worker_ids`` selects a partial cohort (the simulator's wake
-        subset); the codec and the fault plan stay keyed on global
-        worker ids, so a partial cohort's rows match the whole round's
-        bit for bit.  Returns ``(submitted, clean, row_bytes, losses)``,
-        where ``losses`` leaves out the workers the fault stage found
-        absent.
+        The cohort runs through :func:`compute_cohort`, which serves it
+        with the :class:`CohortPass` the backend built over its workers
+        (one gather and stacked gradient + clip; per-worker RNG streams
+        preserved).  ``worker_ids`` selects a partial cohort (the
+        simulator's wake subset); the pass, the codec and the fault plan
+        stay keyed on global worker ids, so a partial cohort's rows
+        match the whole round's bit for bit.  Returns ``(submitted,
+        clean, row_bytes, losses)``, where ``losses`` leaves out the
+        workers the fault stage found absent.
         """
         workers = self._honest_workers
         if worker_ids is not None:
@@ -347,18 +348,33 @@ class RoundCore:
             )
         return gradient
 
-    def _byzantine_rows(self, gradient: Vector, step: int, worker_ids) -> tuple[Matrix, int]:
+    def _byzantine_rows(
+        self, gradient: Vector, step: int, worker_ids, out: Matrix | None = None
+    ) -> tuple[Matrix, int]:
         """The Byzantine workers' wire messages and their encoded bytes.
 
         Each copy of the crafted gradient is its own message: stochastic
         codecs give every copy its own ``(step, worker)`` stream, so the
         server may receive *distinct* quantizations of one crafted
-        gradient, exactly as on a real wire.  Bytes are 0 without a codec.
+        gradient, exactly as on a real wire.  A deterministic codec's
+        encoding depends on the vector alone, so its copies are one
+        encoded row, broadcast, with that row's bytes per copy.  Rows go
+        into ``out`` when given (the fused engine's wire matrix); bytes
+        are 0 without a codec.
         """
-        block = np.tile(gradient, (len(worker_ids), 1))
-        if self._codec is None:
+        codec = self._codec
+        block = np.empty((len(worker_ids), gradient.shape[0])) if out is None else out
+        if codec is not None and not codec.stochastic:
+            encoded, row_bytes = codec.encode_block(
+                gradient[np.newaxis], step, worker_ids[:1]
+            )
+            block[:] = encoded
+            return block, int(row_bytes[0]) * len(worker_ids)
+        block[:] = gradient
+        if codec is None:
             return block, 0
-        block, row_bytes = self._codec.encode_block(block, step, worker_ids)
+        encoded, row_bytes = codec.encode_block(block, step, worker_ids)
+        block[:] = encoded
         return block, int(row_bytes.sum())
 
     def _gar_winner(self, delivered: Matrix, aggregated: Vector) -> int | None:
@@ -463,6 +479,7 @@ class Cluster(RoundCore):
             faults,
         )
         self._honest_workers = honest_workers
+        self._cohort_pass = CohortPass(honest_workers)
         self._engine = None
 
     @property

@@ -16,14 +16,15 @@ rounds that remove that overhead without changing a single output bit:
   stream as the per-round draws (pinned by hypothesis properties and
   the golden traces);
 * **preallocated round buffers** — one ``(n, d)`` wire matrix, one
-  ``(W, d)`` clean-gradient matrix, persistent ``(W, d)`` momentum
-  stacks and one ``(C, b, p)`` batch gather target are reused across
-  every round of the run;
-* **chunked cohort pass** — each round gathers ``C`` workers' batches
-  at a time (``C`` set by the ``_GATHER_BYTES`` byte budget, so
-  ``C = W`` at small d) and runs the forward/backward pass on each
-  chunk while it is still in cache.  Workers' ``last_batch`` is rebuilt
-  from the last round's indices when the run ends;
+  ``(W, d)`` clean-gradient matrix and persistent ``(W, d)`` momentum
+  stacks are reused across every round of the run, and one block's
+  ``(R, W, b)`` batch rows and ``(R, W, d)`` noise across its blocks;
+* **the cluster's cohort pass** — each round runs the
+  :class:`~repro.distributed.worker.CohortPass` that per-round
+  ``Cluster.step`` uses on the round's pre-drawn rows: chunked gathers
+  into reused buffers, one forward/backward pass per chunk, one batched
+  clip.  Workers' ``last_batch`` is set to the last round's rows when
+  the run ends;
 * **in-place server updates** — the optimizer writes the parameter
   buffer through :meth:`repro.optim.sgd.SGDOptimizer.step`'s ``out=``
   path, and the loop reads :attr:`ParameterServer.parameters_view`
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.batching import BatchSampler
 from repro.distributed.cluster import Cluster, StepResult
 from repro.distributed.server import ParameterServer
 from repro.distributed.worker import HonestWorker
@@ -65,12 +65,6 @@ __all__ = ["RoundEngine", "default_block_rounds"]
 #: batch indices).  Blocks are sized so the pre-draw stays cache-warm
 #: instead of ballooning on large-d configurations.
 _BLOCK_BYTES = 8 << 20
-
-#: Target footprint of one chunk of gathered worker batches.  Each round
-#: gathers and differentiates the cohort this many bytes of batches at a
-#: time, so the forward/backward pass reads its rows from cache instead
-#: of from a whole-cohort gather (56 MB at d = 10 000).
-_GATHER_BYTES = 4 << 20
 
 #: Hard cap on rounds per block; past this the amortisation is flat.
 _MAX_BLOCK_ROUNDS = 256
@@ -120,12 +114,6 @@ class RoundEngine:
             cls = type(worker)
             if cls.compute is not HonestWorker.compute or cls._finish is not HonestWorker._finish:
                 return f"worker subclass {cls.__name__} overrides the pipeline"
-            sampler = worker._sampler
-            if not isinstance(sampler, BatchSampler) or (
-                type(sampler).sample is not BatchSampler.sample
-                or type(sampler).sample_indices is not BatchSampler.sample_indices
-            ):
-                return f"sampler {type(sampler).__name__} overrides sampling"
             mechanism = worker._mechanism
             if mechanism is not None:
                 if not isinstance(mechanism, NoiseMechanism) or (
@@ -135,8 +123,11 @@ class RoundEngine:
                 reason = self._probe_mechanism(mechanism)
                 if reason is not None:
                     return reason
-            if worker._clip_mode != "batch":
-                return "per-example clipping is not fused"
+        # Stock samplers, batch clipping and one model, batch size and
+        # dataset shape: what the cluster's cohort pass needs.
+        reason = self._cluster._cohort_pass.reason
+        if reason is not None:
+            return reason
         # The blockwise pre-draw consumes each stream in one run, which
         # only reproduces the per-round interleaving when every consumed
         # stream is private.  A bit generator shared between any two
@@ -156,10 +147,7 @@ class RoundEngine:
             return "workers share RNG streams"
         if type(self._cluster).step is not Cluster.step:
             return f"cluster {type(self._cluster).__name__} overrides step"
-        model = workers[0]._model
-        if any(w._model is not model for w in workers):
-            return "heterogeneous cohort models"
-        reason = model._single_pass_conflict()
+        reason = workers[0]._model._single_pass_conflict()
         if reason is not None:
             return reason
         # The in-place update path goes through ParameterServer.step's
@@ -173,21 +161,6 @@ class RoundEngine:
             return (
                 f"optimizer {type(server._optimizer).__name__} overrides step"
             )
-        batch_size = workers[0]._sampler.batch_size
-        if any(w._sampler.batch_size != batch_size for w in workers):
-            return "heterogeneous batch sizes"
-        first = workers[0]._sampler.dataset
-        feature_shape = first.features.shape[1:]
-        label_shape = first.labels.shape[1:]
-        for worker in workers:
-            dataset = worker._sampler.dataset
-            if (
-                dataset.features.shape[1:] != feature_shape
-                or dataset.labels.shape[1:] != label_shape
-                or dataset.features.dtype != first.features.dtype
-                or dataset.labels.dtype != first.labels.dtype
-            ):
-                return "heterogeneous dataset shapes"
         return None
 
     @staticmethod
@@ -234,65 +207,15 @@ class RoundEngine:
         workers = self._workers
         num_honest = len(workers)
         dimension = int(self._server.parameters_view.shape[0])
-        batch_size = workers[0]._sampler.batch_size
-        first = workers[0]._sampler.dataset
         n = num_honest + self._num_byzantine
 
         self._dimension = dimension
-        self._batch_size = batch_size
-        self._model = workers[0]._model
+        self._batch_size = workers[0]._sampler.batch_size
+        # The cluster's own pass: one gather source per dataset, shared
+        # with the per-round path instead of built twice.
+        self._cohort_pass = self._cluster._cohort_pass
         self._all_gradients = np.zeros((n, dimension), dtype=np.float64)
-        # Shared-dataset cohorts (the paper's "shared" distribution)
-        # gather all workers' batches with one indexed take.  The take
-        # runs with ``mode='clip'`` into preallocated buffers: sampler
-        # indices are always in range, so clipping is value-identical,
-        # and it selects take's unbuffered fast path (the default
-        # ``mode='raise'`` with ``out=`` is ~3x slower) while keeping
-        # the gather target cache-warm across rounds.
-        self._shared_dataset = (
-            first
-            if all(w._sampler.dataset is first for w in workers)
-            else None
-        )
-        # Linear-family models: append the bias column to each dataset
-        # once, so no round re-concatenates it (the gathered rows are
-        # bit-identical to augmenting the gathered raw rows).
-        self._augmented = bool(self._model.supports_augmented_stack)
-        if self._augmented:
-            caches: dict[int, np.ndarray] = {}
-            self._feature_sources = []
-            for worker in workers:
-                dataset = worker._sampler.dataset
-                key = id(dataset)
-                if key not in caches:
-                    caches[key] = self._model.augment_features(dataset.features)
-                self._feature_sources.append(caches[key])
-        else:
-            self._feature_sources = [w._sampler.dataset.features for w in workers]
-        self._label_sources = [w._sampler.dataset.labels for w in workers]
-        # The cohort pass runs in chunks of workers whose gathered
-        # batches fit _GATHER_BYTES; every chunk reuses the leading
-        # rows of one (chunk, b, p) buffer.  A stacked pass computes
-        # each worker's loss and row from that worker's batch alone, so
-        # chunking changes no bit of them (the chunk tests pin this).
-        feature_source = self._feature_sources[0]
-        label_source = self._label_sources[0]
-        worker_bytes = batch_size * (
-            feature_source[:1].nbytes + label_source[:1].nbytes
-        )
-        self._chunk = int(np.clip(_GATHER_BYTES // max(worker_bytes, 1), 1, num_honest))
-        self._features_buf = np.empty(
-            (self._chunk, batch_size) + feature_source.shape[1:],
-            dtype=feature_source.dtype,
-        )
-        self._labels_buf = np.empty(
-            (self._chunk, batch_size) + label_source.shape[1:],
-            dtype=label_source.dtype,
-        )
         self._clean = np.empty((num_honest, dimension), dtype=np.float64)
-        self._g_max = np.array(
-            [np.inf if w._g_max is None else w._g_max for w in workers]
-        )
         self._momenta = np.array([w._momentum for w in workers])
         self._momentum_mask = self._momenta > 0.0
         self._any_momentum = bool(self._momentum_mask.any())
@@ -301,7 +224,6 @@ class RoundEngine:
             index for index, w in enumerate(workers) if w._mechanism is not None
         ]
         self._all_noised = len(self._noised_indices) == num_honest
-        self._any_noised = bool(self._noised_indices)
         if self._any_momentum:
             self._velocity_submitted = np.zeros((num_honest, dimension))
             self._velocity_clean = np.zeros((num_honest, dimension))
@@ -320,20 +242,21 @@ class RoundEngine:
                 self._velocity_submitted[index] = worker._velocity_submitted
                 self._velocity_clean[index] = worker._velocity_clean
 
-    def _export_state(self, index_blocks, r: int) -> None:
+    def _export_state(self, block_indices, r: int) -> None:
         """Write engine-held per-worker state back onto the workers.
 
-        Each worker's ``last_batch`` is rebuilt from its indices for
-        round ``r`` of ``index_blocks`` (the last round entered): the
-        gather buffer holds one chunk of workers, not the cohort.
+        Each worker's ``last_batch`` becomes its dataset rows for round
+        ``r`` of ``block_indices`` (the last round entered), indexed out
+        only when read: the gather buffer holds one chunk of workers,
+        not the cohort.
         """
         for index, worker in enumerate(self._workers):
             if self._any_momentum and self._momentum_mask[index]:
                 worker._velocity_submitted = self._velocity_submitted[index].copy()
                 worker._velocity_clean = self._velocity_clean[index].copy()
-            rows = index_blocks[index][r]
-            dataset = worker._sampler.dataset
-            worker._last_batch = (dataset.features[rows], dataset.labels[rows])
+            worker._last_batch = (
+                worker._sampler.dataset, block_indices[r, index].copy()
+            )
 
     # ------------------------------------------------------------------
     # execution
@@ -387,13 +310,24 @@ class RoundEngine:
             )
         if self._any_momentum:
             self._import_velocities()
-        index_blocks = [None] * len(workers)
+        # One block's pre-drawn batch rows (R, W, b) and, when every
+        # worker is noised, its noise (R, W, d): each worker's draws are
+        # written straight into them, so round r's cohort rows and noise
+        # are one slice and no block allocates a stacked copy.
+        buffer_rounds = min(block_size, int(num_rounds))
+        index_buffer = np.empty(
+            (buffer_rounds, len(workers), self._batch_size), dtype=np.intp
+        )
+        noise_buffer = (
+            np.empty((buffer_rounds, len(workers), self._dimension))
+            if self._all_noised
+            else None
+        )
         noise_blocks = [None] * len(workers)
+        block_indices = None
         result = None
         remaining = int(num_rounds)
-        # The last round entered, as an index into index_blocks; kept
-        # as a round number (not index views) so a new block's pre-draw
-        # can free the previous block's indices worker by worker.
+        # The last round entered, as an index into block_indices.
         last_round = None
         # Loss recording is deferred per block: each round parks its
         # (W,) cohort losses and the whole block's means are computed
@@ -425,24 +359,19 @@ class RoundEngine:
                 # Blockwise pre-draw: every worker's private streams are
                 # consumed exactly as the per-round path would, just all
                 # at once (see module docstring).
+                block_indices = index_buffer[:rounds]
+                noise_stack = None if noise_buffer is None else noise_buffer[:rounds]
                 for index, worker in enumerate(workers):
-                    index_blocks[index] = worker._sampler.sample_index_block(rounds)
-                    if worker._mechanism is not None:
-                        noise_blocks[index] = worker._mechanism.sample_noise_block(
-                            rounds, self._dimension, worker._noise_rng
-                        )
-                if self._shared_dataset is not None:
-                    # (R, W, b): round r's whole-cohort gather is one
-                    # fancy index with block_indices[r].
-                    block_indices = np.stack(index_blocks, axis=1)
-                else:
-                    block_indices = None
-                if self._all_noised:
-                    # (R, W, d): round r's cohort noise is one slice, so
-                    # the round loop adds it with a single ufunc call.
-                    noise_stack = np.stack(noise_blocks, axis=1)
-                else:
-                    noise_stack = None
+                    block_indices[:, index] = worker._sampler.sample_index_block(rounds)
+                    if worker._mechanism is None:
+                        continue
+                    noise = worker._mechanism.sample_noise_block(
+                        rounds, self._dimension, worker._noise_rng
+                    )
+                    if noise_stack is None:
+                        noise_blocks[index] = noise
+                    else:
+                        noise_stack[:, index] = noise
                 # The block pre-draw IS the round's sampling/noise RNG
                 # work, amortised: charge it to its own phase.
                 timer.lap("round.predraw")
@@ -450,7 +379,6 @@ class RoundEngine:
                     last_round = r
                     is_last = remaining == rounds and r == rounds - 1
                     round_result = self._fused_round(
-                        index_blocks,
                         block_indices,
                         noise_blocks,
                         noise_stack,
@@ -472,7 +400,7 @@ class RoundEngine:
             # never records the diverging round's loss).
             flush_losses()
             if last_round is not None:
-                self._export_state(index_blocks, last_round)
+                self._export_state(block_indices, last_round)
         return result
 
     def _emit_block_telemetry(self, telemetry, rounds: int, timer) -> None:
@@ -501,7 +429,6 @@ class RoundEngine:
 
     def _fused_round(
         self,
-        index_blocks,
         block_indices,
         noise_blocks,
         noise_stack,
@@ -519,61 +446,17 @@ class RoundEngine:
         parameters = server.parameters_view
         timer.restart()
 
-        # Chunk by chunk: gather the chunk's batches into the warm
-        # buffers, then run one shared forward/backward pass over them
-        # for the chunk's losses and clean rows.  The gather is one
-        # indexed take per chunk on shared data and per-worker takes on
-        # sharded data.  Sources carry the pre-appended bias column
-        # when the model supports it; ``mode='clip'`` is exact for the
-        # always-in-range sampler indices (see ``_ensure_buffers``).
-        # ``losses`` is new each round: ``pending_losses`` parks it.
+        # The cohort pass on this round's pre-drawn rows: gathers laps
+        # as round.sample, the forward/backward pass and the clip as
+        # round.cohort.  ``losses`` is new each round: ``pending_losses``
+        # parks it.
         losses = np.empty(num_honest)
         clean = self._clean
-        for start in range(0, num_honest, self._chunk):
-            stop = min(start + self._chunk, num_honest)
-            features = self._features_buf[: stop - start]
-            labels = self._labels_buf[: stop - start]
-            if block_indices is not None:
-                chunk_indices = block_indices[r, start:stop]
-                np.take(
-                    self._feature_sources[0], chunk_indices, axis=0,
-                    out=features, mode="clip",
-                )
-                np.take(
-                    self._label_sources[0], chunk_indices, axis=0,
-                    out=labels, mode="clip",
-                )
-            else:
-                for index in range(start, stop):
-                    np.take(
-                        self._feature_sources[index], index_blocks[index][r],
-                        axis=0, out=features[index - start], mode="clip",
-                    )
-                    np.take(
-                        self._label_sources[index], index_blocks[index][r],
-                        axis=0, out=labels[index - start], mode="clip",
-                    )
-            timer.lap("round.sample")
-            if self._augmented:
-                losses[start:stop], clean[start:stop] = (
-                    self._model.loss_and_gradient_stack(
-                        parameters, features, labels, augmented=True
-                    )
-                )
-            else:
-                losses[start:stop], clean[start:stop] = (
-                    self._model.loss_and_gradient_stack(parameters, features, labels)
-                )
-            timer.lap("round.cohort")
-
-        # Batched clip — the identical operations compute_cohort runs.
-        norms = np.sqrt(np.einsum("wd,wd->w", clean, clean))
-        exceeds = norms > self._g_max
-        if exceeds.any():
-            clean[exceeds] *= (self._g_max[exceeds] / norms[exceeds])[:, None]
-            if self._observed:
-                self._clip_hits += int(np.count_nonzero(exceeds))
-        timer.lap("round.cohort")
+        clipped = self._cohort_pass.run(
+            parameters, block_indices[r], losses, clean, timer=timer
+        )
+        if self._observed:
+            self._clip_hits += clipped
 
         # DP noise from the pre-drawn block, written straight into the
         # wire matrix (rows without a mechanism carry the clean row).
@@ -625,17 +508,14 @@ class RoundEngine:
             byzantine_gradient = cluster._craft(
                 step, submitted.copy(), clean.copy(), parameters.copy()
             )
-            self._all_gradients[num_honest:] = byzantine_gradient
-            if self._codec is not None:
-                byzantine_rows = self._all_gradients[num_honest:]
-                encoded, row_bytes = self._codec.encode_block(
-                    byzantine_rows,
-                    step,
-                    range(num_honest, num_honest + self._num_byzantine),
-                )
-                if encoded is not byzantine_rows:
-                    byzantine_rows[:] = encoded
-                round_bytes += int(row_bytes.sum())
+            _, byzantine_bytes = cluster._byzantine_rows(
+                byzantine_gradient,
+                step,
+                range(num_honest, num_honest + self._num_byzantine),
+                out=self._all_gradients[num_honest:],
+            )
+            if round_bytes is not None:
+                round_bytes += byzantine_bytes
             timer.lap("round.attack")
 
         if round_bytes is not None:

@@ -4,10 +4,10 @@ A *shard* is one OS process owning a contiguous slice of the honest
 cohort (one worker per process in the default process-per-worker
 layout).  Each round it copies the parameters from the wire plane, runs
 the exact in-process cohort pipeline (:func:`compute_cohort` — batch
-sampling, stacked gradient, clip, DP noise, momentum) on its own
-workers, whose one forward pass also scores their sampled batches at
-the pre-update parameters, and writes its rows of the wire/clean/loss
-arrays.
+sampling, then the shard's :class:`CohortPass`: gather, stacked
+gradient, clip; then DP noise and momentum) on its own workers, whose
+one forward pass also scores their sampled batches at the pre-update
+parameters, and writes its rows of the wire/clean/loss arrays.
 
 Bit-identity with the in-process engine rests on two facts:
 
@@ -50,7 +50,12 @@ from repro.compression.base import GradientCodec
 from repro.data.batching import BatchSampler
 from repro.data.datasets import Dataset
 from repro.distributed.runtime.wire import PlaneSpec, WirePlane
-from repro.distributed.worker import CLIP_MODES, HonestWorker, compute_cohort
+from repro.distributed.worker import (
+    CLIP_MODES,
+    CohortPass,
+    HonestWorker,
+    compute_cohort,
+)
 from repro.exceptions import ConfigurationError
 from repro.models.base import Model
 from repro.privacy.mechanisms import NoiseMechanism
@@ -106,10 +111,10 @@ class WorkerShardSpec:
     fail_mode: str = "die"
     #: Respawn support: a shard spawned with ``start_step > 0`` fast
     #: forwards its workers' seed streams through the missed rounds
-    #: ``1..start_step`` (one ``compute_cohort`` pass per round — the
-    #: draws are value-independent, so zero parameters suffice) and
-    #: resets momentum, so its first served round is bit-identical to a
-    #: shard that lived through the outage in-process.
+    #: ``1..start_step`` (the draws alone: one batch per worker and one
+    #: noise vector per DP worker per round, no gradients) and resets
+    #: momentum, so its first served round is bit-identical to a shard
+    #: that lived through the outage in-process.
     start_step: int = 0
     #: ``(step, factor)`` pairs from the fault plan's ``slow`` events:
     #: the shard sleeps ``0.01 * factor`` seconds at those rounds before
@@ -154,9 +159,13 @@ class WorkerShardSpec:
         return slice(self.worker_ids[0], self.worker_ids[-1] + 1)
 
     def build_workers(self) -> list[HonestWorker]:
-        """Reconstruct this shard's workers with their exact seed streams."""
+        """Reconstruct this shard's workers with their exact seed streams.
+
+        The workers come with the shard's one :class:`CohortPass`, which
+        :func:`compute_cohort` finds through them.
+        """
         seeds = SeedTree(self.root_seed)
-        return [
+        workers = [
             HonestWorker(
                 worker_id=worker_id,
                 model=self.model,
@@ -173,6 +182,8 @@ class WorkerShardSpec:
             )
             for local, worker_id in enumerate(self.worker_ids)
         ]
+        CohortPass(workers)
+        return workers
 
 
 def _inject_failure(spec: WorkerShardSpec) -> None:
@@ -230,7 +241,7 @@ def shard_main(
                 _inject_failure(spec)
             workers = spec.build_workers()
             if spec.start_step > 0:
-                _fast_forward(spec, workers, plane)
+                _fast_forward(spec, workers)
             rows = spec.rows
             if telemetry is not None:
                 telemetry.mark(
@@ -299,19 +310,25 @@ def shard_main(
             pass
 
 
-def _fast_forward(spec: WorkerShardSpec, workers, plane: WirePlane) -> None:
-    """Replay the seed-stream consumption of rounds ``1..start_step``.
+def _fast_forward(spec: WorkerShardSpec, workers) -> None:
+    """Advance the workers' seed streams through rounds ``1..start_step``.
 
-    ``compute_cohort`` draws exactly one batch per worker and one noise
-    vector per DP worker per round, independent of any values, so one
-    pass per missed round at zero parameters advances every stream to
-    where the in-process run left it.  Momentum is then reset: a worker
-    absent through the outage accumulated none (the in-process engine
-    zeroes its buffers each absent round), and ``None`` buffers restart
-    the ``v <- m*v + g`` recursion from the same all-zeros base.
+    A round of :func:`compute_cohort` draws one batch per worker and one
+    noise vector per DP worker (the draws ``privatize`` makes), whatever
+    the values, so drawing exactly those — the batches as one
+    :meth:`BatchSampler.sample_index_block` per worker — leaves every
+    stream where the in-process run left it, without a gradient pass.
+    Momentum is then reset: a worker absent through the outage
+    accumulated none (the in-process engine zeroes its buffers each
+    absent round), and ``None`` buffers restart the ``v <- m*v + g``
+    recursion from the same all-zeros base.
     """
-    zeros = np.zeros_like(np.asarray(plane.parameters))
-    for step in range(1, spec.start_step + 1):
-        compute_cohort(workers, zeros, step)
+    rounds = spec.start_step
+    zeros = np.zeros(spec.model.dimension)
     for worker in workers:
+        if rounds > 0:
+            worker._sampler.sample_index_block(rounds)
+        if worker._mechanism is not None:
+            for _ in range(rounds):
+                worker._mechanism.privatize(zeros, worker._noise_rng)
         worker.reset()

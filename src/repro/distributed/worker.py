@@ -19,6 +19,14 @@ An honest worker's per-step pipeline (Sections 2.3 and 5.1):
 
 Byzantine workers are driven by the cluster: the colluding attack
 crafts one vector per step and every Byzantine worker submits it.
+
+A whole honest cohort runs a round through :func:`compute_cohort`:
+each worker draws its batch indices in worker order, one
+:class:`CohortPass` gathers the batches and computes steps 2–3 for all
+of them as stacked matrix operations, and steps 4–5 follow per worker.
+Every backend's cohort owner (the in-process cluster and its fused
+engine, each multiprocess shard, the discrete-event simulator) builds
+one pass over its workers, so the gather and the clip exist once.
 """
 
 from __future__ import annotations
@@ -28,16 +36,24 @@ from typing import Sequence
 import numpy as np
 
 from repro.data.batching import BatchSampler
+from repro.data.datasets import Dataset
 from repro.distributed.messages import WorkerSubmission
 from repro.exceptions import ConfigurationError
 from repro.models.base import Model
 from repro.privacy.clipping import clip_by_l2_norm, clip_per_example
 from repro.privacy.mechanisms import NoiseMechanism
+from repro.telemetry.timing import NULL_TIMER
 from repro.typing import Matrix, Vector
 
-__all__ = ["HonestWorker", "CLIP_MODES", "compute_cohort"]
+__all__ = ["HonestWorker", "CLIP_MODES", "CohortPass", "compute_cohort"]
 
 CLIP_MODES = ("batch", "per_example")
+
+#: Target footprint of one chunk of gathered worker batches.  A cohort
+#: pass gathers and differentiates the cohort this many bytes of batches
+#: at a time, so the forward/backward pass reads its rows from cache
+#: instead of from a whole-cohort gather (56 MB at d = 10 000).
+_GATHER_BYTES = 4 << 20
 
 
 class HonestWorker:
@@ -107,7 +123,12 @@ class HonestWorker:
         # so the omniscient attack's "clean" view stays meaningful.
         self._velocity_submitted: Vector | None = None
         self._velocity_clean: Vector | None = None
-        self._last_batch: tuple[np.ndarray, np.ndarray] | None = None
+        # The last sampled batch: a ``(features, labels)`` pair, or the
+        # ``(dataset, rows)`` it was gathered from, which ``last_batch``
+        # turns into the pair on first read.
+        self._last_batch: tuple | None = None
+        # ``(pass, position)`` once a CohortPass serves this worker.
+        self._cohort_slot: tuple[CohortPass, int] | None = None
 
     @property
     def worker_id(self) -> int:
@@ -122,8 +143,14 @@ class HonestWorker:
         the paper's "average loss over the training datapoints sampled
         by the honest workers" at the parameters that update replaces —
         and so do the cohort paths without a stacked forward pass.
+        The cohort pass records only the dataset rows it gathered; the
+        batch itself is indexed out on the first read.
         """
-        return self._last_batch
+        batch = self._last_batch
+        if batch is not None and isinstance(batch[0], Dataset):
+            dataset, rows = batch
+            batch = self._last_batch = (dataset.features[rows], dataset.labels[rows])
+        return batch
 
     @property
     def uses_dp(self) -> bool:
@@ -217,6 +244,186 @@ def _score_batches(workers: Sequence[HonestWorker], parameters: Vector) -> np.nd
     return np.asarray(losses, dtype=np.float64)
 
 
+class CohortPass:
+    """The honest cohort's batch-clip pass: gather, differentiate, clip.
+
+    One pass serves any subset of one cohort's workers.  :meth:`run`
+    takes their batch rows (dataset indices), gathers them chunk by
+    chunk into reused ``(C, b, p)`` buffers — ``C`` workers per chunk,
+    set by the ``_GATHER_BYTES`` budget, so one chunk holds the cohort
+    at small d — runs one stacked forward/backward pass per chunk
+    (:meth:`Model.loss_and_gradient_stack`) and clips every row to its
+    worker's ``G_max`` in one batch.  The gather reads one source per
+    distinct dataset: the model's :meth:`~Model.augment_features` when
+    it supports pre-augmented stacks (the bias column is appended once,
+    not every round), the raw features otherwise.  A stacked pass
+    computes each worker's loss and row from that worker's batch alone,
+    so neither the chunking nor the subset changes a bit of them.
+
+    Each cohort owner builds one pass over its workers: the
+    :class:`~repro.distributed.cluster.Cluster` (whose fused engine runs
+    the same pass on its pre-drawn blocks), each multiprocess shard and
+    the discrete-event simulator.  The pass attaches itself to its
+    workers, which is how :func:`compute_cohort` finds it.  Sources and
+    buffers are built on the first :meth:`run`, not here.
+    """
+
+    def __init__(self, workers: Sequence[HonestWorker]):
+        self._workers = list(workers)
+        if not self._workers:
+            raise ConfigurationError("a cohort pass needs at least one worker")
+        for position, worker in enumerate(self._workers):
+            worker._cohort_slot = (self, position)
+        #: Why this pass cannot serve its workers, or ``None`` when it can.
+        self.reason = self._probe()
+        self._features_buf = None
+
+    def _probe(self) -> str | None:
+        def layout(worker):
+            dataset = worker._sampler.dataset
+            return (
+                worker._model,
+                worker._sampler.batch_size,
+                dataset.features.shape[1:],
+                dataset.labels.shape[1:],
+                dataset.features.dtype,
+                dataset.labels.dtype,
+            )
+
+        for worker in self._workers:
+            sampler = worker._sampler
+            if not isinstance(sampler, BatchSampler) or (
+                type(sampler).sample is not BatchSampler.sample
+                or type(sampler).sample_indices is not BatchSampler.sample_indices
+            ):
+                return f"sampler {type(sampler).__name__} overrides sampling"
+            if worker._clip_mode != "batch":
+                return "per-example clipping is not a batch clip"
+        first = layout(self._workers[0])
+        if any(layout(worker) != first for worker in self._workers):
+            return "heterogeneous cohort: models, batch sizes or dataset shapes differ"
+        return None
+
+    def _build(self) -> None:
+        """The gather sources, the chunk buffers and the clip bounds."""
+        if self.reason is not None:
+            raise ConfigurationError(
+                f"no cohort pass for these workers: {self.reason}"
+            )
+        workers = self._workers
+        model = self._model = workers[0]._model
+        # A model that overrides the two-pass methods while inheriting a
+        # single pass keeps its own formulas: run the two methods.
+        self._two_pass = model._single_pass_conflict() is not None
+        self._augmented = bool(model.supports_augmented_stack) and not self._two_pass
+        sources: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for worker in workers:
+            dataset = worker._sampler.dataset
+            if id(dataset) not in sources:
+                features = dataset.features
+                if self._augmented:
+                    features = model.augment_features(features)
+                sources[id(dataset)] = (features, dataset.labels)
+        self._sources = [sources[id(w._sampler.dataset)] for w in workers]
+        self._shared = len(sources) == 1
+        features, labels = self._sources[0]
+        batch_size = workers[0]._sampler.batch_size
+        worker_bytes = batch_size * (features[:1].nbytes + labels[:1].nbytes)
+        self._chunk = int(np.clip(_GATHER_BYTES // max(worker_bytes, 1), 1, len(workers)))
+        self._features_buf = np.empty(
+            (self._chunk, batch_size) + features.shape[1:], dtype=features.dtype
+        )
+        self._labels_buf = np.empty(
+            (self._chunk, batch_size) + labels.shape[1:], dtype=labels.dtype
+        )
+        self._g_max = np.array(
+            [np.inf if w._g_max is None else w._g_max for w in workers]
+        )
+
+    def run(
+        self,
+        parameters: Vector,
+        rows: np.ndarray,
+        losses: np.ndarray,
+        clean: Matrix,
+        positions: Sequence[int] | None = None,
+        timer=NULL_TIMER,
+    ) -> int:
+        """One round's batch losses and clipped gradients for some workers.
+
+        ``rows`` is a ``(k, b)`` index array: row ``j`` holds the batch
+        drawn by the worker at position ``positions[j]`` of this pass
+        (by every worker in order when ``positions`` is ``None``).
+        Writes that worker's batch loss at ``parameters`` into
+        ``losses[j]`` and its clipped gradient into ``clean[j]``, in
+        arrays of ``k`` rows the caller supplies, and returns how many
+        rows the clip rescaled.  ``timer`` laps the gathers as
+        ``round.sample`` and the pass and the clip as ``round.cohort``.
+        """
+        if self._features_buf is None:
+            self._build()
+        model = self._model
+        sources = self._sources
+        count = len(rows)
+        for start in range(0, count, self._chunk):
+            stop = min(start + self._chunk, count)
+            features = self._features_buf[: stop - start]
+            labels = self._labels_buf[: stop - start]
+            # ``mode='clip'`` is exact for the always-in-range sampler
+            # indices and selects take's unbuffered fast path (the
+            # default ``mode='raise'`` with ``out=`` is ~3x slower).
+            if self._shared:
+                source_features, source_labels = sources[0]
+                chunk_rows = rows[start:stop]
+                np.take(source_features, chunk_rows, axis=0, out=features, mode="clip")
+                np.take(source_labels, chunk_rows, axis=0, out=labels, mode="clip")
+            else:
+                for row in range(start, stop):
+                    source_features, source_labels = sources[
+                        row if positions is None else positions[row]
+                    ]
+                    np.take(
+                        source_features, rows[row], axis=0,
+                        out=features[row - start], mode="clip",
+                    )
+                    np.take(
+                        source_labels, rows[row], axis=0,
+                        out=labels[row - start], mode="clip",
+                    )
+            timer.lap("round.sample")
+            if self._two_pass:
+                losses[start:stop] = model.loss_stack(parameters, features, labels)
+                clean[start:stop] = model.gradient_stack(parameters, features, labels)
+            elif self._augmented:
+                losses[start:stop], clean[start:stop] = model.loss_and_gradient_stack(
+                    parameters, features, labels, augmented=True
+                )
+            else:
+                losses[start:stop], clean[start:stop] = model.loss_and_gradient_stack(
+                    parameters, features, labels
+                )
+            timer.lap("round.cohort")
+        g_max = self._g_max if positions is None else self._g_max[positions]
+        norms = np.sqrt(np.einsum("wd,wd->w", clean, clean))
+        exceeds = norms > g_max  # all-zero rows have norm 0 <= g_max
+        clipped = 0
+        if exceeds.any():
+            clean[exceeds] *= (g_max[exceeds] / norms[exceeds])[:, None]
+            clipped = int(np.count_nonzero(exceeds))
+        timer.lap("round.cohort")
+        return clipped
+
+
+def _cohort_pass(workers: list[HonestWorker]):
+    """The pass serving ``workers`` and their positions in it: the pass
+    their owner built, or a new one over exactly these workers."""
+    slots = [worker._cohort_slot for worker in workers]
+    owner = slots[0] and slots[0][0]
+    if owner is not None and all(slot and slot[0] is owner for slot in slots):
+        return owner, [slot[1] for slot in slots]
+    return CohortPass(workers), None
+
+
 def compute_cohort(
     workers: Sequence[HonestWorker], parameters: Vector, step: int
 ) -> tuple[Matrix, Matrix, np.ndarray]:
@@ -225,32 +432,39 @@ def compute_cohort(
     Returns ``(submitted, clean, losses)``: the ``(W, d)`` matrices —
     the same rows that ``[w.compute(parameters, step) for w in workers]``
     would produce — and each worker's batch loss at ``parameters``, the
-    paper's training-loss sample (Section 5.1).  The per-step pipeline
-    is vectorized across workers: one stacked forward/backward pass
-    (:meth:`Model.loss_and_gradient_stack`) yields the gradients and
-    the losses together, then one batched clip and one batched momentum
-    update.  Batch sampling and DP noise remain sequential per worker
-    so every private RNG stream is consumed in the same order as the
-    per-worker path.
+    paper's training-loss sample (Section 5.1).  Every array is new:
+    results of earlier rounds stay as they were.
 
-    Numerically the fast path is equivalent to the per-worker path but
-    not bit-identical: the stacked contractions reduce in a different
-    order than per-worker BLAS calls, so results agree only to rounding
-    (~1 ulp per step).  Which path runs is a pure function of the
-    cohort's configuration (same models, clip modes, and batch shapes
-    → fast path), so any fixed experiment configuration is internally
-    deterministic — which is what the golden-trace harness pins down.
+    The batch-clip pipeline draws each worker's batch indices in worker
+    order (:meth:`BatchSampler.sample_index_block`), records them as the
+    worker's ``last_batch``, and runs the workers' :class:`CohortPass`
+    — gather, one stacked forward/backward pass yielding the gradients
+    and the losses together, one batched clip.  DP noise then follows
+    per worker in worker order, so every private RNG stream is consumed
+    as on the per-worker path, and each worker's momentum buffers take
+    the round's rows.
 
-    Falls back to the per-worker pipeline when the cohort is
-    heterogeneous (different models, clip modes, or batch shapes) or
-    when any worker subclass overrides :meth:`HonestWorker.compute` /
-    ``_finish`` (custom per-worker behaviour always wins over the fast
-    path) — correctness never depends on the fast path.  The fallbacks
-    and per-example clipping score the sampled batches separately (one
-    ``loss_stack`` over equal shapes, else per batch); a worker that
-    sampled no batch adds no loss.  This function lives in the worker
-    module on purpose: it is the stacked twin of the per-worker
-    pipeline and shares its internals.
+    Numerically the stacked path is equivalent to the per-worker path
+    but not bit-identical: the stacked contractions reduce in a
+    different order than per-worker BLAS calls, so results agree only to
+    rounding (~1 ulp per step).  Which path runs is a pure function of
+    the cohort's configuration, so any fixed experiment configuration is
+    internally deterministic — which is what the golden-trace harness
+    pins down.
+
+    Falls back when the pass cannot serve the workers, sampling each
+    batch through :meth:`BatchSampler.sample`: per-example clipping on
+    a uniform cohort runs one stacked per-example clip; heterogeneous
+    cohorts (different models, clip modes, batch sizes or dataset
+    shapes) and samplers that override ``sample``/``sample_indices`` run
+    the per-worker pipeline.  Worker subclasses that override
+    :meth:`HonestWorker.compute` / ``_finish`` always run their own
+    pipeline — correctness never depends on the fast path.  The
+    fallbacks score the sampled batches separately (one ``loss_stack``
+    over equal shapes, else per batch); a worker that sampled no batch
+    adds no loss.  This function lives in the worker module on purpose:
+    it is the stacked twin of the per-worker pipeline and shares its
+    internals.
     """
     workers = list(workers)
     if not workers:
@@ -267,39 +481,38 @@ def compute_cohort(
             _score_batches(workers, parameters),
         )
     del step  # the stock pipeline is step-independent
-    # Sampling stays sequential per worker (private RNG streams), and the
-    # sampled batches are cached on the workers (``last_batch``).
-    batches = []
-    for worker in workers:
-        features, labels = worker._sampler.sample()
-        worker._last_batch = (features, labels)
-        batches.append((np.asarray(features), np.asarray(labels)))
-
-    model = workers[0]._model
-    clip_mode = workers[0]._clip_mode
-    uniform = (
-        all(w._model is model for w in workers)
-        and all(w._clip_mode == clip_mode for w in workers)
-        and len({(f.shape, l.shape) for f, l in batches}) == 1
-        and (
-            clip_mode == "batch"
-            or all(w._g_max is not None for w in workers)
+    cohort, positions = _cohort_pass(workers)
+    if cohort.reason is None:
+        rows = np.concatenate(
+            [worker._sampler.sample_index_block(1) for worker in workers]
         )
-    )
-    if not uniform:
-        submissions = [
-            worker._finish(parameters, *batch)
-            for worker, batch in zip(workers, batches)
-        ]
-        return (
-            np.stack([s.submitted for s in submissions]),
-            np.stack([s.clean for s in submissions]),
-            _score_batches(workers, parameters),
-        )
-
-    features_stack = np.stack([features for features, _ in batches])
-    labels_stack = np.stack([labels for _, labels in batches])
-    if clip_mode == "per_example":
+        for worker, worker_rows in zip(workers, rows):
+            worker._last_batch = (worker._sampler.dataset, worker_rows)
+        losses = np.empty(len(workers))
+        clean = np.empty((len(workers), len(parameters)))
+        cohort.run(parameters, rows, losses, clean, positions)
+    else:
+        batches = []
+        for worker in workers:
+            features, labels = worker._sampler.sample()
+            worker._last_batch = (features, labels)
+            batches.append((np.asarray(features), np.asarray(labels)))
+        model = workers[0]._model
+        if not (
+            all(w._model is model for w in workers)
+            and all(w._clip_mode == "per_example" for w in workers)
+            and len({(f.shape, l.shape) for f, l in batches}) == 1
+            and all(w._g_max is not None for w in workers)
+        ):
+            submissions = [
+                worker._finish(parameters, *batch)
+                for worker, batch in zip(workers, batches)
+            ]
+            return (
+                np.stack([s.submitted for s in submissions]),
+                np.stack([s.clean for s in submissions]),
+                _score_batches(workers, parameters),
+            )
         # Per-example gradients still come from the model's per-worker
         # API, but the clip itself is one batched rescale.
         per_example = np.stack(
@@ -313,23 +526,14 @@ def compute_cohort(
         g_max = np.array([w._g_max for w in workers])
         scales = np.minimum(1.0, g_max[:, None] / safe_norms)
         clean = (per_example * scales[:, :, None]).mean(axis=1)
-        losses = model.loss_stack(parameters, features_stack, labels_stack)
-    else:
-        if model._single_pass_conflict() is None:
-            losses, gradients = model.loss_and_gradient_stack(
-                parameters, features_stack, labels_stack
-            )
-        else:
-            losses = model.loss_stack(parameters, features_stack, labels_stack)
-            gradients = model.gradient_stack(parameters, features_stack, labels_stack)
-        clean = np.array(gradients, dtype=np.float64)
-        g_max = np.array(
-            [np.inf if w._g_max is None else w._g_max for w in workers]
+        losses = np.asarray(
+            model.loss_stack(
+                parameters,
+                np.stack([features for features, _ in batches]),
+                np.stack([labels for _, labels in batches]),
+            ),
+            dtype=np.float64,
         )
-        norms = np.sqrt(np.einsum("wd,wd->w", clean, clean))
-        exceeds = norms > g_max  # all-zero rows have norm 0 <= g_max
-        if exceeds.any():
-            clean[exceeds] *= (g_max[exceeds] / norms[exceeds])[:, None]
 
     # DP noise per worker: each stream is private, so the draws stay
     # sequential, but each is already vectorized over the dimension.
@@ -363,4 +567,4 @@ def compute_cohort(
             worker._velocity_clean += clean[index]
             submitted[index] = worker._velocity_submitted
             clean[index] = worker._velocity_clean
-    return submitted, clean, np.asarray(losses, dtype=np.float64)
+    return submitted, clean, losses

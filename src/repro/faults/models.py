@@ -11,12 +11,11 @@ rate changes of *other* kinds.
 
 from __future__ import annotations
 
-from numbers import Integral, Real
-
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.faults.plan import FaultEvent, FaultPlan
+from repro.typing import is_finite_number, is_integer
 
 __all__ = ["FAULT_MODEL_NAMES", "build_fault_plan", "sample_fault_plan"]
 
@@ -25,7 +24,7 @@ FAULT_MODEL_NAMES = ("schedule", "random")
 
 
 def _is_count(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
+    return is_integer(value) and value >= 1
 
 
 def sample_fault_plan(
@@ -61,7 +60,7 @@ def sample_fault_plan(
         ("corrupt_rate", corrupt_rate),
         ("slow_rate", slow_rate),
     ):
-        if isinstance(rate, bool) or not isinstance(rate, Real) or not 0 <= rate <= 1:
+        if not is_finite_number(rate) or not 0 <= rate <= 1:
             raise ConfigurationError(f"{name} must be in [0, 1], got {rate!r}")
     if not _is_count(num_shards):
         raise ConfigurationError(

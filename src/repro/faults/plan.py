@@ -42,11 +42,10 @@ cluster executes is round 1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 from repro.exceptions import ConfigurationError
+from repro.typing import is_finite_number, is_integer
 
 __all__ = [
     "FAULT_KINDS",
@@ -112,13 +111,11 @@ class FaultEvent:
             value = getattr(self, name)
             if name != "round" and value is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, Integral):
+            if not is_integer(value):
                 raise ConfigurationError(
                     f"fault event field {name!r} must be an integer, got {value!r}"
                 )
-        if isinstance(self.factor, bool) or not (
-            isinstance(self.factor, Real) and math.isfinite(self.factor)
-        ):
+        if not is_finite_number(self.factor):
             raise ConfigurationError(
                 "fault event field 'factor' must be a finite number, "
                 f"got {self.factor!r}"
@@ -211,7 +208,7 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         num_shards = self.num_shards
-        if isinstance(num_shards, bool) or not isinstance(num_shards, Integral):
+        if not is_integer(num_shards):
             raise ConfigurationError(
                 f"fault plan field 'num_shards' must be an integer, got {num_shards!r}"
             )

@@ -9,9 +9,10 @@ hard-codes — to an event-driven execution with a virtual clock:
    :class:`~repro.simulation.events.WorkerWake` per participant enters
    the heap at the broadcast instant;
 2. wakes that share a timestamp and round are processed as one cohort
-   through :func:`repro.distributed.worker.compute_cohort` (the same
-   vectorized pipeline the synchronous cluster uses), after which the
-   colluding adversary crafts its Byzantine gradient exactly as in
+   through :func:`repro.distributed.worker.compute_cohort`, served by
+   the simulator's :class:`~repro.distributed.worker.CohortPass` (the
+   same vectorized pipeline the synchronous cluster uses), after which
+   the colluding adversary crafts its Byzantine gradient exactly as in
    ``Cluster.step``;
 3. each message is assigned a latency drawn from a stream seeded on
    ``(round, worker)`` and becomes a
@@ -41,7 +42,7 @@ import numpy as np
 from repro.attacks.base import ByzantineAttack
 from repro.distributed.cluster import RoundCore, StepResult
 from repro.distributed.server import ParameterServer
-from repro.distributed.worker import HonestWorker, _score_batches
+from repro.distributed.worker import CohortPass, HonestWorker, _score_batches
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.faults.plan import ResolvedFaultPlan
 from repro.rng import SeedTree
@@ -156,6 +157,7 @@ class ClusterSimulator(RoundCore):
                 "run); use full participation"
             )
         self._honest_workers = honest_workers
+        self._cohort_pass = CohortPass(honest_workers)
         self._policy = policy if policy is not None else SyncPolicy()
         self._latency = latency if latency is not None else ConstantLatency(0.0)
         self._participation = (

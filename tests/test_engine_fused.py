@@ -666,17 +666,17 @@ class TestChunkedCohortPass:
     @pytest.mark.parametrize("distribution", ["shared", "iid-shards"])
     @pytest.mark.parametrize("split", sorted(SPLITS))
     def test_chunked_equals_default_chunk(self, monkeypatch, split, distribution):
-        import repro.distributed.engine as engine_module
+        import repro.distributed.worker as worker_module
 
         whole = self._run(distribution)
-        assert whole[0].engine._features_buf.shape[0] == 7
+        assert whole[0]._cohort_pass._features_buf.shape[0] == 7
         _, train = _environment()
         budget, chunk = self.SPLITS[split]
         monkeypatch.setattr(
-            engine_module, "_GATHER_BYTES", budget(_worker_batch_bytes(train, 10))
+            worker_module, "_GATHER_BYTES", budget(_worker_batch_bytes(train, 10))
         )
         chunked = self._run(distribution)
-        assert chunked[0].engine._features_buf.shape[0] == chunk
+        assert chunked[0]._cohort_pass._features_buf.shape[0] == chunk
         self._assert_identical(chunked, whole)
 
     @pytest.mark.parametrize("distribution", ["shared", "iid-shards"])
@@ -684,7 +684,7 @@ class TestChunkedCohortPass:
     def test_mid_block_divergence_identical(self, monkeypatch, split, distribution):
         """A run that diverges mid-block stops at the same round with
         the same state, the diverging round's batch included."""
-        import repro.distributed.engine as engine_module
+        import repro.distributed.worker as worker_module
         from repro.exceptions import AggregationError, TrainingError
         from repro.models.linear import LinearRegressionModel
 
@@ -706,7 +706,7 @@ class TestChunkedCohortPass:
         whole = diverge()
         budget, _ = self.SPLITS[split]
         monkeypatch.setattr(
-            engine_module, "_GATHER_BYTES", budget(_worker_batch_bytes(train, 10))
+            worker_module, "_GATHER_BYTES", budget(_worker_batch_bytes(train, 10))
         )
         chunked = diverge()
         (cluster_a, history_a, error_a), (cluster_b, history_b, error_b) = (
@@ -728,7 +728,7 @@ class TestChunkedCohortPass:
         """Krum + DP + top-k at d = 2000, where the default budget
         splits the 14 honest workers into chunks: the golden fixtures
         run at small d, where one chunk holds the whole cohort."""
-        import repro.distributed.engine as engine_module
+        import repro.distributed.worker as worker_module
 
         train = make_phishing_dataset(seed=0, num_points=200, num_features=1999)
         model = LogisticRegressionModel(1999)
@@ -741,7 +741,7 @@ class TestChunkedCohortPass:
         per_round = _experiment(model, train, **spec).run(callbacks=[_NoopCallback()])
         assert fused.history.losses.tobytes() == per_round.history.losses.tobytes()
         assert fused.final_parameters.tobytes() == per_round.final_parameters.tobytes()
-        held = fused_experiment.build_cluster().engine._features_buf.shape[0]
-        limit = max(1, engine_module._GATHER_BYTES // _worker_batch_bytes(train, 50))
+        held = fused_experiment.build_cluster()._cohort_pass._features_buf.shape[0]
+        limit = max(1, worker_module._GATHER_BYTES // _worker_batch_bytes(train, 50))
         assert held <= limit
         assert 1 < held < 14
