@@ -2,7 +2,6 @@
 
 from repro.distributed.cluster import Cluster, StepResult
 from repro.distributed.engine import RoundEngine
-from repro.distributed.messages import GradientMessage, WorkerSubmission
 from repro.distributed.network import LossyNetwork, PerfectNetwork
 from repro.distributed.runtime import MultiprocessCluster, WirePlane, WorkerShardSpec
 from repro.distributed.server import ParameterServer
@@ -11,7 +10,6 @@ from repro.distributed.worker import HonestWorker, compute_cohort
 
 __all__ = [
     "Cluster",
-    "GradientMessage",
     "HonestWorker",
     "LossyNetwork",
     "MultiprocessCluster",
@@ -23,7 +21,6 @@ __all__ = [
     "TrainingResult",
     "WirePlane",
     "WorkerShardSpec",
-    "WorkerSubmission",
     "build_mechanism",
     "compute_cohort",
     "train",

@@ -23,8 +23,8 @@ rounds that remove that overhead without changing a single output bit:
   :class:`~repro.distributed.worker.CohortPass` that per-round
   ``Cluster.step`` uses on the round's pre-drawn rows: chunked gathers
   into reused buffers, one forward/backward pass per chunk, one batched
-  clip.  Workers' ``last_batch`` is set to the last round's rows when
-  the run ends;
+  clip (or the pass's per-example clip).  Workers' ``last_batch`` is
+  set to the last round's rows when the run ends;
 * **in-place server updates** — the optimizer writes the parameter
   buffer through :meth:`repro.optim.sgd.SGDOptimizer.step`'s ``out=``
   path, and the loop reads :attr:`ParameterServer.parameters_view`
@@ -35,20 +35,23 @@ rounds that remove that overhead without changing a single output bit:
 Every elementary float operation happens in the same order as the
 per-round path, so fused execution is *bit-identical* to
 ``Cluster.step`` — the golden-trace suite replays the committed traces
-through the engine unmodified.  Configurations the fused pipeline does
-not cover (per-example clipping, custom worker/sampler/mechanism
-subclasses, heterogeneous cohorts) simply report
+through the engine unmodified.  Every cohort a ``Cluster`` accepts runs
+the one cohort pass, so what the engine may refuse is only what it
+replaces beyond the pass: a fault plan, mechanisms whose block draw or
+``privatize`` it would bypass, shared RNG streams, and overridden
+cluster, server or optimizer steps.  Those report
 ``supports_fused == False`` and the caller steps per round; correctness
 never depends on the fast path.
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.distributed.cluster import Cluster, StepResult
 from repro.distributed.server import ParameterServer
-from repro.distributed.worker import HonestWorker
 from repro.exceptions import ConfigurationError
 from repro.metrics.history import TrainingHistory
 from repro.optim.sgd import SGDOptimizer
@@ -97,6 +100,10 @@ class RoundEngine:
         self._num_byzantine = cluster._num_byzantine
         self._codec = cluster._codec
         self._reason = self._probe()
+        # The cluster caches this engine, so a strong back-reference
+        # would make the pair a cycle that only a full collection frees.
+        # Taken after the probe: a proxy's type() is not the cluster's.
+        self._cluster = weakref.proxy(cluster)
         self._buffers_ready = False
 
     # ------------------------------------------------------------------
@@ -111,9 +118,6 @@ class RoundEngine:
             return "a fault plan is active (faults apply per round)"
         workers = self._workers
         for worker in workers:
-            cls = type(worker)
-            if cls.compute is not HonestWorker.compute or cls._finish is not HonestWorker._finish:
-                return f"worker subclass {cls.__name__} overrides the pipeline"
             mechanism = worker._mechanism
             if mechanism is not None:
                 if not isinstance(mechanism, NoiseMechanism) or (
@@ -123,11 +127,6 @@ class RoundEngine:
                 reason = self._probe_mechanism(mechanism)
                 if reason is not None:
                     return reason
-        # Stock samplers, batch clipping and one model, batch size and
-        # dataset shape: what the cluster's cohort pass needs.
-        reason = self._cluster._cohort_pass.reason
-        if reason is not None:
-            return reason
         # The blockwise pre-draw consumes each stream in one run, which
         # only reproduces the per-round interleaving when every consumed
         # stream is private.  A bit generator shared between any two
@@ -147,9 +146,6 @@ class RoundEngine:
             return "workers share RNG streams"
         if type(self._cluster).step is not Cluster.step:
             return f"cluster {type(self._cluster).__name__} overrides step"
-        reason = workers[0]._model._single_pass_conflict()
-        if reason is not None:
-            return reason
         # The in-place update path goes through ParameterServer.step's
         # in_place= branch and SGDOptimizer.step's out= branch; a
         # subclass overriding either would be bypassed (or silently

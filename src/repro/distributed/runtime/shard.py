@@ -3,11 +3,12 @@
 A *shard* is one OS process owning a contiguous slice of the honest
 cohort (one worker per process in the default process-per-worker
 layout).  Each round it copies the parameters from the wire plane, runs
-the exact in-process cohort pipeline (:func:`compute_cohort` — batch
+the one in-process worker pipeline (:func:`compute_cohort` — batch
 sampling, then the shard's :class:`CohortPass`: gather, stacked
-gradient, clip; then DP noise and momentum) on its own workers, whose
-one forward pass also scores their sampled batches at the pre-update
-parameters, and writes its rows of the wire/clean/loss arrays.
+gradient, batch or per-example clip; then DP noise and momentum) on its
+own workers, whose one forward pass also scores their sampled batches
+at the pre-update parameters, and writes its rows of the
+wire/clean/loss arrays.
 
 Bit-identity with the in-process engine rests on two facts:
 
@@ -162,7 +163,8 @@ class WorkerShardSpec:
         """Reconstruct this shard's workers with their exact seed streams.
 
         The workers come with the shard's one :class:`CohortPass`, which
-        :func:`compute_cohort` finds through them.
+        :func:`compute_cohort` finds through them; a slice the pass
+        cannot serve raises :class:`ConfigurationError` here.
         """
         seeds = SeedTree(self.root_seed)
         workers = [

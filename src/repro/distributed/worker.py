@@ -20,13 +20,15 @@ An honest worker's per-step pipeline (Sections 2.3 and 5.1):
 Byzantine workers are driven by the cluster: the colluding attack
 crafts one vector per step and every Byzantine worker submits it.
 
-A whole honest cohort runs a round through :func:`compute_cohort`:
-each worker draws its batch indices in worker order, one
-:class:`CohortPass` gathers the batches and computes steps 2–3 for all
-of them as stacked matrix operations, and steps 4–5 follow per worker.
-Every backend's cohort owner (the in-process cluster and its fused
-engine, each multiprocess shard, the discrete-event simulator) builds
-one pass over its workers, so the gather and the clip exist once.
+The pipeline has one implementation, and it runs a whole honest cohort
+at once: :func:`compute_cohort` draws each worker's batch indices in
+worker order, one :class:`CohortPass` gathers the batches and computes
+steps 2–3 for all of them as stacked matrix operations (a batch clip or
+a per-example clip), and steps 4–5 follow per worker.  Every backend's
+cohort owner (the in-process cluster and its fused engine, each
+multiprocess shard, the discrete-event simulator) builds one pass over
+its workers; a cohort the pass cannot serve is refused when its owner
+is built.
 """
 
 from __future__ import annotations
@@ -37,10 +39,8 @@ import numpy as np
 
 from repro.data.batching import BatchSampler
 from repro.data.datasets import Dataset
-from repro.distributed.messages import WorkerSubmission
 from repro.exceptions import ConfigurationError
 from repro.models.base import Model
-from repro.privacy.clipping import clip_by_l2_norm, clip_per_example
 from repro.privacy.mechanisms import NoiseMechanism
 from repro.telemetry.timing import NULL_TIMER
 from repro.typing import Matrix, Vector
@@ -123,9 +123,9 @@ class HonestWorker:
         # so the omniscient attack's "clean" view stays meaningful.
         self._velocity_submitted: Vector | None = None
         self._velocity_clean: Vector | None = None
-        # The last sampled batch: a ``(features, labels)`` pair, or the
-        # ``(dataset, rows)`` it was gathered from, which ``last_batch``
-        # turns into the pair on first read.
+        # The last sampled batch: the ``(dataset, rows)`` it was gathered
+        # from, which ``last_batch`` turns into a ``(features, labels)``
+        # pair on first read.
         self._last_batch: tuple | None = None
         # ``(pass, position)`` once a CohortPass serves this worker.
         self._cohort_slot: tuple[CohortPass, int] | None = None
@@ -141,8 +141,7 @@ class HonestWorker:
 
         The discrete-event simulator scores it when an update lands —
         the paper's "average loss over the training datapoints sampled
-        by the honest workers" at the parameters that update replaces —
-        and so do the cohort paths without a stacked forward pass.
+        by the honest workers" at the parameters that update replaces.
         The cohort pass records only the dataset rows it gathered; the
         batch itself is indexed out on the first read.
         """
@@ -157,60 +156,6 @@ class HonestWorker:
         """Whether this worker injects DP noise."""
         return self._mechanism is not None
 
-    def compute(self, parameters: Vector, step: int) -> WorkerSubmission:
-        """Run the full per-step pipeline and return the submission."""
-        del step  # the pipeline is step-independent; kept for symmetry
-        features, labels = self._sampler.sample()
-        self._last_batch = (features, labels)
-        return self._finish(parameters, features, labels)
-
-    def _finish(
-        self, parameters: Vector, features: np.ndarray, labels: np.ndarray
-    ) -> WorkerSubmission:
-        """Gradient + clip + noise + momentum for an already-sampled batch.
-
-        Split out of :meth:`compute` so the cohort path
-        (:func:`compute_cohort`) can fall back here without consuming
-        the batch sampler's RNG stream twice.
-        """
-        if self._clip_mode == "per_example" and self._g_max is not None:
-            per_example = self._model.per_example_gradients(parameters, features, labels)
-            gradient = clip_per_example(per_example, self._g_max).mean(axis=0)
-        else:
-            gradient = self._model.gradient(parameters, features, labels)
-            if self._g_max is not None:
-                gradient = clip_by_l2_norm(gradient, self._g_max)
-
-        # The model hands back a fresh array (clipping at most rescales
-        # it), so owning it needs no copy — only a dtype guarantee.
-        clean = np.asarray(gradient, dtype=np.float64)
-        if self._mechanism is not None:
-            noisy = self._mechanism.privatize(clean, self._noise_rng)
-        else:
-            # No noise: the wire vector *is* the clean gradient.  Both
-            # submission fields share the one array; consumers stack or
-            # copy before mutating.
-            noisy = clean
-
-        if self._momentum > 0.0:
-            if self._velocity_submitted is None:
-                self._velocity_submitted = np.zeros_like(noisy)
-                self._velocity_clean = np.zeros_like(clean)
-            # In-place accumulation: v <- m*v, v <- v + g — the same
-            # elementwise operations as the allocating form, without the
-            # two fresh buffers and two copies per round.  The returned
-            # submission borrows the live buffers; they are stable until
-            # this worker's next compute.
-            self._velocity_submitted *= self._momentum
-            self._velocity_submitted += noisy
-            self._velocity_clean *= self._momentum
-            self._velocity_clean += clean
-            return WorkerSubmission(
-                submitted=self._velocity_submitted,
-                clean=self._velocity_clean,
-            )
-        return WorkerSubmission(submitted=noisy, clean=clean)
-
     def reset(self) -> None:
         """Clear momentum state and the cached batch."""
         self._velocity_submitted = None
@@ -218,127 +163,160 @@ class HonestWorker:
         self._last_batch = None
 
 
-def _score_batches(workers: Sequence[HonestWorker], parameters: Vector) -> np.ndarray:
-    """Each sampled batch's loss at ``parameters``, in worker order.
+def _clip_kind(worker: HonestWorker) -> str:
+    """How the pass clips ``worker``'s gradient: per example only with a
+    bound; without one either mode is an unclipped batch gradient."""
+    if worker._clip_mode == "per_example" and worker._g_max is not None:
+        return "per_example"
+    return "batch"
 
-    One :meth:`Model.loss_stack` call when every batch has the same
-    shape, per-batch :meth:`Model.loss` otherwise; a worker that
-    sampled no batch adds no loss.
-    """
-    scored = [worker for worker in workers if worker.last_batch is not None]
-    if not scored:
-        return np.zeros(0)
-    model = scored[0]._model
-    batches = [worker.last_batch for worker in scored]
-    shapes = {(np.shape(features), np.shape(labels)) for features, labels in batches}
-    if len(shapes) == 1:
-        losses = model.loss_stack(
-            parameters,
-            np.stack([features for features, _ in batches]),
-            np.stack([labels for _, labels in batches]),
+
+def _refusal(workers: list[HonestWorker]) -> str | None:
+    """Why one pass cannot serve ``workers``, or ``None`` when it can."""
+    for worker in workers:
+        sampler = worker._sampler
+        if not isinstance(sampler, BatchSampler) or (
+            type(sampler).sample is not BatchSampler.sample
+            or type(sampler).sample_indices is not BatchSampler.sample_indices
+        ):
+            return f"sampler {type(sampler).__name__} overrides sampling"
+
+    def dataset_shape(worker):
+        dataset = worker._sampler.dataset
+        return (
+            dataset.features.shape[1:],
+            dataset.labels.shape[1:],
+            dataset.features.dtype,
+            dataset.labels.dtype,
         )
-    else:
-        losses = [
-            model.loss(parameters, features, labels) for features, labels in batches
-        ]
-    return np.asarray(losses, dtype=np.float64)
+
+    for name, key in (
+        ("models", lambda worker: worker._model),
+        ("batch sizes", lambda worker: worker._sampler.batch_size),
+        ("dataset shapes", dataset_shape),
+        ("clip kinds", _clip_kind),
+    ):
+        first = key(workers[0])
+        if any(key(worker) != first for worker in workers):
+            return f"mixed {name}"
+    return None
 
 
 class CohortPass:
-    """The honest cohort's batch-clip pass: gather, differentiate, clip.
+    """The honest cohort's pass: gather, differentiate, clip.
 
     One pass serves any subset of one cohort's workers.  :meth:`run`
-    takes their batch rows (dataset indices), gathers them chunk by
-    chunk into reused ``(C, b, p)`` buffers — ``C`` workers per chunk,
-    set by the ``_GATHER_BYTES`` budget, so one chunk holds the cohort
-    at small d — runs one stacked forward/backward pass per chunk
-    (:meth:`Model.loss_and_gradient_stack`) and clips every row to its
-    worker's ``G_max`` in one batch.  The gather reads one source per
-    distinct dataset: the model's :meth:`~Model.augment_features` when
-    it supports pre-augmented stacks (the bias column is appended once,
-    not every round), the raw features otherwise.  A stacked pass
-    computes each worker's loss and row from that worker's batch alone,
-    so neither the chunking nor the subset changes a bit of them.
+    takes their batch rows (dataset indices) and gathers them into
+    reused ``(C, b, p)`` buffers.  A batch-clip cohort is gathered chunk
+    by chunk — ``C`` workers per chunk, set by the ``_GATHER_BYTES``
+    budget, so one chunk holds the cohort at small d — with one stacked
+    forward/backward pass per chunk (:meth:`Model.loss_and_gradient_stack`)
+    and one batched clip of every row to its worker's ``G_max``.  The
+    gather reads one source per distinct dataset: the model's
+    :meth:`~Model.augment_features` when it supports pre-augmented
+    stacks (the bias column is appended once, not every round), the raw
+    features otherwise.  A stacked pass computes each worker's loss and
+    row from that worker's batch alone, so neither the chunking nor the
+    subset changes a bit of them.
+
+    A per-example cohort (``clip_mode="per_example"`` with a bound) is
+    gathered whole from the raw features: each worker's
+    :meth:`Model.per_example_gradients`, one rescale of the whole
+    ``(k, b, d)`` stack, the mean over each batch, then one
+    :meth:`Model.loss_stack`.  The rescale is not chunked: at large d an
+    ``einsum`` row's bits can depend on how many rows its call holds.
 
     Each cohort owner builds one pass over its workers: the
     :class:`~repro.distributed.cluster.Cluster` (whose fused engine runs
     the same pass on its pre-drawn blocks), each multiprocess shard and
-    the discrete-event simulator.  The pass attaches itself to its
-    workers, which is how :func:`compute_cohort` finds it.  Sources and
-    buffers are built on the first :meth:`run`, not here.
+    the discrete-event simulator.  The pass refuses workers that differ
+    in model, batch size, dataset shape or clip kind, and samplers that
+    override sampling, with a :class:`ConfigurationError`.  It attaches
+    itself to its workers, which is how :func:`compute_cohort` finds it,
+    and keeps only what it reads from them, so it holds no worker.
+    Sources and buffers are built on the first :meth:`run`, not here.
     """
 
     def __init__(self, workers: Sequence[HonestWorker]):
-        self._workers = list(workers)
-        if not self._workers:
+        workers = list(workers)
+        if not workers:
             raise ConfigurationError("a cohort pass needs at least one worker")
-        for position, worker in enumerate(self._workers):
+        reason = _refusal(workers)
+        if reason is not None:
+            raise ConfigurationError(f"no cohort pass for these workers: {reason}")
+        self._model = workers[0]._model
+        self._batch_size = workers[0]._sampler.batch_size
+        self._per_example = _clip_kind(workers[0]) == "per_example"
+        self._datasets = [worker._sampler.dataset for worker in workers]
+        self._g_max = np.array(
+            [np.inf if w._g_max is None else w._g_max for w in workers]
+        )
+        for position, worker in enumerate(workers):
             worker._cohort_slot = (self, position)
-        #: Why this pass cannot serve its workers, or ``None`` when it can.
-        self.reason = self._probe()
         self._features_buf = None
 
-    def _probe(self) -> str | None:
-        def layout(worker):
-            dataset = worker._sampler.dataset
-            return (
-                worker._model,
-                worker._sampler.batch_size,
-                dataset.features.shape[1:],
-                dataset.labels.shape[1:],
-                dataset.features.dtype,
-                dataset.labels.dtype,
-            )
-
-        for worker in self._workers:
-            sampler = worker._sampler
-            if not isinstance(sampler, BatchSampler) or (
-                type(sampler).sample is not BatchSampler.sample
-                or type(sampler).sample_indices is not BatchSampler.sample_indices
-            ):
-                return f"sampler {type(sampler).__name__} overrides sampling"
-            if worker._clip_mode != "batch":
-                return "per-example clipping is not a batch clip"
-        first = layout(self._workers[0])
-        if any(layout(worker) != first for worker in self._workers):
-            return "heterogeneous cohort: models, batch sizes or dataset shapes differ"
-        return None
-
     def _build(self) -> None:
-        """The gather sources, the chunk buffers and the clip bounds."""
-        if self.reason is not None:
-            raise ConfigurationError(
-                f"no cohort pass for these workers: {self.reason}"
-            )
-        workers = self._workers
-        model = self._model = workers[0]._model
+        """The gather sources and the chunk buffers."""
+        model = self._model
         # A model that overrides the two-pass methods while inheriting a
         # single pass keeps its own formulas: run the two methods.
         self._two_pass = model._single_pass_conflict() is not None
-        self._augmented = bool(model.supports_augmented_stack) and not self._two_pass
+        self._augmented = (
+            bool(model.supports_augmented_stack)
+            and not self._two_pass
+            and not self._per_example
+        )
         sources: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for worker in workers:
-            dataset = worker._sampler.dataset
+        for dataset in self._datasets:
             if id(dataset) not in sources:
                 features = dataset.features
                 if self._augmented:
                     features = model.augment_features(features)
                 sources[id(dataset)] = (features, dataset.labels)
-        self._sources = [sources[id(w._sampler.dataset)] for w in workers]
+        self._sources = [sources[id(dataset)] for dataset in self._datasets]
         self._shared = len(sources) == 1
         features, labels = self._sources[0]
-        batch_size = workers[0]._sampler.batch_size
-        worker_bytes = batch_size * (features[:1].nbytes + labels[:1].nbytes)
-        self._chunk = int(np.clip(_GATHER_BYTES // max(worker_bytes, 1), 1, len(workers)))
+        count = len(self._sources)
+        worker_bytes = self._batch_size * (features[:1].nbytes + labels[:1].nbytes)
+        self._chunk = (
+            count
+            if self._per_example
+            else int(np.clip(_GATHER_BYTES // max(worker_bytes, 1), 1, count))
+        )
         self._features_buf = np.empty(
-            (self._chunk, batch_size) + features.shape[1:], dtype=features.dtype
+            (self._chunk, self._batch_size) + features.shape[1:], dtype=features.dtype
         )
         self._labels_buf = np.empty(
-            (self._chunk, batch_size) + labels.shape[1:], dtype=labels.dtype
+            (self._chunk, self._batch_size) + labels.shape[1:], dtype=labels.dtype
         )
-        self._g_max = np.array(
-            [np.inf if w._g_max is None else w._g_max for w in workers]
-        )
+
+    def _gather(self, rows, start: int, stop: int, positions):
+        """Rows ``start:stop``'s batches, in the front of the buffers."""
+        features = self._features_buf[: stop - start]
+        labels = self._labels_buf[: stop - start]
+        sources = self._sources
+        # ``mode='clip'`` is exact for the always-in-range sampler
+        # indices and selects take's unbuffered fast path (the default
+        # ``mode='raise'`` with ``out=`` is ~3x slower).
+        if self._shared:
+            source_features, source_labels = sources[0]
+            chunk_rows = rows[start:stop]
+            np.take(source_features, chunk_rows, axis=0, out=features, mode="clip")
+            np.take(source_labels, chunk_rows, axis=0, out=labels, mode="clip")
+        else:
+            for row in range(start, stop):
+                source_features, source_labels = sources[
+                    row if positions is None else positions[row]
+                ]
+                np.take(
+                    source_features, rows[row], axis=0,
+                    out=features[row - start], mode="clip",
+                )
+                np.take(
+                    source_labels, rows[row], axis=0,
+                    out=labels[row - start], mode="clip",
+                )
+        return features, labels
 
     def run(
         self,
@@ -357,39 +335,34 @@ class CohortPass:
         Writes that worker's batch loss at ``parameters`` into
         ``losses[j]`` and its clipped gradient into ``clean[j]``, in
         arrays of ``k`` rows the caller supplies, and returns how many
-        rows the clip rescaled.  ``timer`` laps the gathers as
+        rows the clip rescaled (under a per-example clip, the rows with
+        at least one rescaled example).  ``timer`` laps the gathers as
         ``round.sample`` and the pass and the clip as ``round.cohort``.
         """
         if self._features_buf is None:
             self._build()
         model = self._model
-        sources = self._sources
         count = len(rows)
+        g_max = self._g_max if positions is None else self._g_max[positions]
+        if self._per_example:
+            features, labels = self._gather(rows, 0, count, positions)
+            timer.lap("round.sample")
+            per_example = np.stack(
+                [
+                    model.per_example_gradients(parameters, batch, batch_labels)
+                    for batch, batch_labels in zip(features, labels)
+                ]
+            )  # (k, b, d)
+            norms = np.sqrt(np.einsum("wbd,wbd->wb", per_example, per_example))
+            safe_norms = np.where(norms > 0.0, norms, 1.0)
+            scales = np.minimum(1.0, g_max[:, None] / safe_norms)
+            clean[:] = (per_example * scales[:, :, None]).mean(axis=1)
+            losses[:] = model.loss_stack(parameters, features, labels)
+            timer.lap("round.cohort")
+            return int(np.count_nonzero((norms > g_max[:, None]).any(axis=1)))
         for start in range(0, count, self._chunk):
             stop = min(start + self._chunk, count)
-            features = self._features_buf[: stop - start]
-            labels = self._labels_buf[: stop - start]
-            # ``mode='clip'`` is exact for the always-in-range sampler
-            # indices and selects take's unbuffered fast path (the
-            # default ``mode='raise'`` with ``out=`` is ~3x slower).
-            if self._shared:
-                source_features, source_labels = sources[0]
-                chunk_rows = rows[start:stop]
-                np.take(source_features, chunk_rows, axis=0, out=features, mode="clip")
-                np.take(source_labels, chunk_rows, axis=0, out=labels, mode="clip")
-            else:
-                for row in range(start, stop):
-                    source_features, source_labels = sources[
-                        row if positions is None else positions[row]
-                    ]
-                    np.take(
-                        source_features, rows[row], axis=0,
-                        out=features[row - start], mode="clip",
-                    )
-                    np.take(
-                        source_labels, rows[row], axis=0,
-                        out=labels[row - start], mode="clip",
-                    )
+            features, labels = self._gather(rows, start, stop, positions)
             timer.lap("round.sample")
             if self._two_pass:
                 losses[start:stop] = model.loss_stack(parameters, features, labels)
@@ -403,7 +376,6 @@ class CohortPass:
                     parameters, features, labels
                 )
             timer.lap("round.cohort")
-        g_max = self._g_max if positions is None else self._g_max[positions]
         norms = np.sqrt(np.einsum("wd,wd->w", clean, clean))
         exceeds = norms > g_max  # all-zero rows have norm 0 <= g_max
         clipped = 0
@@ -429,111 +401,35 @@ def compute_cohort(
 ) -> tuple[Matrix, Matrix, np.ndarray]:
     """Run one round of the whole honest cohort as stacked matrix ops.
 
-    Returns ``(submitted, clean, losses)``: the ``(W, d)`` matrices —
-    the same rows that ``[w.compute(parameters, step) for w in workers]``
-    would produce — and each worker's batch loss at ``parameters``, the
-    paper's training-loss sample (Section 5.1).  Every array is new:
-    results of earlier rounds stay as they were.
+    Returns ``(submitted, clean, losses)``: the ``(W, d)`` matrices of
+    each worker's wire vector and clipped, noise-free gradient (both
+    momentum vectors when the worker keeps momentum), and each worker's
+    batch loss at ``parameters``, the paper's training-loss sample
+    (Section 5.1).  Every array is new: results of earlier rounds stay
+    as they were.
 
-    The batch-clip pipeline draws each worker's batch indices in worker
-    order (:meth:`BatchSampler.sample_index_block`), records them as the
-    worker's ``last_batch``, and runs the workers' :class:`CohortPass`
-    — gather, one stacked forward/backward pass yielding the gradients
-    and the losses together, one batched clip.  DP noise then follows
-    per worker in worker order, so every private RNG stream is consumed
-    as on the per-worker path, and each worker's momentum buffers take
-    the round's rows.
-
-    Numerically the stacked path is equivalent to the per-worker path
-    but not bit-identical: the stacked contractions reduce in a
-    different order than per-worker BLAS calls, so results agree only to
-    rounding (~1 ulp per step).  Which path runs is a pure function of
-    the cohort's configuration, so any fixed experiment configuration is
-    internally deterministic — which is what the golden-trace harness
-    pins down.
-
-    Falls back when the pass cannot serve the workers, sampling each
-    batch through :meth:`BatchSampler.sample`: per-example clipping on
-    a uniform cohort runs one stacked per-example clip; heterogeneous
-    cohorts (different models, clip modes, batch sizes or dataset
-    shapes) and samplers that override ``sample``/``sample_indices`` run
-    the per-worker pipeline.  Worker subclasses that override
-    :meth:`HonestWorker.compute` / ``_finish`` always run their own
-    pipeline — correctness never depends on the fast path.  The
-    fallbacks score the sampled batches separately (one ``loss_stack``
-    over equal shapes, else per batch); a worker that sampled no batch
-    adds no loss.  This function lives in the worker module on purpose:
-    it is the stacked twin of the per-worker pipeline and shares its
-    internals.
+    Each worker draws its batch indices in worker order
+    (:meth:`BatchSampler.sample_index_block`) and records them as its
+    ``last_batch``; the workers' :class:`CohortPass` gathers,
+    differentiates and clips every batch (built here over exactly these
+    workers when no owner built one, and refused like an owner's).  DP
+    noise then follows per worker in worker order, so every private RNG
+    stream is consumed in worker order, and each worker's momentum
+    buffers take the round's rows.
     """
     workers = list(workers)
     if not workers:
         raise ConfigurationError("compute_cohort needs at least one worker")
-    if any(
-        type(worker).compute is not HonestWorker.compute
-        or type(worker)._finish is not HonestWorker._finish
-        for worker in workers
-    ):
-        submissions = [worker.compute(parameters, step) for worker in workers]
-        return (
-            np.stack([s.submitted for s in submissions]),
-            np.stack([s.clean for s in submissions]),
-            _score_batches(workers, parameters),
-        )
-    del step  # the stock pipeline is step-independent
+    del step  # the pipeline is step-independent
     cohort, positions = _cohort_pass(workers)
-    if cohort.reason is None:
-        rows = np.concatenate(
-            [worker._sampler.sample_index_block(1) for worker in workers]
-        )
-        for worker, worker_rows in zip(workers, rows):
-            worker._last_batch = (worker._sampler.dataset, worker_rows)
-        losses = np.empty(len(workers))
-        clean = np.empty((len(workers), len(parameters)))
-        cohort.run(parameters, rows, losses, clean, positions)
-    else:
-        batches = []
-        for worker in workers:
-            features, labels = worker._sampler.sample()
-            worker._last_batch = (features, labels)
-            batches.append((np.asarray(features), np.asarray(labels)))
-        model = workers[0]._model
-        if not (
-            all(w._model is model for w in workers)
-            and all(w._clip_mode == "per_example" for w in workers)
-            and len({(f.shape, l.shape) for f, l in batches}) == 1
-            and all(w._g_max is not None for w in workers)
-        ):
-            submissions = [
-                worker._finish(parameters, *batch)
-                for worker, batch in zip(workers, batches)
-            ]
-            return (
-                np.stack([s.submitted for s in submissions]),
-                np.stack([s.clean for s in submissions]),
-                _score_batches(workers, parameters),
-            )
-        # Per-example gradients still come from the model's per-worker
-        # API, but the clip itself is one batched rescale.
-        per_example = np.stack(
-            [
-                model.per_example_gradients(parameters, features, labels)
-                for features, labels in batches
-            ]
-        )  # (W, b, d)
-        norms = np.sqrt(np.einsum("wbd,wbd->wb", per_example, per_example))
-        safe_norms = np.where(norms > 0.0, norms, 1.0)
-        g_max = np.array([w._g_max for w in workers])
-        scales = np.minimum(1.0, g_max[:, None] / safe_norms)
-        clean = (per_example * scales[:, :, None]).mean(axis=1)
-        losses = np.asarray(
-            model.loss_stack(
-                parameters,
-                np.stack([features for features, _ in batches]),
-                np.stack([labels for _, labels in batches]),
-            ),
-            dtype=np.float64,
-        )
+    rows = np.concatenate(
+        [worker._sampler.sample_index_block(1) for worker in workers]
+    )
+    for worker, worker_rows in zip(workers, rows):
+        worker._last_batch = (worker._sampler.dataset, worker_rows)
+    losses = np.empty(len(workers))
+    clean = np.empty((len(workers), len(parameters)))
+    cohort.run(parameters, rows, losses, clean, positions)
 
     # DP noise per worker: each stream is private, so the draws stay
     # sequential, but each is already vectorized over the dimension.

@@ -117,8 +117,9 @@ class Model(ABC):
         """Mean loss of each batch in a ``(W, b, ...)`` stack; ``(W,)``.
 
         Same contract as :meth:`gradient_stack` for the forward pass;
-        the simulator and the cohort paths without a single pass use it
-        to score a whole honest cohort's sampled batches in one call.
+        the simulator, the cohort pass's per-example clip and its
+        two-pass models use it to score a whole honest cohort's sampled
+        batches in one call.
         """
         return np.array(
             [
@@ -156,9 +157,8 @@ class Model(ABC):
         ``gradient_stack``, so it honours any override.  A model that
         inherits a *single-pass* implementation (linear, logistic) while
         overriding the two-pass methods — or the augmentation hooks the
-        fused engine substitutes — would train with the parent's
-        formulas; callers then run the two methods separately (the
-        cohort pipeline) or step per round (the fused engine).
+        cohort pass substitutes — would train with the parent's
+        formulas; the cohort pass then runs the two methods separately.
         """
 
         def defining_class(name):

@@ -11,8 +11,9 @@ hard-codes — to an event-driven execution with a virtual clock:
 2. wakes that share a timestamp and round are processed as one cohort
    through :func:`repro.distributed.worker.compute_cohort`, served by
    the simulator's :class:`~repro.distributed.worker.CohortPass` (the
-   same vectorized pipeline the synchronous cluster uses), after which
-   the colluding adversary crafts its Byzantine gradient exactly as in
+   one worker pipeline the synchronous cluster uses; a cohort the pass
+   cannot serve fails when the simulator is built), after which the
+   colluding adversary crafts its Byzantine gradient exactly as in
    ``Cluster.step``;
 3. each message is assigned a latency drawn from a stream seeded on
    ``(round, worker)`` and becomes a
@@ -42,7 +43,7 @@ import numpy as np
 from repro.attacks.base import ByzantineAttack
 from repro.distributed.cluster import RoundCore, StepResult
 from repro.distributed.server import ParameterServer
-from repro.distributed.worker import CohortPass, HonestWorker, _score_batches
+from repro.distributed.worker import CohortPass, HonestWorker
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.faults.plan import ResolvedFaultPlan
 from repro.rng import SeedTree
@@ -554,6 +555,19 @@ class ClusterSimulator(RoundCore):
                     for worker_id in participating
                     if worker_id not in absent
                 )
+        # One pass means one batch shape: the participants' batches
+        # score in one stacked call, at the parameters this update replaced.
+        batches = [self._honest_workers[worker].last_batch for worker in participating]
+        honest_losses = np.zeros(0)
+        if batches:
+            honest_losses = np.asarray(
+                self._honest_workers[0]._model.loss_stack(
+                    parameters,
+                    np.stack([features for features, _ in batches]),
+                    np.stack([labels for _, labels in batches]),
+                ),
+                dtype=np.float64,
+            )
         next_round = self._round + 1
         self._round = next_round
         self._queue.push(
@@ -575,8 +589,5 @@ class ClusterSimulator(RoundCore):
             update_scale=completion.update_scale,
             staleness=completion.staleness,
             participating=participating,
-            honest_losses=_score_batches(
-                [self._honest_workers[worker] for worker in participating],
-                parameters,
-            ),
+            honest_losses=honest_losses,
         )

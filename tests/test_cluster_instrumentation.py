@@ -20,6 +20,7 @@ from repro.distributed.cluster import Cluster
 from repro.distributed.network import LossyNetwork
 from repro.distributed.server import ParameterServer
 from repro.distributed.worker import HonestWorker, compute_cohort
+from repro.exceptions import ConfigurationError
 from repro.gars import get_gar
 from repro.models.linear import LinearRegressionModel
 from repro.models.logistic import LogisticRegressionModel
@@ -27,6 +28,7 @@ from repro.optim.sgd import SGDOptimizer
 from repro.pipeline.builder import Experiment
 from repro.pipeline.callbacks import Callback
 from repro.rng import SeedTree
+from tests.reference_loop import _reference_finish
 
 NUM_FEATURES = 3
 DIMENSION = NUM_FEATURES + 1  # bias folded in
@@ -174,8 +176,9 @@ class TestDroppedMessagePath:
 
 
 class TestCohortMatchesPerWorkerPath:
-    """The vectorized cohort path and per-worker compute() must agree on
-    matching RNG streams (same seeds, fresh workers)."""
+    """The cohort pass and the per-worker pipeline it replaced
+    (``tests.reference_loop._reference_finish``) must agree on matching
+    RNG streams (same seeds, fresh workers)."""
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     @pytest.mark.parametrize("with_noise", [False, True])
@@ -216,12 +219,15 @@ class TestCohortMatchesPerWorkerPath:
         model = LinearRegressionModel(NUM_FEATURES)  # stateless, as the workers'
         for step in (1, 2, 3):  # multiple rounds exercise momentum state
             submitted, clean, losses = compute_cohort(cohort_workers, parameters, step)
-            loop = [worker.compute(parameters, step) for worker in loop_workers]
+            loop = []
+            for worker in loop_workers:
+                worker._last_batch = worker._sampler.sample()
+                loop.append(_reference_finish(worker, parameters, *worker._last_batch))
             assert np.allclose(
-                submitted, np.stack([s.submitted for s in loop]), atol=1e-12
+                submitted, np.stack([wire for wire, _ in loop]), atol=1e-12
             )
             assert np.allclose(
-                clean, np.stack([s.clean for s in loop]), atol=1e-12
+                clean, np.stack([row for _, row in loop]), atol=1e-12
             )
             assert np.allclose(
                 losses,
@@ -229,84 +235,35 @@ class TestCohortMatchesPerWorkerPath:
                 atol=1e-12,
             )
 
-    def test_compute_override_wins_over_fast_path(self):
-        """A worker subclass overriding compute() must be honoured by
-        the cohort path (and therefore by Cluster.step)."""
-        seeds = SeedTree(6)
-        rng = np.random.default_rng(3)
-        dataset = Dataset(
-            features=rng.standard_normal((40, NUM_FEATURES)),
-            labels=rng.standard_normal(40),
-        )
-        model = LinearRegressionModel(NUM_FEATURES)
-
-        class ConstantWorker(HonestWorker):
-            def compute(self, parameters, step):
-                from repro.distributed.messages import WorkerSubmission
-
-                value = np.full(DIMENSION, float(step))
-                return WorkerSubmission(submitted=value, clean=value.copy())
-
-        workers = [
-            cls(
-                worker_id=i,
-                model=model,
-                sampler=BatchSampler(dataset, 8, seeds.generator("batch", i)),
-                noise_rng=seeds.generator("noise", i),
-            )
-            for i, cls in enumerate([HonestWorker, ConstantWorker, HonestWorker])
-        ]
-        submitted, clean, losses = compute_cohort(workers, np.zeros(DIMENSION), 4)
-        assert np.array_equal(submitted[1], np.full(DIMENSION, 4.0))
-        assert np.array_equal(clean[1], np.full(DIMENSION, 4.0))
-        assert not np.array_equal(submitted[0], submitted[1])
-        # The override sampled no batch, so it adds no loss.
-        assert np.allclose(
-            losses,
-            [
-                model.loss(np.zeros(DIMENSION), *workers[index].last_batch)
-                for index in (0, 2)
-            ],
-            atol=1e-12,
-        )
-
     def test_heterogeneous_cohort_falls_back(self):
-        """Mixed clip modes take the per-worker fallback and still match."""
-        seeds = SeedTree(5)
+        """Mixed clip modes have no cohort pass: the cluster refuses
+        them when it is built, before any batch is drawn."""
         rng = np.random.default_rng(2)
         dataset = Dataset(
             features=rng.standard_normal((40, NUM_FEATURES)),
             labels=rng.standard_normal(40),
         )
         model = LinearRegressionModel(NUM_FEATURES)
-
-        def build(clip_modes):
-            local = SeedTree(5)
-            return [
-                HonestWorker(
-                    worker_id=i,
-                    model=model,
-                    sampler=BatchSampler(dataset, 8, local.generator("batch", i)),
-                    noise_rng=local.generator("noise", i),
-                    g_max=1e-2,
-                    clip_mode=mode,
-                )
-                for i, mode in enumerate(clip_modes)
-            ]
-
-        del seeds
-        parameters = np.zeros(DIMENSION)
-        mixed = build(["batch", "per_example", "batch"])
-        reference = build(["batch", "per_example", "batch"])
-        submitted, clean, losses = compute_cohort(mixed, parameters, 1)
-        loop = [worker.compute(parameters, 1) for worker in reference]
-        assert np.array_equal(submitted, np.stack([s.submitted for s in loop]))
-        assert np.array_equal(clean, np.stack([s.clean for s in loop]))
-        assert np.allclose(
-            losses,
-            [model.loss(parameters, *worker.last_batch) for worker in reference],
-            atol=1e-12,
+        seeds = SeedTree(5)
+        mixed = [
+            HonestWorker(
+                worker_id=i,
+                model=model,
+                sampler=BatchSampler(dataset, 8, seeds.generator("batch", i)),
+                noise_rng=seeds.generator("noise", i),
+                g_max=1e-2,
+                clip_mode=mode,
+            )
+            for i, mode in enumerate(["batch", "per_example", "batch"])
+        ]
+        server = ParameterServer(
+            initial_parameters=np.zeros(DIMENSION),
+            gar=get_gar("average", 3, 0),
+            optimizer=SGDOptimizer(0.5),
         )
+        with pytest.raises(ConfigurationError, match="mixed clip kinds"):
+            Cluster(server=server, honest_workers=mixed)
+        assert all(worker.last_batch is None for worker in mixed)
 
 
 class TestOneForwardPass:

@@ -1,17 +1,21 @@
-"""The cohort pass reproduces the stacked cohort path it replaced, bit for bit.
+"""The cohort pass reproduces the stacked cohort paths it replaced, bit for bit.
 
-:func:`stacked_oracle` is a verbatim copy of ``compute_cohort``'s
-stacked batch-clip branch from before the pass: per-worker
-``sample()`` gathers, one ``np.stack`` of the batches, the model's own
-bias concatenation inside ``loss_and_gradient_stack``, the batched clip,
-then per-worker DP noise and momentum.  Each test runs twin cohorts —
-same datasets, same seeds — one through :func:`compute_cohort` and one
+:func:`stacked_oracle` is a verbatim copy of ``compute_cohort``'s two
+stacked branches from before the pass: per-worker ``sample()`` gathers,
+one ``np.stack`` of the batches, then either the model's own bias
+concatenation inside ``loss_and_gradient_stack`` and the batched clip,
+or (per-example clipping with a bound) each worker's per-example
+gradients, one batched rescale, the mean and one ``loss_stack``; then
+per-worker DP noise and momentum.  Each test runs twin cohorts — same
+datasets, same seeds — one through :func:`compute_cohort` and one
 through the oracle, and compares by ``tobytes``: the returned
 submitted/clean/loss arrays, every worker's velocity buffers and
 ``last_batch``, and every generator's state after the round.
 """
 
+import gc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -22,14 +26,18 @@ from repro.distributed.cluster import Cluster, RoundCore
 from repro.distributed.runtime.shard import WorkerShardSpec, _fast_forward
 from repro.distributed.server import ParameterServer
 from repro.distributed.worker import CohortPass, HonestWorker, compute_cohort
+from repro.exceptions import ConfigurationError
 from repro.gars import get_gar
 from repro.models.linear import LinearRegressionModel
 from repro.models.logistic import LogisticRegressionModel
 from repro.models.mlp import MLPClassifierModel
 from repro.optim.sgd import SGDOptimizer
+from repro.pipeline.builder import Experiment
+from repro.pipeline.callbacks import Callback
 from repro.pipeline.registry import REGISTRY
 from repro.privacy.mechanisms import GaussianMechanism, LaplaceMechanism
 from repro.rng import SeedTree
+from repro.simulation.engine import ClusterSimulator
 
 NUM_FEATURES = 6
 BATCH = 8
@@ -46,7 +54,7 @@ MECHANISMS = {
 
 
 def stacked_oracle(workers, parameters):
-    """Verbatim stacked batch-clip ``compute_cohort`` before the cohort pass."""
+    """Verbatim stacked ``compute_cohort`` branches before the cohort pass."""
     batches = []
     for worker in workers:
         features, labels = worker._sampler.sample()
@@ -56,19 +64,37 @@ def stacked_oracle(workers, parameters):
     model = workers[0]._model
     features_stack = np.stack([features for features, _ in batches])
     labels_stack = np.stack([labels for _, labels in batches])
-    if model._single_pass_conflict() is None:
-        losses, gradients = model.loss_and_gradient_stack(
-            parameters, features_stack, labels_stack
+    if workers[0]._clip_mode == "per_example" and workers[0]._g_max is not None:
+        per_example = np.stack(
+            [
+                model.per_example_gradients(parameters, features, labels)
+                for features, labels in batches
+            ]
+        )  # (W, b, d)
+        norms = np.sqrt(np.einsum("wbd,wbd->wb", per_example, per_example))
+        safe_norms = np.where(norms > 0.0, norms, 1.0)
+        g_max = np.array([w._g_max for w in workers])
+        scales = np.minimum(1.0, g_max[:, None] / safe_norms)
+        clean = (per_example * scales[:, :, None]).mean(axis=1)
+        losses = model.loss_stack(
+            parameters,
+            np.stack([features for features, _ in batches]),
+            np.stack([labels for _, labels in batches]),
         )
     else:
-        losses = model.loss_stack(parameters, features_stack, labels_stack)
-        gradients = model.gradient_stack(parameters, features_stack, labels_stack)
-    clean = np.array(gradients, dtype=np.float64)
-    g_max = np.array([np.inf if w._g_max is None else w._g_max for w in workers])
-    norms = np.sqrt(np.einsum("wd,wd->w", clean, clean))
-    exceeds = norms > g_max  # all-zero rows have norm 0 <= g_max
-    if exceeds.any():
-        clean[exceeds] *= (g_max[exceeds] / norms[exceeds])[:, None]
+        if model._single_pass_conflict() is None:
+            losses, gradients = model.loss_and_gradient_stack(
+                parameters, features_stack, labels_stack
+            )
+        else:
+            losses = model.loss_stack(parameters, features_stack, labels_stack)
+            gradients = model.gradient_stack(parameters, features_stack, labels_stack)
+        clean = np.array(gradients, dtype=np.float64)
+        g_max = np.array([np.inf if w._g_max is None else w._g_max for w in workers])
+        norms = np.sqrt(np.einsum("wd,wd->w", clean, clean))
+        exceeds = norms > g_max  # all-zero rows have norm 0 <= g_max
+        if exceeds.any():
+            clean[exceeds] *= (g_max[exceeds] / norms[exceeds])[:, None]
 
     all_noised = all(w._mechanism is not None for w in workers)
     submitted = np.empty_like(clean) if all_noised else clean.copy()
@@ -120,6 +146,7 @@ def build_workers(
     momentum="off",
     g_max=(0.05, 0.2, 0.02),
     batch_size=BATCH,
+    clip_mode="batch",
     seed=5,
 ):
     """Workers with private SeedTree streams; ``g_max`` cycles per worker."""
@@ -137,6 +164,7 @@ def build_workers(
             noise_rng=seeds.generator("worker", index, "noise"),
             g_max=None if g_max is None else g_max[index % len(g_max)],
             mechanism=mechanism,
+            clip_mode=clip_mode,
             momentum=momenta[index],
         )
         for index in range(count)
@@ -200,7 +228,7 @@ class TestMatchesTheStackedPath:
         )
         # The stacked pass ran, on gathered pre-augmented rows.
         cohort = workers[0]._cohort_slot[0]
-        assert cohort.reason is None and cohort._augmented
+        assert cohort._augmented
         assert all(worker._cohort_slot[0] is cohort for worker in workers)
 
     @pytest.mark.parametrize("data", ["shared", "iid-shards"])
@@ -270,6 +298,109 @@ class TestMatchesTheStackedPath:
         )
         assert workers[0]._cohort_slot[0]._features_buf.shape[0] == 3
 
+    @pytest.mark.parametrize("momentum", sorted(MOMENTA))
+    @pytest.mark.parametrize("noise", [None, "gaussian", "laplace"])
+    @pytest.mark.parametrize("data", ["shared", "iid-shards"])
+    def test_per_example_cohort(self, data, noise, momentum):
+        """Per-example clipping, on raw gathered rows; the bounds leave
+        some examples inside them."""
+        model = LogisticRegressionModel(NUM_FEATURES)
+        datasets = make_datasets(data, 5)
+        workers = run_twins(
+            lambda: build_workers(
+                model, datasets, noise=noise, momentum=momentum,
+                g_max=(0.05, 5.0, 0.5), clip_mode="per_example",
+            )
+        )
+        cohort = workers[0]._cohort_slot[0]
+        assert cohort._per_example and not cohort._augmented
+
+    @pytest.mark.parametrize("data", ["shared", "iid-shards"])
+    def test_per_example_simulator_style_subsets(self, data):
+        model = LogisticRegressionModel(NUM_FEATURES)
+        datasets = make_datasets(data, 6)
+        subsets = [(0, 1, 2, 3, 4, 5), (4,), (1, 3, 5), (0, 2), (5,)]
+
+        def make():
+            workers = build_workers(
+                model, datasets, noise="laplace", momentum="mixed",
+                g_max=(0.05, 0.2, 0.02, 0.5, 0.01, 5.0), clip_mode="per_example",
+            )
+            CohortPass(workers)
+            return workers
+
+        run_twins(make, subsets=subsets, rounds=len(subsets))
+
+    def test_per_example_mlp(self):
+        model = MLPClassifierModel(NUM_FEATURES, hidden_units=5)
+        datasets = make_datasets("iid-shards", 4)
+        run_twins(
+            lambda: build_workers(
+                model, datasets, noise="gaussian", momentum="on",
+                g_max=(0.05, 5.0, 0.5), clip_mode="per_example",
+            )
+        )
+
+    def test_large_d_per_example_cohort_is_one_chunk(self, monkeypatch):
+        """The per-example rescale spans the whole subset, whatever the
+        gather budget."""
+        import repro.distributed.worker as worker_module
+
+        num_features = 1999
+        model = LogisticRegressionModel(num_features)
+        datasets = make_datasets("iid-shards", 7, num_features=num_features, points=30)
+        monkeypatch.setattr(worker_module, "_GATHER_BYTES", 1)
+        workers = run_twins(
+            lambda: build_workers(
+                model, datasets, noise="gaussian", momentum="mixed",
+                clip_mode="per_example",
+            ),
+            rounds=2,
+        )
+        assert workers[0]._cohort_slot[0]._features_buf.shape[0] == 7
+
+    @pytest.mark.parametrize("data", ["shared", "iid-shards"])
+    def test_per_example_without_bound_is_batch_without_bound(self, data):
+        model = LogisticRegressionModel(NUM_FEATURES)
+        datasets = make_datasets(data, 4)
+        per_example, batch = (
+            build_workers(
+                model, datasets, g_max=None, momentum="mixed", clip_mode=clip_mode
+            )
+            for clip_mode in ("per_example", "batch")
+        )
+        for index, parameters in enumerate(round_parameters(model.dimension, 3)):
+            assert_rounds_identical(
+                compute_cohort(per_example, parameters, index + 1),
+                compute_cohort(batch, parameters, index + 1),
+            )
+            assert_workers_identical(per_example, batch)
+        # The batch pass ran, on pre-augmented rows.
+        assert per_example[0]._cohort_slot[0]._augmented
+
+    def test_per_example_clip_counts_rows(self):
+        """``run`` returns the rows holding at least one rescaled example."""
+        model = LogisticRegressionModel(NUM_FEATURES)
+        datasets = make_datasets("shared", 3)
+        workers = build_workers(
+            model, datasets, g_max=(1e-3, 1e3, 0.5), clip_mode="per_example"
+        )
+        parameters = round_parameters(model.dimension, 1)[0]
+        rows = np.stack([w._sampler.sample_indices() for w in workers])
+        exceeded = []
+        for worker, worker_rows in zip(workers, rows):
+            dataset = worker._sampler.dataset
+            gradients = model.per_example_gradients(
+                parameters, dataset.features[worker_rows], dataset.labels[worker_rows]
+            )
+            exceeded.append(np.linalg.norm(gradients, axis=1) > worker._g_max)
+        # One row clipped whole, one untouched, one in part.
+        assert [flags.all() for flags in exceeded] == [True, False, False]
+        assert [flags.any() for flags in exceeded] == [True, False, True]
+        cohort = CohortPass(workers)
+        clipped = cohort.run(parameters, rows, np.empty(3), np.empty((3, model.dimension)))
+        assert clipped == 2
+
 
 class TestSharedState:
     def _cluster(self, data="shared"):
@@ -311,6 +442,119 @@ class TestSharedState:
         )
         distinct = {id(features) for features in sources}
         assert len(distinct) == (1 if data == "shared" else 5)
+
+
+class _ShuffledSampler(BatchSampler):
+    def sample_indices(self):
+        return super().sample_indices()[::-1]
+
+
+def _cohort(**odd):
+    """A model and three workers, the last built with ``odd``'s keywords."""
+    model = LogisticRegressionModel(NUM_FEATURES)
+    datasets = make_datasets("iid-shards", 3)
+    seeds = SeedTree(1)
+
+    def worker(index, model=model, dataset=None, batch_size=BATCH,
+               clip_mode="batch", g_max=0.05, sampler=BatchSampler):
+        return HonestWorker(
+            worker_id=index,
+            model=model,
+            sampler=sampler(
+                datasets[index] if dataset is None else dataset,
+                batch_size,
+                seeds.generator("worker", index, "batch"),
+            ),
+            noise_rng=seeds.generator("worker", index, "noise"),
+            g_max=g_max,
+            clip_mode=clip_mode,
+        )
+
+    return model, [worker(0), worker(1), worker(2, **odd)]
+
+
+def _server(model, n):
+    return ParameterServer(
+        initial_parameters=np.zeros(model.dimension),
+        gar=get_gar("average", n, 0),
+        optimizer=SGDOptimizer(0.5),
+    )
+
+
+class TestRefusals:
+    """A cohort the pass cannot serve fails when its owner is built."""
+
+    REASONS = {
+        "mixed models": dict(model=LogisticRegressionModel(NUM_FEATURES)),
+        "mixed batch sizes": dict(batch_size=BATCH - 1),
+        "mixed dataset shapes": dict(
+            dataset=make_datasets("shared", 1, num_features=NUM_FEATURES + 1)[0]
+        ),
+        "mixed clip kinds": dict(clip_mode="per_example"),
+        "sampler _ShuffledSampler overrides sampling": dict(sampler=_ShuffledSampler),
+    }
+
+    @pytest.mark.parametrize("reason", sorted(REASONS))
+    @pytest.mark.parametrize("owner", ["cluster", "simulator", "compute_cohort"])
+    def test_owner_refuses(self, owner, reason):
+        model, workers = _cohort(**self.REASONS[reason])
+        states = [w._sampler._rng.bit_generator.state for w in workers]
+        with pytest.raises(
+            ConfigurationError, match=f"^no cohort pass for these workers: {reason}$"
+        ):
+            if owner == "cluster":
+                Cluster(server=_server(model, 3), honest_workers=workers)
+            elif owner == "simulator":
+                ClusterSimulator(server=_server(model, 3), honest_workers=workers)
+            else:
+                compute_cohort(workers, np.zeros(model.dimension), 1)
+        # Refused before any batch was drawn.
+        assert [w._sampler._rng.bit_generator.state for w in workers] == states
+
+    def test_per_example_without_bound_joins_a_batch_cohort(self):
+        """Without a bound a per-example worker clips nothing, like a
+        batch worker without one, so the two share a pass."""
+        model, workers = _cohort(clip_mode="per_example", g_max=None)
+        Cluster(server=_server(model, 3), honest_workers=workers).step()
+
+
+class TestLifetime:
+    """A finished run frees its pass, and with it the gather buffers,
+    without a full garbage collection."""
+
+    @pytest.mark.parametrize("mode", ["fused", "per-round", "simulated"])
+    def test_pass_dies_with_its_experiment(self, mode):
+        experiment = Experiment(
+            model=LogisticRegressionModel(NUM_FEATURES),
+            train_dataset=make_datasets("shared", 1, points=80)[0],
+            test_dataset=None,
+            num_steps=5,
+            n=7,
+            f=2,
+            gar="krum",
+            attack="little",
+            epsilon=0.5,
+            momentum=0.9,
+            batch_size=BATCH,
+            g_max=1e-2,
+            seed=4,
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            if mode == "simulated":
+                experiment.simulate()
+                owner = experiment.build_simulation()
+            else:
+                experiment.run(callbacks=[Callback()] if mode == "per-round" else [])
+                owner = experiment.build_cluster()
+                assert owner.engine._buffers_ready == (mode == "fused")
+            cohort = weakref.ref(owner._cohort_pass)
+            assert cohort()._features_buf is not None
+            del experiment, owner
+            assert cohort() is None
+        finally:
+            gc.enable()
 
 
 class TestShardFastForward:

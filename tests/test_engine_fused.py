@@ -221,42 +221,20 @@ class TestEligibilityFallbacks:
         assert engine.fused_unsupported_reason is None
 
     def test_per_example_clipping_falls_back(self):
-        engine = self._cluster(clip_mode="per_example").engine
-        assert not engine.supports_fused
-        assert "per-example" in engine.fused_unsupported_reason
-
-    def test_worker_subclass_falls_back(self):
-        from repro.data.batching import BatchSampler
-        from repro.distributed.cluster import Cluster
-        from repro.distributed.server import ParameterServer
-        from repro.gars import get_gar
-        from repro.optim.sgd import SGDOptimizer
-
-        class CustomWorker(HonestWorker):
-            def compute(self, parameters, step):
-                return super().compute(parameters, step)
-
+        """Per-example clipping is the cohort pass's own clip, so such
+        cells fuse, bit-identical to stepping per round."""
         model, train = _environment()
-        rng = np.random.default_rng(0)
-        workers = [
-            CustomWorker(
-                worker_id=i,
-                model=model,
-                sampler=BatchSampler(train, 10, np.random.default_rng(i)),
-                noise_rng=np.random.default_rng(100 + i),
+        for name in ("krum-little-gaussian-momentum", "average-nodp-momentum"):
+            spec = dict(CONFIGS[name], clip_mode="per_example")
+            experiment = _experiment(model, train, **spec)
+            engine = experiment.build_cluster().engine
+            assert engine.supports_fused and engine.fused_unsupported_reason is None
+            fused = experiment.run()
+            per_round = _experiment(model, train, **spec).run(
+                callbacks=[_NoopCallback()]
             )
-            for i in range(3)
-        ]
-        server = ParameterServer(
-            initial_parameters=np.zeros(model.dimension),
-            gar=get_gar("average", 3, 0),
-            optimizer=SGDOptimizer(0.5),
-        )
-        cluster = Cluster(server=server, honest_workers=workers)
-        assert not cluster.engine.supports_fused
-        assert "CustomWorker" in cluster.engine.fused_unsupported_reason
-        with pytest.raises(ConfigurationError, match="fused execution unavailable"):
-            cluster.engine.run(3)
+            assert fused.history.losses.tobytes() == per_round.history.losses.tobytes()
+            assert fused.final_parameters.tobytes() == per_round.final_parameters.tobytes()
 
     def test_custom_mechanism_privatize_falls_back(self):
         from repro.privacy.mechanisms import GaussianMechanism
@@ -388,8 +366,9 @@ class TestEligibilityFallbacks:
         )
 
     def test_model_stack_override_falls_back(self):
-        """A model subclass overriding gradient_stack must not fuse with
-        the inherited single-pass implementation."""
+        """A model subclass overriding gradient_stack keeps its own
+        gradients under an inherited single pass: the cohort pass runs
+        the two methods, fused as per round, bit for bit."""
 
         class Regularized(LogisticRegressionModel):
             def gradient_stack(self, parameters, features_stack, labels_stack):
@@ -401,17 +380,16 @@ class TestEligibilityFallbacks:
         model = Regularized(10)
         spec = dict(gar="average", attack=None, n=3, f=0, momentum=0.0, epsilon=None)
         cluster = _experiment(model, train, **spec).build_cluster()
-        assert not cluster.engine.supports_fused
-        assert "gradient_stack" in cluster.engine.fused_unsupported_reason
-        fused_route = _experiment(model, train, **spec).run()
+        assert cluster.engine.supports_fused
+        fused = _experiment(model, train, **spec).run()
         per_round = _experiment(model, train, **spec).run(callbacks=[_NoopCallback()])
-        assert (
-            fused_route.final_parameters.tolist()
-            == per_round.final_parameters.tolist()
-        )
+        assert fused.history.losses.tobytes() == per_round.history.losses.tobytes()
+        assert fused.final_parameters.tobytes() == per_round.final_parameters.tobytes()
+        plain = _experiment(LogisticRegressionModel(10), train, **spec).run()
+        assert fused.final_parameters.tobytes() != plain.final_parameters.tobytes()
 
     def test_fallback_path_still_bit_identical(self):
-        """per_example configs run per-round in both cases: identical."""
+        """A per_example config, fused and forced per round: identical."""
         model, train = _environment()
         spec = dict(CONFIGS["krum-little-gaussian-momentum"], clip_mode="per_example")
         first = _experiment(model, train, **spec).run()

@@ -1,11 +1,11 @@
-"""Tests for the honest worker pipeline."""
+"""Tests for the honest worker pipeline, one worker at a time."""
 
 import numpy as np
 import pytest
 
 from repro.data.batching import BatchSampler
 from repro.data.datasets import Dataset
-from repro.distributed.worker import HonestWorker
+from repro.distributed.worker import HonestWorker, compute_cohort
 from repro.exceptions import ConfigurationError
 from repro.models.linear import LinearRegressionModel
 from repro.privacy.mechanisms import GaussianMechanism
@@ -30,23 +30,29 @@ def make_worker(g_max=None, mechanism=None, clip_mode="batch", momentum=0.0, see
     return worker, model
 
 
+def run(worker, parameters, step=1):
+    """One round of ``worker`` alone: its ``(submitted, clean)`` vectors."""
+    submitted, clean, _ = compute_cohort([worker], parameters, step)
+    return submitted[0], clean[0]
+
+
 class TestHonestWorker:
     def test_no_dp_submitted_equals_clean(self):
         worker, model = make_worker()
-        submission = worker.compute(np.zeros(model.dimension), 1)
-        assert np.array_equal(submission.submitted, submission.clean)
+        submitted, clean = run(worker, np.zeros(model.dimension))
+        assert np.array_equal(submitted, clean)
 
     def test_clipping_enforced(self):
         worker, model = make_worker(g_max=1e-3)
         w = 100.0 * np.ones(model.dimension)  # big residuals -> big gradient
-        submission = worker.compute(w, 1)
-        assert np.linalg.norm(submission.clean) <= 1e-3 * (1 + 1e-9)
+        _, clean = run(worker, w)
+        assert np.linalg.norm(clean) <= 1e-3 * (1 + 1e-9)
 
     def test_noise_applied_when_mechanism_present(self):
         mechanism = GaussianMechanism.for_clipped_gradients(0.5, 1e-6, 0.01, 10)
         worker, model = make_worker(g_max=0.01, mechanism=mechanism)
-        submission = worker.compute(np.zeros(model.dimension), 1)
-        assert not np.array_equal(submission.submitted, submission.clean)
+        submitted, clean = run(worker, np.zeros(model.dimension))
+        assert not np.array_equal(submitted, clean)
 
     def test_mechanism_requires_g_max(self):
         mechanism = GaussianMechanism.for_clipped_gradients(0.5, 1e-6, 0.01, 10)
@@ -57,16 +63,16 @@ class TestHonestWorker:
         mechanism = GaussianMechanism.for_clipped_gradients(0.5, 1e-6, 0.01, 10)
         noisy_worker, model = make_worker(g_max=0.01, mechanism=mechanism, seed=7)
         plain_worker, _ = make_worker(g_max=0.01, seed=7)
-        noisy = noisy_worker.compute(np.zeros(model.dimension), 1)
-        plain = plain_worker.compute(np.zeros(model.dimension), 1)
-        assert np.allclose(noisy.clean, plain.clean)
+        _, noisy_clean = run(noisy_worker, np.zeros(model.dimension))
+        _, plain_clean = run(plain_worker, np.zeros(model.dimension))
+        assert np.allclose(noisy_clean, plain_clean)
 
     def test_per_example_mode_bounds_gradient(self):
         worker, model = make_worker(g_max=1e-3, clip_mode="per_example")
         w = 100.0 * np.ones(model.dimension)
-        submission = worker.compute(w, 1)
+        _, clean = run(worker, w)
         # Mean of per-example-clipped gradients is itself bounded.
-        assert np.linalg.norm(submission.clean) <= 1e-3 * (1 + 1e-9)
+        assert np.linalg.norm(clean) <= 1e-3 * (1 + 1e-9)
 
     def test_invalid_clip_mode(self):
         with pytest.raises(ConfigurationError, match="clip_mode"):
@@ -79,7 +85,7 @@ class TestHonestWorker:
     def test_last_batch_recorded(self):
         worker, model = make_worker()
         assert worker.last_batch is None
-        worker.compute(np.zeros(model.dimension), 1)
+        run(worker, np.zeros(model.dimension))
         features, labels = worker.last_batch
         assert features.shape == (10, 4)
         assert labels.shape == (10,)
@@ -91,9 +97,9 @@ class TestHonestWorker:
         w = np.zeros(model.dimension)
         expected = np.zeros(model.dimension)
         for step in range(1, 4):
-            gradient = reference.compute(w, step).clean
+            _, gradient = run(reference, w, step)
             expected = 0.5 * expected + gradient
-            submitted = worker.compute(w, step).submitted
+            submitted, _ = run(worker, w, step)
             assert np.allclose(submitted, expected)
 
     def test_momentum_submission_can_exceed_g_max(self):
@@ -101,14 +107,13 @@ class TestHonestWorker:
         G_max / (1 - m)); only the per-step gradient is clipped."""
         worker, model = make_worker(g_max=1e-4, momentum=0.9)
         w = 100.0 * np.ones(model.dimension)
-        last = None
         for step in range(1, 60):
-            last = worker.compute(w, step)
-        assert np.linalg.norm(last.submitted) > 1e-4
+            submitted, _ = run(worker, w, step)
+        assert np.linalg.norm(submitted) > 1e-4
 
     def test_reset_clears_state(self):
         worker, model = make_worker(momentum=0.9)
-        worker.compute(np.zeros(model.dimension), 1)
+        run(worker, np.zeros(model.dimension))
         worker.reset()
         assert worker.last_batch is None
 
@@ -123,4 +128,4 @@ class TestHonestWorker:
         a, model = make_worker(seed=9)
         b, _ = make_worker(seed=9)
         w = np.ones(model.dimension)
-        assert np.array_equal(a.compute(w, 1).submitted, b.compute(w, 1).submitted)
+        assert np.array_equal(run(a, w)[0], run(b, w)[0])
