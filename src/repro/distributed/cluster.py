@@ -13,10 +13,12 @@ protocol (Fig. 1(b)):
 
 :class:`RoundCore` holds everything the backends share: the
 constructor checks, the read surface, the fault stage, the Byzantine
-craft and the attack → network → server tail.  :class:`Cluster`, the
-multiprocess :class:`~repro.distributed.runtime.MultiprocessCluster`
-and the event-driven :class:`~repro.simulation.engine.ClusterSimulator`
-supply only where the honest rows come from.
+craft and the one attack → network → server tail (:meth:`RoundCore._tail`),
+which per-round ``Cluster.step``, the multiprocess chief and the fused
+engine's blocks all run.  :class:`Cluster`, the multiprocess
+:class:`~repro.distributed.runtime.MultiprocessCluster` and the
+event-driven :class:`~repro.simulation.engine.ClusterSimulator` supply
+only where the honest rows come from.
 
 The cluster also exposes per-round instrumentation (honest clean /
 submitted matrices, the crafted vector, the aggregate) that the VN
@@ -91,7 +93,8 @@ class RoundCore:
     Subclasses produce the honest ``(submitted, clean, row_bytes)`` rows
     — :meth:`_cohort_rows` in process, the wire-plane copy-out across
     processes — and hand them to the shared stages: :meth:`_apply_faults`,
-    :meth:`_craft` and, on the synchronous backends, :meth:`_finish_round`.
+    :meth:`_craft` and, on the synchronous backends, :meth:`_tail`
+    (through :meth:`_finish_round` per round).
     Every phase is timed through one
     :class:`~repro.telemetry.timing.PhaseTimer`; telemetry only
     *observes*, and no RNG stream is ever touched by it.
@@ -331,12 +334,17 @@ class RoundCore:
         return rows
 
     def _craft(self, step: int, submitted, clean, parameters) -> Vector:
-        """The colluding adversary's one Byzantine gradient for ``step``."""
+        """The colluding adversary's one Byzantine gradient for ``step``.
+
+        The attack observes copies: it may keep its context across
+        rounds, while the arrays it was built from go on to the wire,
+        into the round's result and into the next round's buffers.
+        """
         context = AttackContext(
             step=step,
-            honest_submitted=submitted,
-            honest_clean=clean,
-            parameters=parameters,
+            honest_submitted=submitted.copy(),
+            honest_clean=clean.copy(),
+            parameters=parameters.copy(),
             num_byzantine=self._num_byzantine,
             rng=self._attack_rng,
         )
@@ -394,37 +402,58 @@ class RoundCore:
             return int(matches[0])
         return None
 
+    def _tail(self, timer, step: int, parameters, wire, clean, round_bytes):
+        """The attack → network → server tail of a synchronous round.
+
+        ``wire`` is the round's ``(n, d)`` message matrix with the
+        honest rows on top; the adversary crafts from copies of them,
+        ``clean`` and ``parameters``, and the f Byzantine rows are
+        written below them.  The network then delivers ``wire`` and the
+        server steps on what arrives.  ``round_bytes`` is the honest
+        rows' encoded size (``None`` without a codec).  Returns
+        ``(delivered, aggregated, byzantine_gradient, round_bytes,
+        dropped)``, where ``round_bytes`` counts the Byzantine rows too
+        and ``dropped`` is the messages the network dropped (``None``
+        when it keeps no count).  Callers emit their own events.
+        """
+        num_honest = self._num_honest
+        byzantine_gradient = None
+        if self._num_byzantine > 0:
+            byzantine_gradient = self._craft(step, wire[:num_honest], clean, parameters)
+            _, byzantine_bytes = self._byzantine_rows(
+                byzantine_gradient,
+                step,
+                range(num_honest, self.n),
+                out=wire[num_honest:],
+            )
+            if round_bytes is not None:
+                round_bytes += byzantine_bytes
+            timer.lap("round.attack")
+        before = getattr(self._network, "dropped_total", None)
+        delivered = self._network.deliver(wire, step)
+        timer.lap("round.network")
+        aggregated = self._server.step(delivered)
+        timer.lap("round.server")
+        if round_bytes is not None:
+            self._bytes_on_wire_total += round_bytes
+        dropped = None if before is None else self._network.dropped_total - before
+        return delivered, aggregated, byzantine_gradient, round_bytes, dropped
+
     def _finish_round(
         self, timer, parameters, submitted, clean, row_bytes, losses
     ) -> StepResult:
-        """The attack → network → server tail of a synchronous round.
+        """One round's :meth:`_tail` on a fresh ``(n, d)`` wire.
 
         ``losses`` are the live honest workers' batch losses.  Emits the
         round's phase spans and counters when telemetry is installed.
         """
-        step = self._step
-        telemetry = self._telemetry
-        bytes_on_wire = None if row_bytes is None else int(row_bytes.sum())
-        byzantine_gradient = None
-        gradients = submitted
-        if self._num_byzantine > 0:
-            byzantine_gradient = self._craft(step, submitted, clean, parameters)
-            block, byzantine_bytes = self._byzantine_rows(
-                byzantine_gradient, step, range(self._num_honest, self.n)
-            )
-            if bytes_on_wire is not None:
-                bytes_on_wire += byzantine_bytes
-            gradients = np.vstack([submitted, block])
-            timer.lap("round.attack")
-        dropped_before = (
-            None if telemetry is None else getattr(self._network, "dropped_total", None)
+        wire = np.empty((self.n, submitted.shape[1]))
+        wire[: self._num_honest] = submitted
+        row_bytes = None if row_bytes is None else int(row_bytes.sum())
+        delivered, aggregated, byzantine_gradient, bytes_on_wire, dropped = self._tail(
+            timer, self._step, parameters, wire, clean, row_bytes
         )
-        delivered = self._network.deliver(gradients, step)
-        timer.lap("round.network")
-        aggregated = self._server.step(delivered)
-        timer.lap("round.server")
-        if bytes_on_wire is not None:
-            self._bytes_on_wire_total += bytes_on_wire
+        telemetry = self._telemetry
         if telemetry is not None:
             timer.emit(telemetry)
             telemetry.counter("rounds")
@@ -434,14 +463,12 @@ class RoundCore:
                 telemetry.counter("gar.winner_rounds")
                 if winner >= self._num_honest:
                     telemetry.counter("gar.byzantine_selected")
-            if dropped_before is not None:
-                dropped = self._network.dropped_total - dropped_before
-                if dropped:
-                    telemetry.counter("network.dropped", dropped)
+            if dropped:
+                telemetry.counter("network.dropped", dropped)
             if bytes_on_wire is not None:
                 telemetry.counter("wire.bytes", bytes_on_wire)
         return StepResult(
-            step=step,
+            step=self._step,
             aggregated=aggregated,
             honest_submitted=submitted,
             honest_clean=clean,

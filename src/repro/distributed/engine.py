@@ -9,39 +9,38 @@ rounds that remove that overhead without changing a single output bit:
 
 * **blockwise RNG pre-draw** — each worker's batch indices
   (:meth:`repro.data.batching.BatchSampler.sample_index_block`) and DP
-  noise (:meth:`repro.privacy.mechanisms.NoiseMechanism.sample_noise_block`)
-  for the whole block are drawn up front.  This is sound because every
-  worker owns private generator streams and NumPy ``Generator`` draws
-  are consumed value-by-value, so a block draw reads the identical
-  stream as the per-round draws (pinned by hypothesis properties and
-  the golden traces);
-* **preallocated round buffers** — one ``(n, d)`` wire matrix, one
-  ``(W, d)`` clean-gradient matrix and persistent ``(W, d)`` momentum
-  stacks are reused across every round of the run, and one block's
-  ``(R, W, b)`` batch rows and ``(R, W, d)`` noise across its blocks;
-* **the cluster's cohort pass** — each round runs the
-  :class:`~repro.distributed.worker.CohortPass` that per-round
-  ``Cluster.step`` uses on the round's pre-drawn rows: chunked gathers
-  into reused buffers, one forward/backward pass per chunk, one batched
-  clip (or the pass's per-example clip).  Workers' ``last_batch`` is
-  set to the last round's rows when the run ends;
-* **in-place server updates** — the optimizer writes the parameter
-  buffer through :meth:`repro.optim.sgd.SGDOptimizer.step`'s ``out=``
-  path, and the loop reads :attr:`ParameterServer.parameters_view`
-  instead of per-round defensive copies;
+  noise (:meth:`repro.distributed.worker.CohortPass.draw_noise`) for the
+  whole block are drawn up front.  This is sound because every worker
+  owns private generator streams and NumPy ``Generator`` draws are
+  consumed value-by-value, so a block draw reads the identical stream
+  as the per-round draws (pinned by hypothesis properties and the
+  golden traces);
+* **preallocated round buffers** — one ``(n, d)`` wire matrix and one
+  ``(W, d)`` clean-gradient matrix are reused across every round of the
+  run, and one block's ``(R, W, b)`` batch rows and ``(R, W, d)`` noise
+  across its blocks;
+* **the round's one implementation** — each round runs the
+  :class:`~repro.distributed.worker.CohortPass` that serves the workers
+  (the one per-round ``Cluster.step`` uses) on the round's pre-drawn
+  rows: chunked gathers into reused buffers, one forward/backward pass
+  per chunk, one batched clip, then the pass's epilogue (the noise add
+  and the momentum update on the pass's own stack).  The cluster's
+  attack → network → server tail (:meth:`RoundCore._tail`) follows on
+  the reused wire matrix, and the server updates its parameter buffer
+  in place.  Workers' ``last_batch`` is set to the last round's rows
+  when the run ends;
 * **one instrumented round per run** — only the last round builds a
   :class:`StepResult`, with copies of its matrices.
 
 Every elementary float operation happens in the same order as the
 per-round path, so fused execution is *bit-identical* to
 ``Cluster.step`` — the golden-trace suite replays the committed traces
-through the engine unmodified.  Every cohort a ``Cluster`` accepts runs
-the one cohort pass, so what the engine may refuse is only what it
-replaces beyond the pass: a fault plan, mechanisms whose block draw or
-``privatize`` it would bypass, shared RNG streams, and overridden
-cluster, server or optimizer steps.  Those report
-``supports_fused == False`` and the caller steps per round; correctness
-never depends on the fast path.
+through the engine unmodified.  What the engine refuses is only what
+the block pre-draw cannot reproduce: a fault plan (faults apply per
+round), RNG streams shared between workers or roles (the pre-draw would
+reorder a shared stream), and an overridden ``Cluster.step``.  Those
+report ``supports_fused == False`` and the caller steps per round;
+correctness never depends on the fast path.
 """
 
 from __future__ import annotations
@@ -51,15 +50,9 @@ import weakref
 import numpy as np
 
 from repro.distributed.cluster import Cluster, StepResult
-from repro.distributed.server import ParameterServer
+from repro.distributed.worker import _cohort_pass
 from repro.exceptions import ConfigurationError
 from repro.metrics.history import TrainingHistory
-from repro.optim.sgd import SGDOptimizer
-from repro.privacy.mechanisms import (
-    GaussianMechanism,
-    LaplaceMechanism,
-    NoiseMechanism,
-)
 from repro.telemetry.timing import phase_timer
 
 __all__ = ["RoundEngine", "default_block_rounds"]
@@ -71,6 +64,15 @@ _BLOCK_BYTES = 8 << 20
 
 #: Hard cap on rounds per block; past this the amortisation is flat.
 _MAX_BLOCK_ROUNDS = 256
+
+#: The counters an observed block accumulates, in emission order.
+_BLOCK_COUNTERS = (
+    "clip.activations",
+    "gar.winner_rounds",
+    "gar.byzantine_selected",
+    "network.dropped",
+    "wire.bytes",
+)
 
 
 def default_block_rounds(
@@ -85,20 +87,14 @@ class RoundEngine:
     """Fused executor for a :class:`~repro.distributed.cluster.Cluster`.
 
     Built lazily by :attr:`Cluster.engine`; holds the preallocated
-    buffers and the cohort's static configuration.  :meth:`run`
-    executes fused blocks; eligibility is a pure function of the
-    cluster's configuration, exposed as :attr:`supports_fused` /
-    :attr:`fused_unsupported_reason`.
+    buffers.  :meth:`run` executes fused blocks; eligibility is a pure
+    function of the cluster's configuration, exposed as
+    :attr:`supports_fused` / :attr:`fused_unsupported_reason`.
     """
 
     def __init__(self, cluster):
         self._cluster = cluster
         self._workers = list(cluster._honest_workers)
-        self._server = cluster._server
-        self._network = cluster._network
-        self._attack_rng = cluster._attack_rng
-        self._num_byzantine = cluster._num_byzantine
-        self._codec = cluster._codec
         self._reason = self._probe()
         # The cluster caches this engine, so a strong back-reference
         # would make the pair a cycle that only a full collection frees.
@@ -106,27 +102,13 @@ class RoundEngine:
         self._cluster = weakref.proxy(cluster)
         self._buffers_ready = False
 
-    # ------------------------------------------------------------------
-    # eligibility
-    # ------------------------------------------------------------------
-
     def _probe(self) -> str | None:
         """Why the fused path cannot run, or ``None`` when it can."""
-        if getattr(self._cluster, "_faults", None) is not None:
+        cluster = self._cluster
+        if cluster._faults is not None:
             # Fault plans zero rows and momentum per round; the fused
             # block pipeline has no per-round injection point.
             return "a fault plan is active (faults apply per round)"
-        workers = self._workers
-        for worker in workers:
-            mechanism = worker._mechanism
-            if mechanism is not None:
-                if not isinstance(mechanism, NoiseMechanism) or (
-                    type(mechanism).privatize is not NoiseMechanism.privatize
-                ):
-                    return f"mechanism {type(mechanism).__name__} overrides privatize"
-                reason = self._probe_mechanism(mechanism)
-                if reason is not None:
-                    return reason
         # The blockwise pre-draw consumes each stream in one run, which
         # only reproduces the per-round interleaving when every consumed
         # stream is private.  A bit generator shared between any two
@@ -135,52 +117,17 @@ class RoundEngine:
         # in a different order, so such cohorts step per round.
         # Never-consumed streams (the noise rng of a worker without a
         # mechanism) are exempt on both paths.
+        workers = self._workers
         consumed = [worker._sampler._rng for worker in workers]
         consumed += [
             worker._noise_rng for worker in workers if worker._mechanism is not None
         ]
-        if self._attack_rng is not None:
-            consumed.append(self._attack_rng)
-        streams = {id(generator.bit_generator) for generator in consumed}
-        if len(streams) != len(consumed):
+        if cluster._attack_rng is not None:
+            consumed.append(cluster._attack_rng)
+        if len({id(generator.bit_generator) for generator in consumed}) != len(consumed):
             return "workers share RNG streams"
-        if type(self._cluster).step is not Cluster.step:
-            return f"cluster {type(self._cluster).__name__} overrides step"
-        # The in-place update path goes through ParameterServer.step's
-        # in_place= branch and SGDOptimizer.step's out= branch; a
-        # subclass overriding either would be bypassed (or silently
-        # ignore out=), so such servers step per round.
-        server = self._server
-        if type(server).step is not ParameterServer.step:
-            return f"server {type(server).__name__} overrides step"
-        if type(server._optimizer).step is not SGDOptimizer.step:
-            return (
-                f"optimizer {type(server._optimizer).__name__} overrides step"
-            )
-        return None
-
-    @staticmethod
-    def _probe_mechanism(mechanism) -> str | None:
-        """Reject mechanisms whose inherited vectorized block draw would
-        bypass an overridden ``sample_noise``.
-
-        The generic :meth:`NoiseMechanism.sample_noise_block` performs
-        the sequential draws itself, so it honours any ``sample_noise``
-        override; the Gaussian/Laplace vectorized blocks are only
-        equivalent to *their own* ``sample_noise``.  A subclass that
-        overrides ``sample_noise_block`` itself owns the equivalence
-        contract (documented on the method) and is accepted.
-        """
-        cls = type(mechanism)
-        for family in (GaussianMechanism, LaplaceMechanism):
-            if (
-                cls.sample_noise_block is family.sample_noise_block
-                and cls.sample_noise is not family.sample_noise
-            ):
-                return (
-                    f"mechanism {cls.__name__} overrides sample_noise but "
-                    "inherits the vectorized block draw"
-                )
+        if type(cluster).step is not Cluster.step:
+            return f"cluster {type(cluster).__name__} overrides step"
         return None
 
     @property
@@ -193,70 +140,16 @@ class RoundEngine:
         """Human-readable reason the fused path is unavailable."""
         return self._reason
 
-    # ------------------------------------------------------------------
-    # buffers
-    # ------------------------------------------------------------------
-
     def _ensure_buffers(self) -> None:
         if self._buffers_ready:
             return
         workers = self._workers
-        num_honest = len(workers)
-        dimension = int(self._server.parameters_view.shape[0])
-        n = num_honest + self._num_byzantine
-
-        self._dimension = dimension
+        self._dimension = int(self._cluster._server.parameters_view.shape[0])
         self._batch_size = workers[0]._sampler.batch_size
-        # The cluster's own pass: one gather source per dataset, shared
-        # with the per-round path instead of built twice.
-        self._cohort_pass = self._cluster._cohort_pass
-        self._all_gradients = np.zeros((n, dimension), dtype=np.float64)
-        self._clean = np.empty((num_honest, dimension), dtype=np.float64)
-        self._momenta = np.array([w._momentum for w in workers])
-        self._momentum_mask = self._momenta > 0.0
-        self._any_momentum = bool(self._momentum_mask.any())
-        self._all_momentum = bool(self._momentum_mask.all())
-        self._noised_indices = [
-            index for index, w in enumerate(workers) if w._mechanism is not None
-        ]
-        self._all_noised = len(self._noised_indices) == num_honest
-        if self._any_momentum:
-            self._velocity_submitted = np.zeros((num_honest, dimension))
-            self._velocity_clean = np.zeros((num_honest, dimension))
-            self._momenta_col = self._momenta[:, None]
+        self._wire = np.zeros((self._cluster.n, self._dimension))
+        self._clean = np.empty((len(workers), self._dimension))
+        self._noised = any(worker._mechanism is not None for worker in workers)
         self._buffers_ready = True
-
-    def _import_velocities(self) -> None:
-        """Load the workers' live momentum buffers into the stacks."""
-        for index, worker in enumerate(self._workers):
-            if not self._momentum_mask[index]:
-                continue
-            if worker._velocity_submitted is None:
-                self._velocity_submitted[index] = 0.0
-                self._velocity_clean[index] = 0.0
-            else:
-                self._velocity_submitted[index] = worker._velocity_submitted
-                self._velocity_clean[index] = worker._velocity_clean
-
-    def _export_state(self, block_indices, r: int) -> None:
-        """Write engine-held per-worker state back onto the workers.
-
-        Each worker's ``last_batch`` becomes its dataset rows for round
-        ``r`` of ``block_indices`` (the last round entered), indexed out
-        only when read: the gather buffer holds one chunk of workers,
-        not the cohort.
-        """
-        for index, worker in enumerate(self._workers):
-            if self._any_momentum and self._momentum_mask[index]:
-                worker._velocity_submitted = self._velocity_submitted[index].copy()
-                worker._velocity_clean = self._velocity_clean[index].copy()
-            worker._last_batch = (
-                worker._sampler.dataset, block_indices[r, index].copy()
-            )
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
 
     def run(
         self,
@@ -274,10 +167,10 @@ class RoundEngine:
         returned result carries the last round's ``honest_losses`` and
         copies of its ``honest_submitted`` / ``honest_clean`` matrices.
 
-        Worker-visible state (momentum buffers, ``last_batch``) is
-        synchronised at the end of the run — and on divergence — so a
-        fused run leaves the cluster exactly where the per-round path
-        would have.
+        The momentum buffers are the workers' own (rows of their pass's
+        stack), and each worker's ``last_batch`` is set when the run
+        ends — also on divergence — so a fused run leaves the cluster
+        exactly where the per-round path would have.
         """
         if self._reason is not None:
             raise ConfigurationError(
@@ -289,38 +182,33 @@ class RoundEngine:
             raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
         self._ensure_buffers()
         workers = self._workers
+        # The pass that serves the workers now, as compute_cohort finds
+        # it: an owner built after the cluster holds their velocity.
+        self._cohort_pass, self._positions = _cohort_pass(workers)
         # The fused path shares the cluster's telemetry handle.  Phases
         # accumulate over a block and are emitted as one span per phase
         # per block, so telemetry adds O(phases) events per block rather
         # than per round.  Without a handle the timer is the no-op
-        # NULL_TIMER and the block counters below are skipped.
+        # NULL_TIMER and the block counters are skipped.
         telemetry = self._cluster._telemetry
         timer = phase_timer(telemetry)
-        self._observed = telemetry is not None
         if block_size is None:
             block_size = default_block_rounds(
                 len(workers),
                 self._dimension,
                 self._batch_size,
-                len(self._noised_indices),
+                len(workers) if self._noised else 0,
             )
-        if self._any_momentum:
-            self._import_velocities()
-        # One block's pre-drawn batch rows (R, W, b) and, when every
-        # worker is noised, its noise (R, W, d): each worker's draws are
-        # written straight into them, so round r's cohort rows and noise
-        # are one slice and no block allocates a stacked copy.
+        # One block's pre-drawn batch rows (R, W, b) and, when any worker
+        # is noised, its noise (R, W, d): the draws are written straight
+        # into them, so round r's cohort rows and noise are one slice.
         buffer_rounds = min(block_size, int(num_rounds))
         index_buffer = np.empty(
             (buffer_rounds, len(workers), self._batch_size), dtype=np.intp
         )
-        noise_buffer = (
-            np.empty((buffer_rounds, len(workers), self._dimension))
-            if self._all_noised
-            else None
-        )
-        noise_blocks = [None] * len(workers)
-        block_indices = None
+        noise_buffer = noise = None
+        if self._noised:
+            noise_buffer = np.empty((buffer_rounds, len(workers), self._dimension))
         result = None
         remaining = int(num_rounds)
         # The last round entered, as an index into block_indices.
@@ -343,45 +231,30 @@ class RoundEngine:
         try:
             while remaining > 0:
                 rounds = min(remaining, block_size)
-                if telemetry is not None:
-                    self._clip_hits = 0
-                    self._winner_rounds = 0
-                    self._byzantine_rounds = 0
-                    self._dropped_before = getattr(
-                        self._network, "dropped_total", None
-                    )
-                    self._wire_bytes_before = self._cluster._bytes_on_wire_total
+                self._counts = (
+                    None if telemetry is None else dict.fromkeys(_BLOCK_COUNTERS, 0)
+                )
                 timer.restart()
                 # Blockwise pre-draw: every worker's private streams are
                 # consumed exactly as the per-round path would, just all
                 # at once (see module docstring).
                 block_indices = index_buffer[:rounds]
-                noise_stack = None if noise_buffer is None else noise_buffer[:rounds]
                 for index, worker in enumerate(workers):
                     block_indices[:, index] = worker._sampler.sample_index_block(rounds)
-                    if worker._mechanism is None:
-                        continue
-                    noise = worker._mechanism.sample_noise_block(
-                        rounds, self._dimension, worker._noise_rng
-                    )
-                    if noise_stack is None:
-                        noise_blocks[index] = noise
-                    else:
-                        noise_stack[:, index] = noise
+                if noise_buffer is not None:
+                    noise = noise_buffer[:rounds]
+                    self._cohort_pass.draw_noise(noise, self._positions)
                 # The block pre-draw IS the round's sampling/noise RNG
                 # work, amortised: charge it to its own phase.
                 timer.lap("round.predraw")
                 for r in range(rounds):
                     last_round = r
-                    is_last = remaining == rounds and r == rounds - 1
                     round_result = self._fused_round(
-                        block_indices,
-                        noise_blocks,
-                        noise_stack,
-                        r,
+                        block_indices[r],
+                        None if noise is None else noise[r],
                         pending_losses if history is not None else None,
-                        build_result=is_last,
-                        timer=timer,
+                        remaining == rounds and r == rounds - 1,
+                        timer,
                     )
                     if round_result is not None:
                         result = round_result
@@ -390,13 +263,18 @@ class RoundEngine:
                     self._emit_block_telemetry(telemetry, rounds, timer)
                 remaining -= rounds
         finally:
-            # Divergence can abort mid-block; worker-visible state and
-            # the recorded losses are synchronised for exactly the
-            # rounds that did run (matching the per-round path, which
-            # never records the diverging round's loss).
+            # Divergence can abort mid-block; the recorded losses and
+            # last batches cover exactly the rounds that did run
+            # (matching the per-round path, which never records the
+            # diverging round's loss).  The gather buffer holds one
+            # chunk of workers, so a batch is indexed out when read.
             flush_losses()
             if last_round is not None:
-                self._export_state(block_indices, last_round)
+                for index, worker in enumerate(workers):
+                    worker._last_batch = (
+                        worker._sampler.dataset,
+                        block_indices[last_round, index].copy(),
+                    )
         return result
 
     def _emit_block_telemetry(self, telemetry, rounds: int, timer) -> None:
@@ -409,83 +287,33 @@ class RoundEngine:
         telemetry.set_step(self._cluster._step)
         timer.emit(telemetry, rounds=rounds)
         telemetry.counter("rounds", rounds)
-        if self._clip_hits:
-            telemetry.counter("clip.activations", self._clip_hits)
-        if self._winner_rounds:
-            telemetry.counter("gar.winner_rounds", self._winner_rounds)
-        if self._byzantine_rounds:
-            telemetry.counter("gar.byzantine_selected", self._byzantine_rounds)
-        if self._dropped_before is not None:
-            dropped = self._network.dropped_total - self._dropped_before
-            if dropped:
-                telemetry.counter("network.dropped", dropped)
-        wire_bytes = self._cluster._bytes_on_wire_total - self._wire_bytes_before
-        if wire_bytes:
-            telemetry.counter("wire.bytes", wire_bytes)
+        for name, value in self._counts.items():
+            if value:
+                telemetry.counter(name, value)
 
-    def _fused_round(
-        self,
-        block_indices,
-        noise_blocks,
-        noise_stack,
-        r: int,
-        pending_losses: list | None,
-        build_result: bool,
-        timer,
-    ):
+    def _fused_round(self, rows, noise, pending_losses, build_result, timer):
         cluster = self._cluster
-        workers = self._workers
-        server = self._server
-        num_honest = len(workers)
         cluster._step += 1
         step = cluster._step
-        parameters = server.parameters_view
+        parameters = cluster._server.parameters_view
+        num_honest = len(self._workers)
         timer.restart()
 
-        # The cohort pass on this round's pre-drawn rows: gathers laps
-        # as round.sample, the forward/backward pass and the clip as
-        # round.cohort.  ``losses`` is new each round: ``pending_losses``
-        # parks it.
+        # The cohort pass and its epilogue on this round's pre-drawn
+        # rows and noise, straight into the wire matrix's honest rows.
+        # ``losses`` is new each round: ``pending_losses`` parks it.
         losses = np.empty(num_honest)
-        clean = self._clean
-        clipped = self._cohort_pass.run(
-            parameters, block_indices[r], losses, clean, timer=timer
-        )
-        if self._observed:
-            self._clip_hits += clipped
-
-        # DP noise from the pre-drawn block, written straight into the
-        # wire matrix (rows without a mechanism carry the clean row).
-        submitted = self._all_gradients[:num_honest]
-        if noise_stack is not None:
-            np.add(clean, noise_stack[r], out=submitted)
-        else:
-            submitted[:] = clean
-            for index in self._noised_indices:
-                np.add(clean[index], noise_blocks[index][r], out=submitted[index])
-        timer.lap("round.noise")
-
-        # Momentum on the persistent stacks (v <- m v; v <- v + g).
-        if self._any_momentum:
-            self._velocity_submitted *= self._momenta_col
-            self._velocity_submitted += submitted
-            self._velocity_clean *= self._momenta_col
-            self._velocity_clean += clean
-            if self._all_momentum:
-                submitted[:] = self._velocity_submitted
-                clean[:] = self._velocity_clean
-            else:
-                mask = self._momentum_mask
-                submitted[mask] = self._velocity_submitted[mask]
-                clean[mask] = self._velocity_clean[mask]
-            timer.lap("round.momentum")
+        clean, submitted = self._clean, self._wire[:num_honest]
+        cohort, positions = self._cohort_pass, self._positions
+        clipped = cohort.run(parameters, rows, losses, clean, positions, timer)
+        cohort.finish(clean, submitted, noise, positions, timer)
 
         # Wire codec: encode the honest block in place (identity's
         # block fast path returns the same object, so the no-codec and
         # identity rounds execute byte-identical buffer operations).
         round_bytes = None
-        if self._codec is not None:
-            encoded, row_bytes = self._codec.encode_block(
+        if cluster._codec is not None:
+            encoded, row_bytes = cluster._codec.encode_block(
                 submitted, step, range(num_honest)
             )
             if encoded is not submitted:
@@ -493,40 +321,18 @@ class RoundEngine:
             round_bytes = int(row_bytes.sum())
             timer.lap("round.codec")
 
-        byzantine_gradient = None
-        if self._num_byzantine > 0:
-            # The attack gets fresh per-round copies, exactly like the
-            # per-round path: an attack may legally retain its context
-            # across rounds (adaptive attacks), and handing it views of
-            # the engine's reused buffers would silently rewrite what it
-            # retained.  Two (W, d) copies per attacked round is noise
-            # next to the craft itself.
-            byzantine_gradient = cluster._craft(
-                step, submitted.copy(), clean.copy(), parameters.copy()
-            )
-            _, byzantine_bytes = cluster._byzantine_rows(
-                byzantine_gradient,
-                step,
-                range(num_honest, num_honest + self._num_byzantine),
-                out=self._all_gradients[num_honest:],
-            )
-            if round_bytes is not None:
-                round_bytes += byzantine_bytes
-            timer.lap("round.attack")
-
-        if round_bytes is not None:
-            cluster._bytes_on_wire_total += round_bytes
-
-        delivered = self._network.deliver(self._all_gradients, step)
-        timer.lap("round.network")
-        aggregated = server.step(delivered, in_place=True)
-        timer.lap("round.server")
-        if self._observed:
+        delivered, aggregated, byzantine_gradient, round_bytes, dropped = (
+            cluster._tail(timer, step, parameters, self._wire, clean, round_bytes)
+        )
+        counts = self._counts
+        if counts is not None:
+            counts["clip.activations"] += clipped
             winner = cluster._gar_winner(delivered, aggregated)
             if winner is not None:
-                self._winner_rounds += 1
-                if winner >= num_honest:
-                    self._byzantine_rounds += 1
+                counts["gar.winner_rounds"] += 1
+                counts["gar.byzantine_selected"] += int(winner >= num_honest)
+            counts["network.dropped"] += dropped or 0
+            counts["wire.bytes"] += round_bytes or 0
 
         if pending_losses is not None:
             # Parked only after a successful server update, exactly as

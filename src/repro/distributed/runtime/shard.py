@@ -24,12 +24,13 @@ Bit-identity with the in-process engine rests on two facts:
   bit for bit.  The differential suite (in-process vs multiprocess,
   per-round) is the empirical arbiter of this property.
 
-Control flow is two tiny queues per shard — commands in (``("round",
-step)`` / ``("stop",)``), results out (``("join", ...)``, ``("done",
-...)``, ``("error", ...)``) — while all numerical payloads travel
-through shared memory.  A shard whose chief is gone returns on its own:
-it holds the write end of its command queue, so it would otherwise
-block on it forever.
+Control flow runs over two kinds of queue: each shard has its own
+command queue (``("round", step)`` / ``("stop",)``), while every shard
+puts its results (``("join", ...)``, ``("done", ...)``, ``("error",
+...)``) on one queue that all shards share (the chief's ``_results``).
+All numerical payloads travel through shared memory.  A shard whose
+chief is gone returns on its own: it holds the write end of its command
+queue, so it would otherwise block on it forever.
 
 The spec carries an optional *failure-injection seam* (``fail_step`` /
 ``fail_mode``) used by the crash-resilience tests: real mid-round
@@ -316,21 +317,22 @@ def _fast_forward(spec: WorkerShardSpec, workers) -> None:
     """Advance the workers' seed streams through rounds ``1..start_step``.
 
     A round of :func:`compute_cohort` draws one batch per worker and one
-    noise vector per DP worker (the draws ``privatize`` makes), whatever
+    noise row per DP worker (one ``sample_noise_block(1, d)``), whatever
     the values, so drawing exactly those — the batches as one
     :meth:`BatchSampler.sample_index_block` per worker — leaves every
     stream where the in-process run left it, without a gradient pass.
     Momentum is then reset: a worker absent through the outage
     accumulated none (the in-process engine zeroes its buffers each
-    absent round), and ``None`` buffers restart the ``v <- m*v + g``
-    recursion from the same all-zeros base.
+    absent round), and zeroed buffers restart the ``v <- m*v + g``
+    recursion from the base a fresh run starts from.
     """
     rounds = spec.start_step
-    zeros = np.zeros(spec.model.dimension)
     for worker in workers:
         if rounds > 0:
             worker._sampler.sample_index_block(rounds)
         if worker._mechanism is not None:
             for _ in range(rounds):
-                worker._mechanism.privatize(zeros, worker._noise_rng)
+                worker._mechanism.sample_noise_block(
+                    1, spec.model.dimension, worker._noise_rng
+                )
         worker.reset()

@@ -3,7 +3,8 @@
 The server performs the protocol of Section 2.1 faithfully: gather
 ``n`` gradients, aggregate with the configured GAR, update the model
 parameters with the optimizer, broadcast (implicitly — workers read
-``parameters``).  *Curiosity* is modelled by an optional tap that
+``parameters``).  Every backend updates the one parameter buffer in
+place, through the optimizer's ``out=`` path.  *Curiosity* is modelled by an optional tap that
 retains every received gradient, which the leakage analysis
 (:mod:`repro.analysis.leakage`) then exploits — exactly the threat the
 paper's DP noise is there to blunt.
@@ -53,8 +54,8 @@ class ParameterServer:
         """The live parameter buffer, *without* the defensive copy.
 
         For the fused round engine's hot loop only: the array is
-        mutated in place by every in-place server step, so callers must
-        treat it as read-only and must not retain it across rounds.
+        mutated in place by every server step, so callers must treat it
+        as read-only and must not retain it across rounds.
         Everyone else should read :attr:`parameters`.
         """
         return self._parameters
@@ -82,7 +83,7 @@ class ParameterServer:
         """
         return list(self._received_log)
 
-    def step(self, gradients: Matrix, update_scale: float = 1.0, *, in_place: bool = False) -> Vector:
+    def step(self, gradients: Matrix, update_scale: float = 1.0) -> Vector:
         """One round: aggregate ``gradients`` and update the parameters.
 
         Returns the aggregated gradient (before the optimizer update),
@@ -94,12 +95,14 @@ class ParameterServer:
         1.0 takes a scale-free path, so synchronous training is
         bit-identical to the historical behaviour.
 
-        ``in_place=True`` routes the optimizer update through
-        :meth:`repro.optim.sgd.SGDOptimizer.step`'s ``out=`` path, so
-        the round allocates no new parameter vector.  The update is
-        bit-identical to the allocating path; previously handed-out
-        :attr:`parameters` copies are unaffected, but
-        :attr:`parameters_view` readers observe the mutation.
+        The update is in place: the optimizer writes the parameter
+        buffer through :meth:`repro.optim.sgd.SGDOptimizer.step`'s
+        ``out=`` path (bit-identical to its allocating path), and an
+        array it returns instead (an overriding ``step`` that ignores
+        ``out=``) is copied in.  Handed-out :attr:`parameters` copies are
+        unaffected; :attr:`parameters_view` readers observe the update.
+        A diverging update leaves its non-finite parameters in the
+        buffer when the optimizer raises.
         """
         matrix = np.asarray(gradients, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != self._gar.n:
@@ -114,9 +117,8 @@ class ParameterServer:
             self._received_log.append(matrix.copy())
         aggregated = self._gar.aggregate(matrix)
         update = aggregated if update_scale == 1.0 else update_scale * aggregated
-        if in_place:
-            self._optimizer.step(self._parameters, update, out=self._parameters)
-        else:
-            self._parameters = self._optimizer.step(self._parameters, update)
+        updated = self._optimizer.step(self._parameters, update, out=self._parameters)
+        if updated is not self._parameters:
+            self._parameters[:] = updated
         self._step += 1
         return aggregated

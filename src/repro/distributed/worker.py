@@ -24,11 +24,12 @@ The pipeline has one implementation, and it runs a whole honest cohort
 at once: :func:`compute_cohort` draws each worker's batch indices in
 worker order, one :class:`CohortPass` gathers the batches and computes
 steps 2–3 for all of them as stacked matrix operations (a batch clip or
-a per-example clip), and steps 4–5 follow per worker.  Every backend's
-cohort owner (the in-process cluster and its fused engine, each
-multiprocess shard, the discrete-event simulator) builds one pass over
-its workers; a cohort the pass cannot serve is refused when its owner
-is built.
+a per-example clip), and its epilogue, :meth:`CohortPass.finish`, runs
+steps 4–5 on noise drawn from each worker's own stream.  The momentum
+buffers live in one stack the pass owns.  Every backend's cohort owner
+(the in-process cluster and its fused engine, each multiprocess shard,
+the discrete-event simulator) builds one pass over its workers; a
+cohort the pass cannot serve is refused when its owner is built.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ class HonestWorker:
         self._momentum = float(momentum)
         # Two velocity buffers: one over submitted (noisy) gradients —
         # what actually goes on the wire — and one over clean gradients,
-        # so the omniscient attack's "clean" view stays meaningful.
+        # so the omniscient attack's "clean" view stays meaningful.  A
+        # momentum worker's are row views of its CohortPass's stack.
         self._velocity_submitted: Vector | None = None
         self._velocity_clean: Vector | None = None
         # The last sampled batch: the ``(dataset, rows)`` it was gathered
@@ -157,9 +159,10 @@ class HonestWorker:
         return self._mechanism is not None
 
     def reset(self) -> None:
-        """Clear momentum state and the cached batch."""
-        self._velocity_submitted = None
-        self._velocity_clean = None
+        """Zero the momentum buffers (in place) and clear the cached batch."""
+        if self._velocity_submitted is not None:
+            self._velocity_submitted[:] = 0.0
+            self._velocity_clean[:] = 0.0
         self._last_batch = None
 
 
@@ -174,12 +177,18 @@ def _clip_kind(worker: HonestWorker) -> str:
 def _refusal(workers: list[HonestWorker]) -> str | None:
     """Why one pass cannot serve ``workers``, or ``None`` when it can."""
     for worker in workers:
-        sampler = worker._sampler
+        sampler, mechanism = worker._sampler, worker._mechanism
         if not isinstance(sampler, BatchSampler) or (
             type(sampler).sample is not BatchSampler.sample
             or type(sampler).sample_indices is not BatchSampler.sample_indices
         ):
             return f"sampler {type(sampler).__name__} overrides sampling"
+        # The epilogue adds sample_noise_block rows: no round calls privatize.
+        if mechanism is not None and (
+            not isinstance(mechanism, NoiseMechanism)
+            or type(mechanism).privatize is not NoiseMechanism.privatize
+        ):
+            return f"mechanism {type(mechanism).__name__} overrides privatize"
 
     def dataset_shape(worker):
         dataset = worker._sampler.dataset
@@ -203,7 +212,8 @@ def _refusal(workers: list[HonestWorker]) -> str | None:
 
 
 class CohortPass:
-    """The honest cohort's pass: gather, differentiate, clip.
+    """The honest cohort's pass: gather, differentiate, clip; then noise
+    and momentum.
 
     One pass serves any subset of one cohort's workers.  :meth:`run`
     takes their batch rows (dataset indices) and gathers them into
@@ -226,15 +236,26 @@ class CohortPass:
     :meth:`Model.loss_stack`.  The rescale is not chunked: at large d an
     ``einsum`` row's bits can depend on how many rows its call holds.
 
+    The epilogue is written once too.  :meth:`draw_noise` draws each
+    noised worker's rows from its own stream, and :meth:`finish` adds
+    them and updates worker momentum, whether one round runs
+    (:func:`compute_cohort`) or the fused engine's pre-drawn block does.
+    The pass owns the momentum: one ``(2, W, d)`` stack (submitted,
+    clean) whose rows are its momentum workers' velocity buffers, so
+    checkpoints and the fault stage read and write them in place.
+
     Each cohort owner builds one pass over its workers: the
     :class:`~repro.distributed.cluster.Cluster` (whose fused engine runs
-    the same pass on its pre-drawn blocks), each multiprocess shard and
-    the discrete-event simulator.  The pass refuses workers that differ
-    in model, batch size, dataset shape or clip kind, and samplers that
-    override sampling, with a :class:`ConfigurationError`.  It attaches
-    itself to its workers, which is how :func:`compute_cohort` finds it,
-    and keeps only what it reads from them, so it holds no worker.
-    Sources and buffers are built on the first :meth:`run`, not here.
+    the pass that serves the workers at each run), each multiprocess
+    shard and the discrete-event simulator.  The pass refuses workers
+    that differ in model, batch size, dataset shape or clip kind,
+    samplers that override sampling and mechanisms that override
+    ``privatize``, with a :class:`ConfigurationError`.  It attaches
+    itself to its workers, which is how :func:`compute_cohort` finds it;
+    a worker another pass served carries its velocity into this one.
+    The pass keeps only what it reads from its workers, so it holds no
+    worker.  Sources and gather buffers are built on the first
+    :meth:`run`, not here.
     """
 
     def __init__(self, workers: Sequence[HonestWorker]):
@@ -251,8 +272,21 @@ class CohortPass:
         self._g_max = np.array(
             [np.inf if w._g_max is None else w._g_max for w in workers]
         )
+        self._mechanisms = [worker._mechanism for worker in workers]
+        self._noise_rngs = [worker._noise_rng for worker in workers]
+        self._noised = np.array([m is not None for m in self._mechanisms])
+        self._momenta = np.array([worker._momentum for worker in workers])
+        self._velocity = None
+        if self._momenta.any():
+            self._velocity = np.zeros((2, len(workers), self._model.dimension))
         for position, worker in enumerate(workers):
             worker._cohort_slot = (self, position)
+            if self._momenta[position] > 0.0:
+                rows = self._velocity[:, position]
+                if worker._velocity_submitted is not None:  # carried over
+                    rows[0] = worker._velocity_submitted
+                    rows[1] = worker._velocity_clean
+                worker._velocity_submitted, worker._velocity_clean = rows
         self._features_buf = None
 
     def _build(self) -> None:
@@ -385,14 +419,76 @@ class CohortPass:
         timer.lap("round.cohort")
         return clipped
 
+    def draw_noise(
+        self, noise: np.ndarray, positions: Sequence[int] | None = None
+    ) -> None:
+        """DP noise for ``len(noise)`` rounds: ``noise[:, j]`` takes the
+        rows of the worker at position ``positions[j]`` (every worker in
+        order when ``positions`` is ``None``), one
+        :meth:`~NoiseMechanism.sample_noise_block` per noised worker, in
+        row order, from its own stream.  Rows without a mechanism are
+        left as they were.
+        """
+        rounds, count, dimension = noise.shape
+        for row in range(count):
+            position = row if positions is None else positions[row]
+            mechanism = self._mechanisms[position]
+            if mechanism is not None:
+                noise[:, row] = mechanism.sample_noise_block(
+                    rounds, dimension, self._noise_rngs[position]
+                )
+
+    def finish(
+        self,
+        clean: Matrix,
+        submitted: Matrix,
+        noise: Matrix | None,
+        positions: Sequence[int] | None = None,
+        timer=NULL_TIMER,
+    ) -> None:
+        """The round's epilogue on the rows :meth:`run` wrote, in place.
+
+        Rows map to workers as in :meth:`run`.  ``submitted`` takes each
+        noised row's ``clean + noise`` and every other row's clean row
+        (lapped as ``round.noise``).  Then each momentum worker's two
+        velocity rows take ``v <- m*v; v <- v + g`` of its submitted and
+        clean rows and replace them (lapped as ``round.momentum``).
+        """
+        index = slice(None) if positions is None else positions
+        noised = self._noised[index]
+        if noised.all():
+            np.add(clean, noise, out=submitted)
+        else:
+            submitted[:] = clean
+            for row in np.flatnonzero(noised):
+                np.add(clean[row], noise[row], out=submitted[row])
+        timer.lap("round.noise")
+        if self._velocity is None:
+            return
+        momenta = self._momenta[index]
+        velocity = self._velocity[:, index]
+        velocity *= momenta[:, None]
+        velocity[0] += submitted
+        velocity[1] += clean
+        if positions is not None:
+            self._velocity[:, positions] = velocity
+        kept = (momenta > 0.0)[:, None]
+        np.copyto(submitted, velocity[0], where=kept)
+        np.copyto(clean, velocity[1], where=kept)
+        timer.lap("round.momentum")
+
 
 def _cohort_pass(workers: list[HonestWorker]):
     """The pass serving ``workers`` and their positions in it: the pass
-    their owner built, or a new one over exactly these workers."""
+    that owns them (positions ``None`` when they are all of its workers,
+    in order), or a new one over exactly these workers."""
     slots = [worker._cohort_slot for worker in workers]
     owner = slots[0] and slots[0][0]
     if owner is not None and all(slot and slot[0] is owner for slot in slots):
-        return owner, [slot[1] for slot in slots]
+        positions = [slot[1] for slot in slots]
+        if positions == list(range(len(owner._g_max))):
+            positions = None
+        return owner, positions
     return CohortPass(workers), None
 
 
@@ -412,10 +508,10 @@ def compute_cohort(
     (:meth:`BatchSampler.sample_index_block`) and records them as its
     ``last_batch``; the workers' :class:`CohortPass` gathers,
     differentiates and clips every batch (built here over exactly these
-    workers when no owner built one, and refused like an owner's).  DP
-    noise then follows per worker in worker order, so every private RNG
-    stream is consumed in worker order, and each worker's momentum
-    buffers take the round's rows.
+    workers when no owner built one, and refused like an owner's).  Each
+    noised worker then draws one row of noise in worker order, so every
+    private RNG stream is consumed in worker order, and the pass's
+    :meth:`~CohortPass.finish` adds the noise and updates momentum.
     """
     workers = list(workers)
     if not workers:
@@ -430,37 +526,8 @@ def compute_cohort(
     losses = np.empty(len(workers))
     clean = np.empty((len(workers), len(parameters)))
     cohort.run(parameters, rows, losses, clean, positions)
-
-    # DP noise per worker: each stream is private, so the draws stay
-    # sequential, but each is already vectorized over the dimension.
-    # When every worker injects noise the loop overwrites every row, so
-    # seeding the matrix with a copy of ``clean`` would be pure waste.
-    all_noised = all(w._mechanism is not None for w in workers)
-    submitted = np.empty_like(clean) if all_noised else clean.copy()
-    for index, worker in enumerate(workers):
-        if worker._mechanism is not None:
-            submitted[index] = worker._mechanism.privatize(
-                clean[index], worker._noise_rng
-            )
-
-    momenta = np.array([w._momentum for w in workers])
-    with_momentum = momenta > 0.0
-    if with_momentum.any():
-        dimension = clean.shape[1]
-        # Masked in-place accumulation directly on each worker's buffer
-        # (v <- m*v, v <- v + g: the same elementwise operations as the
-        # stacked form) and row writes into the round matrices — no
-        # stacked velocity copies, no full-matrix ``np.where``.
-        for index, worker in enumerate(workers):
-            if not with_momentum[index]:
-                continue
-            if worker._velocity_submitted is None:
-                worker._velocity_submitted = np.zeros(dimension)
-                worker._velocity_clean = np.zeros(dimension)
-            worker._velocity_submitted *= worker._momentum
-            worker._velocity_submitted += submitted[index]
-            worker._velocity_clean *= worker._momentum
-            worker._velocity_clean += clean[index]
-            submitted[index] = worker._velocity_submitted
-            clean[index] = worker._velocity_clean
+    noise = np.empty((1,) + clean.shape)
+    cohort.draw_noise(noise, positions)
+    submitted = np.empty_like(clean)
+    cohort.finish(clean, submitted, noise[0], positions)
     return submitted, clean, losses

@@ -54,8 +54,8 @@ class SGDOptimizer:
         self._nesterov = bool(nesterov)
         self._velocity: Vector | None = None
         self._step_count = 0
-        # Scratch buffers for the allocation-free ``out=`` path, lazily
-        # sized to the parameter dimension on first use.
+        # Scratch buffers for the direction and the scaled update,
+        # lazily sized to the parameter dimension on first use.
         self._direction_scratch: Vector | None = None
         self._update_scratch: Vector | None = None
 
@@ -90,19 +90,20 @@ class SGDOptimizer:
         """Apply one update and return the new parameter vector.
 
         ``out``, when given, receives the updated parameters in place
-        (it may be ``parameters`` itself — the fused round engine passes
-        the server's live buffer) and no per-step arrays are allocated:
-        the velocity, the direction and the scaled update all land in
-        buffers owned by the optimizer.  Both paths perform the same
-        elementary float operations in the same order, so they are
-        bit-identical — the golden traces hold whichever path runs.
+        (it may be ``parameters`` itself — the parameter server passes
+        its live buffer) and no per-step arrays are allocated: the
+        velocity, the direction and the scaled update all land in
+        buffers owned by the optimizer.  Without ``out`` the update
+        lands in a new array, by the same elementary float operations
+        in the same order as the historical allocating form, so the two
+        are bit-identical — the golden traces hold whichever runs.
 
         Raises
         ------
         TrainingError
             If the update produces non-finite parameters (divergence).
-            On the ``out=`` path the buffer has already been updated
-            when this raises; a diverged run is dead either way.
+            The output has already been updated when this raises; a
+            diverged run is dead either way.
         """
         parameters = np.asarray(parameters, dtype=np.float64)
         gradient = np.asarray(gradient, dtype=np.float64)
@@ -110,40 +111,34 @@ class SGDOptimizer:
             raise ValueError(
                 f"parameter/gradient shape mismatch: {parameters.shape} vs {gradient.shape}"
             )
+        if out is None:
+            out = np.empty_like(parameters)
+        elif out.shape != parameters.shape:
+            raise ValueError(
+                f"out shape {out.shape} does not match parameters {parameters.shape}"
+            )
         self._step_count += 1
         rate = self._schedule.rate(self._step_count)
         if self._velocity is None:
             self._velocity = np.zeros_like(parameters)
+        if self._update_scratch is None or self._update_scratch.shape != parameters.shape:
+            self._direction_scratch = np.empty_like(parameters)
+            self._update_scratch = np.empty_like(parameters)
         # In-place heavy-ball: v <- m*v, v <- v + g — the same two
         # elementwise operations the allocating form performs.
         self._velocity *= self._momentum
         self._velocity += gradient
+        direction = self._velocity
         if self._nesterov:
-            if out is None:
-                direction = self._momentum * self._velocity + gradient
-            else:
-                if self._direction_scratch is None or self._direction_scratch.shape != parameters.shape:
-                    self._direction_scratch = np.empty_like(parameters)
-                np.multiply(self._velocity, self._momentum, out=self._direction_scratch)
-                self._direction_scratch += gradient
-                direction = self._direction_scratch
-        else:
-            direction = self._velocity
-        if out is None:
-            updated = parameters - rate * direction
-        else:
-            if out.shape != parameters.shape:
-                raise ValueError(
-                    f"out shape {out.shape} does not match parameters {parameters.shape}"
-                )
-            if self._update_scratch is None or self._update_scratch.shape != parameters.shape:
-                self._update_scratch = np.empty_like(parameters)
-            np.multiply(direction, rate, out=self._update_scratch)
-            np.subtract(parameters, self._update_scratch, out=out)
-            updated = out
-        if not np.all(np.isfinite(updated)):
+            direction = np.multiply(
+                self._velocity, self._momentum, out=self._direction_scratch
+            )
+            direction += gradient
+        np.multiply(direction, rate, out=self._update_scratch)
+        np.subtract(parameters, self._update_scratch, out=out)
+        if not np.all(np.isfinite(out)):
             raise TrainingError(
                 f"parameters became non-finite at step {self._step_count}; "
                 "the training has diverged"
             )
-        return updated
+        return out

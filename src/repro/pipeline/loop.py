@@ -142,17 +142,20 @@ class TrainingLoop:
         :meth:`run`.  Every RNG stream, momentum buffer and parameter
         is restored bit-for-bit, so the completed run is identical to
         one that never stopped (the differential suite pins this).
+        A damaged snapshot raises
+        :class:`~repro.exceptions.TrainingError` or
+        :class:`~repro.exceptions.ConfigurationError` naming the file
+        and the failing field, before anything is restored
+        (:func:`repro.faults.checkpoint.restore_checkpoint`).
         Returns the final state, exactly like :meth:`run`.
         """
-        from repro.faults.checkpoint import load_checkpoint, restore_cluster_state
+        from repro.faults.checkpoint import restore_checkpoint
 
         if self._checkpoint is None:
             raise ConfigurationError("resume() needs a checkpoint path")
         if num_steps < 1:
             raise ConfigurationError(f"num_steps must be >= 1, got {num_steps}")
-        payload = load_checkpoint(self._checkpoint)
-        restore_cluster_state(self._cluster, payload["cluster"])
-        restored = TrainingHistory.from_dict(payload["history"])
+        restored = restore_checkpoint(self._checkpoint, self._cluster)
         # Replace the history contents in place so callers holding the
         # loop's (or Experiment's) history reference see the restored run.
         self._history.__dict__.update(restored.__dict__)

@@ -74,7 +74,8 @@ class NoiseMechanism(ABC):
         override it with a single vectorized draw, which is equivalent
         because NumPy ``Generator`` streams are consumed value-by-value
         in C order — an ``(R, d)`` fill reads the identical stream as
-        ``R`` sequential ``(d,)`` fills.
+        ``R`` sequential ``(d,)`` fills.  A subclass of either that
+        overrides :meth:`sample_noise` gets the sequential draws back.
         """
         if rounds < 1:
             raise PrivacyError(f"rounds must be >= 1, got {rounds}")
@@ -177,6 +178,9 @@ class GaussianMechanism(NoiseMechanism):
     def sample_noise_block(
         self, rounds: int, dimension: int, rng: np.random.Generator
     ) -> np.ndarray:
+        if type(self).sample_noise is not GaussianMechanism.sample_noise:
+            # An overriding sample_noise owns the draws: one per round.
+            return super().sample_noise_block(rounds, dimension, rng)
         # One (R, d) ziggurat fill consumes the identical stream as R
         # sequential (d,) fills; IEEE-754 multiplication is commutative,
         # so the in-place scale matches ``sigma * draw`` bit for bit.
@@ -248,6 +252,9 @@ class LaplaceMechanism(NoiseMechanism):
     def sample_noise_block(
         self, rounds: int, dimension: int, rng: np.random.Generator
     ) -> np.ndarray:
+        if type(self).sample_noise is not LaplaceMechanism.sample_noise:
+            # An overriding sample_noise owns the draws: one per round.
+            return super().sample_noise_block(rounds, dimension, rng)
         # Inverse-CDF sampling is per-value sequential, so the (R, d)
         # fill reads the same stream as R sequential (d,) fills.
         if rounds < 1:

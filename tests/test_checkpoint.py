@@ -182,6 +182,86 @@ class TestValidation:
             smaller.resume()
 
 
+def _without(*keys):
+    """A damage that deletes the field at the path ``keys``."""
+
+    def damage(payload):
+        node = payload
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+        return payload
+
+    return damage
+
+
+def _retyped_state(payload):
+    payload["cluster"]["workers"][0]["sampler_rng"]["has_uint32"] = True
+    return payload
+
+
+def _short_velocity(payload):
+    payload["cluster"]["workers"][0]["velocity_submitted"] = [0.0, 0.0]
+    return payload
+
+
+class TestDamagedCheckpoints:
+    """A damaged checkpoint fails the way a config does: ``resume()``
+    raises only a TrainingError or a ConfigurationError, naming the file
+    and the failing field (a 4-round momentum run, d = 7, resumed from
+    its round-2 snapshot)."""
+
+    DAMAGE = {
+        "not-an-object": (lambda payload: [1], TrainingError, "schema"),
+        "schema-only": (
+            lambda payload: {"schema": payload["schema"]},
+            TrainingError,
+            "field 'cluster' is missing",
+        ),
+        "cluster-not-an-object": (
+            lambda payload: {**payload, "cluster": "x"},
+            TrainingError,
+            "field 'cluster' must be an object",
+        ),
+        "worker-without-noise-rng": (
+            _without("cluster", "workers", 0, "noise_rng"),
+            TrainingError,
+            "field 'cluster.workers[0].noise_rng' is missing",
+        ),
+        "without-history": (
+            _without("history"),
+            TrainingError,
+            "field 'history' is missing",
+        ),
+        "retyped-generator-state": (
+            _retyped_state,
+            TrainingError,
+            "field 'cluster.workers[0].sampler_rng' is not a PCG64 state",
+        ),
+        "short-velocity": (
+            _short_velocity,
+            ConfigurationError,
+            "field 'cluster.workers[0].velocity_submitted' has 2 entries",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DAMAGE))
+    def test_resume_names_the_file_and_the_field(self, tmp_path, case):
+        damage, kind, field = self.DAMAGE[case]
+        ckpt = tmp_path / "state.json"
+        Experiment(
+            **settings(num_steps=2, test_dataset=None), checkpoint=ckpt, checkpoint_every=2
+        ).run()
+        ckpt.write_text(json.dumps(damage(json.loads(ckpt.read_text()))))
+        resumed = Experiment(
+            **settings(num_steps=4, test_dataset=None), checkpoint=ckpt, checkpoint_every=2
+        )
+        with pytest.raises((TrainingError, ConfigurationError)) as error:
+            resumed.resume()
+        assert type(error.value) is kind
+        assert str(ckpt) in str(error.value) and field in str(error.value)
+
+
 class TestTelemetry:
     def test_checkpoint_saved_counter(self, tmp_path):
         sink = MemorySink()

@@ -20,6 +20,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.attacks.base import ByzantineAttack
 from repro.data.batching import BatchSampler
 from repro.data.datasets import Dataset
 from repro.distributed.cluster import Cluster, RoundCore
@@ -33,7 +34,7 @@ from repro.models.logistic import LogisticRegressionModel
 from repro.models.mlp import MLPClassifierModel
 from repro.optim.sgd import SGDOptimizer
 from repro.pipeline.builder import Experiment
-from repro.pipeline.callbacks import Callback
+from repro.pipeline.callbacks import Callback, StepResultRecorder
 from repro.pipeline.registry import REGISTRY
 from repro.privacy.mechanisms import GaussianMechanism, LaplaceMechanism
 from repro.rng import SeedTree
@@ -442,6 +443,150 @@ class TestSharedState:
         )
         distinct = {id(features) for features in sources}
         assert len(distinct) == (1 if data == "shared" else 5)
+
+    @staticmethod
+    def _experiment(**overrides):
+        """A momentum run under attack, with DP."""
+        settings = dict(
+            model=LogisticRegressionModel(NUM_FEATURES),
+            train_dataset=make_datasets("shared", 1, points=80)[0],
+            test_dataset=None,
+            num_steps=4,
+            n=7,
+            f=2,
+            gar="krum",
+            attack="little",
+            epsilon=0.5,
+            momentum=0.9,
+            batch_size=BATCH,
+            g_max=1e-2,
+            seed=4,
+        )
+        return Experiment(**{**settings, **overrides})
+
+    @staticmethod
+    def _assert_stack_rows(workers):
+        """Each momentum worker's two buffers are its rows of its pass's
+        velocity stack, not copies."""
+        for worker in workers:
+            cohort, position = worker._cohort_slot
+            buffers = (worker._velocity_submitted, worker._velocity_clean)
+            for buffer, row in zip(buffers, cohort._velocity[:, position], strict=True):
+                assert np.shares_memory(buffer, cohort._velocity)
+                assert buffer.tobytes() == row.tobytes()
+        assert any(np.any(worker._velocity_submitted != 0.0) for worker in workers)
+
+    @pytest.mark.parametrize(
+        "path", ["per-round", "fused", "shard", "simulator-subset", "resume"]
+    )
+    def test_momentum_lives_in_the_pass_stack(self, path, tmp_path):
+        if path == "shard":
+            model = LogisticRegressionModel(NUM_FEATURES)
+            spec = WorkerShardSpec(
+                shard_id=0,
+                worker_ids=(0, 1, 2),
+                model=model,
+                datasets=tuple(make_datasets("iid-shards", 3)),
+                batch_size=BATCH,
+                root_seed=17,
+                g_max=0.05,
+                mechanism=MECHANISMS["gaussian"](),
+                momentum=0.9,
+            )
+            workers = spec.build_workers()
+            for step, parameters in enumerate(round_parameters(model.dimension, 2)):
+                compute_cohort(workers, parameters, step + 1)
+        elif path == "resume":
+            checkpoint = tmp_path / "state.json"
+            self._experiment(num_steps=2, checkpoint=checkpoint).run()
+            experiment = self._experiment(checkpoint=checkpoint)
+            experiment.resume()
+            workers = experiment.build_workers()
+        else:
+            experiment = self._experiment(
+                participation_rate=0.5 if path == "simulator-subset" else 1.0
+            )
+            if path == "simulator-subset":
+                experiment.simulate()
+            else:
+                experiment.run(callbacks=[Callback()] if path == "per-round" else [])
+            workers = experiment.build_workers()
+        self._assert_stack_rows(workers)
+
+    def test_a_second_owner_carries_the_velocity(self):
+        """build_simulation() after build_cluster() builds a second pass
+        over the same workers: it takes over their velocity, and the
+        cluster's engine and Cluster.step then run on it exactly as a
+        run with one owner does."""
+
+        def rounds(second_owner):
+            experiment = self._experiment()
+            cluster = experiment.build_cluster()
+            cluster.engine.run(2)
+            if second_owner:
+                workers = experiment.build_workers()
+                before = [worker._velocity_submitted.copy() for worker in workers]
+                simulator = experiment.build_simulation()
+                for worker, velocity in zip(workers, before, strict=True):
+                    assert worker._cohort_slot[0] is simulator._cohort_pass
+                    assert worker._velocity_submitted.tobytes() == velocity.tobytes()
+            cluster.engine.run(2)
+            return cluster, cluster.step()
+
+        carried, carried_result = rounds(second_owner=True)
+        fresh, fresh_result = rounds(second_owner=False)
+        assert carried.parameters.tobytes() == fresh.parameters.tobytes()
+        for name in ("honest_submitted", "honest_clean", "aggregated"):
+            assert (
+                getattr(carried_result, name).tobytes()
+                == getattr(fresh_result, name).tobytes()
+            ), name
+        self._assert_stack_rows(carried.honest_workers)
+
+    def test_the_attack_sees_copies(self):
+        """An attack writing into its context changes neither the wire
+        nor the rows a StepResult-holding callback keeps, per round."""
+        runs = {}
+        for scribble in (False, True):
+            recorder = StepResultRecorder()
+            result = self._experiment(attack=_MeanAttack(scribble)).run(
+                callbacks=[recorder]
+            )
+            runs[scribble] = result, recorder.results
+        (clean_run, clean_rounds), (scribbled_run, scribbled_rounds) = (
+            runs[False],
+            runs[True],
+        )
+        assert (
+            scribbled_run.final_parameters.tobytes()
+            == clean_run.final_parameters.tobytes()
+        )
+        for scribbled, clean in zip(scribbled_rounds, clean_rounds, strict=True):
+            for name in ("honest_submitted", "honest_clean", "byzantine_gradient"):
+                assert getattr(scribbled, name).tobytes() == getattr(clean, name).tobytes()
+            assert not np.any(scribbled.honest_submitted == 7.0)
+
+
+class _MeanAttack(ByzantineAttack):
+    """Sends the honest mean; with ``scribble``, then overwrites every
+    array its context holds, as an attack keeping its context might."""
+
+    name = "mean"
+
+    def __init__(self, scribble: bool):
+        super().__init__()
+        self._scribble = scribble
+
+    def craft(self, context):
+        gradient = context.honest_submitted.mean(axis=0)
+        if self._scribble:
+            for array in (
+                context.honest_submitted,
+                context.honest_clean,
+                context.parameters,
+            ):
+                array[...] = 7.0
+        return gradient
 
 
 class _ShuffledSampler(BatchSampler):

@@ -237,7 +237,13 @@ class TestEligibilityFallbacks:
             assert fused.final_parameters.tobytes() == per_round.final_parameters.tobytes()
 
     def test_custom_mechanism_privatize_falls_back(self):
+        """No round calls privatize: a mechanism that overrides it is
+        refused when its cohort's owner is built, on every backend."""
+        from repro.distributed.cluster import Cluster
+        from repro.distributed.runtime.shard import WorkerShardSpec
+        from repro.distributed.worker import compute_cohort
         from repro.privacy.mechanisms import GaussianMechanism
+        from repro.simulation.engine import ClusterSimulator
 
         class OddMechanism(GaussianMechanism):
             def privatize(self, gradient, rng):
@@ -250,9 +256,33 @@ class TestEligibilityFallbacks:
         experiment.mechanism = OddMechanism(
             epsilon=0.5, delta=1e-6, l2_sensitivity=0.002
         )
-        cluster = experiment.build_cluster()
-        assert not cluster.engine.supports_fused
-        assert "OddMechanism" in cluster.engine.fused_unsupported_reason
+        workers = experiment.build_workers()
+        server = experiment.build_server()
+        spec = WorkerShardSpec(
+            shard_id=0,
+            worker_ids=(0, 1, 2),
+            model=model,
+            datasets=(train,) * 3,
+            batch_size=10,
+            root_seed=3,
+            g_max=1e-2,
+            mechanism=experiment.mechanism,
+        )
+        owners = {
+            "cluster": lambda: Cluster(server=server, honest_workers=workers),
+            "simulator": lambda: ClusterSimulator(server=server, honest_workers=workers),
+            "shard": spec.build_workers,
+            "compute_cohort": lambda: compute_cohort(
+                workers, np.zeros(model.dimension), 1
+            ),
+        }
+        for name, build in owners.items():
+            with pytest.raises(
+                ConfigurationError,
+                match="^no cohort pass for these workers: "
+                "mechanism OddMechanism overrides privatize$",
+            ):
+                build()
 
     def test_shared_rng_streams_fall_back(self):
         """A generator shared across consumed roles would be pre-drawn
@@ -288,28 +318,44 @@ class TestEligibilityFallbacks:
         assert "share RNG" in cluster.engine.fused_unsupported_reason
 
     def test_custom_optimizer_step_falls_back(self):
-        """An optimizer overriding step() must not be bypassed by the
-        in-place out= path (it might ignore or mishandle out=)."""
+        """The server updates its buffer through out= and copies in an
+        array the optimizer returns instead, so an optimizer overriding
+        step() fuses, its override honoured as it is per round."""
         from repro.optim.sgd import SGDOptimizer
 
         class ClampedSGD(SGDOptimizer):
             def step(self, parameters, gradient, out=None):
                 updated = super().step(parameters, gradient)
-                return np.clip(updated, -1.0, 1.0)
+                self.returned = np.clip(updated, -1.0, 1.0)
+                return self.returned
 
         model, train = _environment()
-        experiment = _experiment(
-            model, train, gar="average", attack=None, n=3, f=0, momentum=0.0
-        )
-        server = experiment.build_server()
-        server._optimizer = ClampedSGD(2.0)
-        cluster = experiment.build_cluster()
-        assert not cluster.engine.supports_fused
-        assert "ClampedSGD" in cluster.engine.fused_unsupported_reason
+
+        def experiment(optimizer):
+            built = _experiment(
+                model, train, gar="average", attack=None, n=3, f=0,
+                momentum=0.0, g_max=None,
+            )
+            built.build_server()._optimizer = optimizer(500.0)
+            return built
+
+        clamped = experiment(ClampedSGD)
+        assert clamped.build_cluster().engine.supports_fused
+        fused = clamped.run()
+        per_round = experiment(ClampedSGD).run(callbacks=[_NoopCallback()])
+        assert fused.history.losses.tobytes() == per_round.history.losses.tobytes()
+        assert fused.final_parameters.tobytes() == per_round.final_parameters.tobytes()
+        assert np.all(np.abs(fused.final_parameters) <= 1.0)
+        # The server copied in the array the override returned.
+        returned = clamped.build_server().optimizer.returned
+        assert fused.final_parameters.tobytes() == returned.tobytes()
+        unclamped = experiment(SGDOptimizer).run()
+        assert np.abs(unclamped.final_parameters).max() > 1.0
 
     def test_sample_noise_override_falls_back(self):
-        """A mechanism overriding sample_noise must not inherit the
-        vectorized block draw (it would fuse with *different* noise)."""
+        """A mechanism overriding sample_noise draws its block one round
+        at a time (the base class's loop), so it fuses with its own
+        noise, bit-identical to stepping per round."""
         from repro.privacy.mechanisms import GaussianMechanism
 
         class HalfNoise(GaussianMechanism):
@@ -317,21 +363,22 @@ class TestEligibilityFallbacks:
                 return 0.5 * super().sample_noise(dimension, rng)
 
         model, train = _environment()
-        experiment = _experiment(
-            model, train, gar="average", attack=None, n=3, f=0, momentum=0.0
-        )
-        experiment.mechanism = HalfNoise(epsilon=0.5, delta=1e-6, l2_sensitivity=0.002)
-        cluster = experiment.build_cluster()
-        assert not cluster.engine.supports_fused
-        assert "sample_noise" in cluster.engine.fused_unsupported_reason
-        # And the loop's fallback stays bit-identical to forced per-round.
-        first = experiment.run()
-        rebuilt = _experiment(
-            model, train, gar="average", attack=None, n=3, f=0, momentum=0.0
-        )
-        rebuilt.mechanism = HalfNoise(epsilon=0.5, delta=1e-6, l2_sensitivity=0.002)
-        second = rebuilt.run(callbacks=[_NoopCallback()])
-        assert first.final_parameters.tolist() == second.final_parameters.tolist()
+
+        def experiment(mechanism):
+            built = _experiment(
+                model, train, gar="average", attack=None, n=3, f=0, momentum=0.0
+            )
+            built.mechanism = mechanism(epsilon=0.5, delta=1e-6, l2_sensitivity=0.002)
+            return built
+
+        halved = experiment(HalfNoise)
+        assert halved.build_cluster().engine.supports_fused
+        fused = halved.run()
+        per_round = experiment(HalfNoise).run(callbacks=[_NoopCallback()])
+        assert fused.history.losses.tobytes() == per_round.history.losses.tobytes()
+        assert fused.final_parameters.tobytes() == per_round.final_parameters.tobytes()
+        plain = experiment(GaussianMechanism).run()
+        assert fused.final_parameters.tobytes() != plain.final_parameters.tobytes()
 
     def test_custom_block_override_is_trusted(self):
         """Overriding sample_noise_block itself owns the contract."""

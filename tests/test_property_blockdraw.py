@@ -61,9 +61,7 @@ class TestNoiseBlockEquivalence:
 
         mechanism = Custom(epsilon=0.5, delta=1e-6, l2_sensitivity=1.0)
         block_rng, seq_rng = _generators(5)
-        from repro.privacy.mechanisms import NoiseMechanism
-
-        block = NoiseMechanism.sample_noise_block(mechanism, 4, 7, block_rng)
+        block = mechanism.sample_noise_block(4, 7, block_rng)
         sequential = np.stack([mechanism.sample_noise(7, seq_rng) for _ in range(4)])
         assert block.tolist() == sequential.tolist()
 

@@ -4,9 +4,12 @@ Every mutation of a valid cell (one or two fields, from values a JSON
 file can hold) either runs, or fails with a :class:`ReproError` that
 names a config field.  The same holds for the axes of a campaign
 matrix.  A run that loses every honest worker or diverges is a result,
-not a failure.
+not a failure.  A damaged checkpoint (a key dropped, a value retyped, a
+list resized, the bytes truncated) either resumes bit-identically or
+fails with a TrainingError or ConfigurationError naming the file.
 """
 
+import json
 import os
 import re
 from dataclasses import fields
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 from repro.campaign.matrix import ScenarioMatrix
 from repro.data.datasets import train_test_split
 from repro.data.phishing import make_phishing_dataset
-from repro.exceptions import ReproError, TrainingError
+from repro.exceptions import ConfigurationError, ReproError, TrainingError
 from repro.experiments.config import FAMILIES, ExperimentConfig
 from repro.models.logistic import LogisticRegressionModel
 from repro.pipeline import REGISTRY, Experiment
@@ -162,3 +165,99 @@ def test_mutated_matrix_expands_or_names_a_field(environment, axes):
     except ReproError as error:
         assert_names_a_field(error)
 
+
+
+def checkpoint_run(**overrides):
+    """A momentum run under attack, with DP, a lossy network and
+    accuracy evaluation (d = 7)."""
+    settings = dict(
+        model=LogisticRegressionModel(6),
+        train_dataset=make_phishing_dataset(seed=0, num_points=120, num_features=6),
+        test_dataset=make_phishing_dataset(seed=1, num_points=40, num_features=6),
+        num_steps=4,
+        n=5,
+        f=1,
+        gar="median",
+        attack="little",
+        epsilon=0.5,
+        momentum=0.9,
+        drop_probability=0.2,
+        batch_size=5,
+        eval_every=1,
+        seed=3,
+        checkpoint="state.json",
+        checkpoint_every=2,
+    )
+    return Experiment(**{**settings, **overrides})
+
+
+@pytest.fixture(scope="module")
+def snapshot():
+    """A valid round-2 checkpoint document and the uninterrupted run."""
+    checkpoint_run(num_steps=2).run()
+    with open("state.json", encoding="utf-8") as handle:
+        document = json.load(handle)
+    return document, checkpoint_run(checkpoint=None).run()
+
+
+def tree_paths(node, path=()):
+    """Every path into a JSON document (the root excluded)."""
+    children = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list)
+        else ()
+    )
+    for key, child in children:
+        yield path + (key,)
+        yield from tree_paths(child, path + (key,))
+
+
+#: Values of another JSON kind than a number, a list, an object or a
+#: string; a number is never replaced by a number (that is a new value,
+#: not a damage).
+RETYPES = ("x", True, None, ["x"], {"x": 1})
+
+
+def damage(document, operation, path, choice):
+    """``document`` after one damage at ``path``, as JSON text."""
+    *parents, key = path
+    node = document
+    for parent in parents:
+        node = node[parent]
+    target = node[key]
+    if operation == "drop":
+        del node[key]
+    elif operation == "retype":
+        kinds = [value for value in RETYPES if type(value) is not type(target)]
+        node[key] = kinds[choice % len(kinds)]
+    elif isinstance(target, list) and target:  # "resize"
+        node[key] = target[:-1] if choice % 2 else target + target[-1:]
+    text = json.dumps(document)
+    if operation == "truncate":
+        text = text[: 1 + choice % (len(text) - 1)]
+    return text
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    operation=st.sampled_from(["drop", "retype", "resize", "truncate"]),
+    choice=st.integers(0, 1 << 16),
+)
+@example(data=None, operation="retype", choice=0)
+def test_damaged_checkpoint_resumes_or_names_the_file(snapshot, data, operation, choice):
+    document, reference = snapshot
+    document = json.loads(json.dumps(document))
+    paths = sorted(tree_paths(document), key=repr)
+    path = ("cluster",) if data is None else data.draw(st.sampled_from(paths))
+    with open("damaged.json", "w", encoding="utf-8") as handle:
+        handle.write(damage(document, operation, path, choice))
+    try:
+        resumed = checkpoint_run(checkpoint="damaged.json").resume()
+    except (TrainingError, ConfigurationError) as error:
+        assert type(error) in (TrainingError, ConfigurationError)
+        assert "damaged.json" in str(error), str(error)
+        return
+    assert resumed.history.losses.tobytes() == reference.history.losses.tobytes()
+    assert resumed.history.accuracies.tobytes() == reference.history.accuracies.tobytes()
+    assert resumed.final_parameters.tobytes() == reference.final_parameters.tobytes()
