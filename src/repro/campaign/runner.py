@@ -81,16 +81,22 @@ class CellJob:
 
 @dataclass(frozen=True)
 class CampaignPlan:
-    """The join of a matrix against a store: what runs, what's cached."""
+    """The join of a matrix against a store: what runs, what's cached.
+
+    A stored record that fails its check (:meth:`ResultStore.load`) is
+    neither cached nor pending but ``corrupt``: a resume refuses to run
+    until its file is deleted.
+    """
 
     matrix: ScenarioMatrix
     pending: tuple[CellJob, ...]
     completed: tuple[tuple[str, int, str], ...]  # (cell name, seed, key)
+    corrupt: tuple[tuple[str, int, str, str], ...]  # (cell name, seed, key, error)
 
     @property
     def total_runs(self) -> int:
         """All (cell, seed) runs the campaign describes."""
-        return len(self.pending) + len(self.completed)
+        return len(self.pending) + len(self.completed) + len(self.corrupt)
 
 
 @dataclass
@@ -301,9 +307,11 @@ def plan_campaign(
 ) -> CampaignPlan:
     """Join the matrix against the store and list the pending runs.
 
-    The shared environment (dataset + model) is built only when at
-    least one run is actually pending: planning against a warm store —
-    a dry run, a report, a no-op resume — is pure key arithmetic.
+    Every stored record is loaded, and so checked, once: one that fails
+    the check is listed as ``corrupt``, not cached.  The shared
+    environment (dataset + model) is built only when at least one run
+    is actually pending: planning against a warm store — a dry run, a
+    report, a no-op resume — builds no dataset.
 
     ``telemetry`` names a *directory*: each pending run then writes a
     JSONL trace at ``<telemetry>/<key>.jsonl`` (the store key is the
@@ -314,13 +322,19 @@ def plan_campaign(
         matrix = matrix.smoke()
     missing: list[tuple[CampaignCell, int, str]] = []
     completed: list[tuple[str, int, str]] = []
+    corrupt: list[tuple[str, int, str, str]] = []
     for cell in matrix.cells:
         for seed in cell.config.seeds:
             key = job_key(cell, seed, matrix)
-            if store.has(key):
-                completed.append((cell.name, int(seed), key))
-            else:
+            if not store.has(key):
                 missing.append((cell, int(seed), key))
+                continue
+            try:
+                store.load(key)
+            except ConfigurationError as error:
+                corrupt.append((cell.name, int(seed), key, str(error)))
+            else:
+                completed.append((cell.name, int(seed), key))
     pending: list[CellJob] = []
     if missing:
         model, train_set, test_set = build_environment(
@@ -344,7 +358,12 @@ def plan_campaign(
             )
             for cell, seed, key in missing
         ]
-    return CampaignPlan(matrix=matrix, pending=tuple(pending), completed=tuple(completed))
+    return CampaignPlan(
+        matrix=matrix,
+        pending=tuple(pending),
+        completed=tuple(completed),
+        corrupt=tuple(corrupt),
+    )
 
 
 def job_key(cell: CampaignCell, seed: int, matrix: ScenarioMatrix) -> str:
@@ -407,6 +426,8 @@ def run_campaign(
             f"retry_backoff must be >= 0, got {retry_backoff}"
         )
     plan = plan_campaign(matrix, store, smoke=smoke, telemetry=telemetry)
+    if plan.corrupt:  # never re-run a damaged record silently
+        raise ConfigurationError(plan.corrupt[0][3])
     if verbose:
         print(
             f"campaign {matrix.name!r}: {len(plan.pending)} pending run(s), "

@@ -22,6 +22,13 @@ Records are plain JSON.  Python's ``json`` round-trips finite floats
 exactly (``repr``-based), so a loaded history is bit-identical to the
 run that produced it — which is what lets the differential suite
 compare store contents against live runs.
+
+The writer is atomic, so a damaged record was damaged from outside the
+program.  :meth:`ResultStore.load` checks every record once, against the
+fields the campaign runner and report read, and raises a
+:class:`ConfigurationError` naming the record's key, its path and the
+failing field; such a record is no cache hit, and nothing re-runs it
+silently (delete the file to re-run its cell).
 """
 
 from __future__ import annotations
@@ -29,10 +36,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import reprlib
 from pathlib import Path
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
+from repro.metrics.history import TrainingHistory
+from repro.typing import is_finite_number, is_integer
 
 __all__ = ["STORE_SCHEMA", "ResultStore", "cell_key"]
 
@@ -108,6 +118,82 @@ def cell_key(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _number(value) -> bool:
+    """A JSON number: a diverged run stores NaN or an infinity."""
+    return isinstance(value, float) or is_finite_number(value)
+
+
+def _nullable(test):
+    return lambda value: value is None or test(value)
+
+
+def _object_with(name: str, test):
+    """An object whose field ``name`` passes ``test``."""
+    return lambda value: isinstance(value, dict) and name in value and test(value[name])
+
+
+def _history(value) -> bool:
+    try:
+        TrainingHistory.from_dict(value)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return False
+    return True
+
+
+#: ``field: (what it must be, test)`` for the fields of a quarantine
+#: record and of a run record that the campaign runner and report read.
+_QUARANTINE_FIELDS = {
+    "quarantined": ("true", lambda value: value is True),
+    "error": (
+        "an object with a string 'type' and 'message'",
+        lambda value: isinstance(value, dict)
+        and all(isinstance(value.get(name), str) for name in ("type", "message")),
+    ),
+    "attempts": ("a positive integer", lambda value: is_integer(value) and value >= 1),
+}
+_RUN_FIELDS = {
+    "final_loss": ("a number or null", _nullable(_number)),
+    "min_loss": ("a number or null", _nullable(_number)),
+    "final_accuracy": ("a number or null", _nullable(_number)),
+    "history": ("a training history", _history),
+    "privacy": (
+        "null or an object whose 'basic' list starts with a number",
+        _nullable(
+            _object_with(
+                "basic",
+                lambda basic: isinstance(basic, list) and len(basic) > 0 and _number(basic[0]),
+            )
+        ),
+    ),
+    "vn": (
+        "null or an object with a number 'median_submitted'",
+        _nullable(_object_with("median_submitted", _number)),
+    ),
+    "simulation": (
+        "null or an object with a number 'virtual_time'",
+        _nullable(_object_with("virtual_time", _number)),
+    ),
+}
+
+
+def _check_record(record, key: str) -> None:
+    """Raise ``ValueError`` naming the first field the campaign runner
+    or report could not read from ``record`` as ``key``'s record."""
+    if not isinstance(record, dict):
+        raise ValueError(f"must be a JSON object, got {type(record).__name__}")
+    fields = {
+        "schema": (repr(STORE_SCHEMA), lambda value: value == STORE_SCHEMA),
+        "key": ("the key it is stored under", lambda value: value == key),
+        **(_QUARANTINE_FIELDS if "quarantined" in record else _RUN_FIELDS),
+    }
+    for field, (expected, test) in fields.items():
+        if field not in record:
+            raise ValueError(f"field {field!r} is missing")
+        if not test(record[field]):
+            got = reprlib.repr(record[field])
+            raise ValueError(f"field {field!r} must be {expected}, got {got}")
+
+
 class ResultStore:
     """A directory of content-addressed campaign records.
 
@@ -165,12 +251,24 @@ class ResultStore:
     __contains__ = has
 
     def load(self, key: str) -> dict:
-        """The record stored under ``key`` (KeyError if absent)."""
+        """The record stored under ``key`` (KeyError if absent).
+
+        A record that is not JSON, or that the campaign runner or report
+        could not read, raises :class:`ConfigurationError` naming the
+        key, the path and the failing field.
+        """
         path = self.path_for(key)
         try:
-            return json.loads(path.read_text())
+            record = json.loads(path.read_text(encoding="utf-8"))
+            _check_record(record, key)
         except FileNotFoundError:
             raise KeyError(key) from None
+        except ValueError as error:  # also bad JSON and bad UTF-8
+            raise ConfigurationError(
+                f"corrupt store record {path} (key {key}): {error}; "
+                "delete the file to re-run its cell"
+            ) from None
+        return record
 
     def save(self, key: str, record: dict) -> Path:
         """Atomically write ``record`` under ``key``; returns its path.

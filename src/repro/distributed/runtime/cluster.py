@@ -16,9 +16,12 @@ process boundaries.
 Round protocol (per :meth:`step`):
 
 1. publish the current parameters into the plane;
-2. send ``("round", step)`` to every live shard;
-3. collect ``("done", shard, step)`` replies under ``round_timeout``,
-   watching for dead processes while waiting;
+2. send ``("round", step)`` down every live shard's pipe;
+3. wait under ``round_timeout`` on those pipes and the shards' process
+   sentinels together: each shard answers ``("done", step, events)``
+   on its own pipe, so a shard that dies — even halfway through a
+   reply — breaks only that pipe, and the chief departs it the moment
+   its pipe reads end-of-file;
 4. copy the wire/clean/loss arrays out of the plane, zero the rows of
    departed workers in the shared fault stage, drop their entries from
    the losses the shards' cohort pass scored, and run the shared
@@ -40,9 +43,9 @@ which guarantees it can never write into a later round.
 
 from __future__ import annotations
 
-import queue as queue_module
 import time
 from dataclasses import replace
+from multiprocessing.connection import wait
 from typing import Sequence
 
 import numpy as np
@@ -60,8 +63,27 @@ from repro.faults.plan import ResolvedFaultPlan
 
 __all__ = ["MultiprocessCluster"]
 
-#: How often the chief re-checks liveness while waiting on shard replies.
-_POLL_SECONDS = 0.05
+#: Departure reasons by what a shard did instead of replying (see
+#: :meth:`MultiprocessCluster._receive`): died with an exit code,
+#: replied with an error, or stayed silent past the deadline.
+_JOIN_FAILURES = {
+    "died": "exited before joining (code {})",
+    "error": "startup error: {}",
+    "silent": "failed to join in time",
+}
+_ROUND_FAILURES = {
+    "died": "process died (code {})",
+    "error": "worker error: {}",
+    "silent": "round timed out",
+}
+_RESPAWN_FAILURES = {
+    "died": "respawn died (code {})",
+    "error": "respawn error: {}",
+    "silent": "failed to join in time",
+}
+
+#: How long a stopping shard gets to reply and exit before it is killed.
+_STOP_SECONDS = 2.0
 
 
 class MultiprocessCluster(RoundCore):
@@ -147,8 +169,9 @@ class MultiprocessCluster(RoundCore):
         self._closed = False
         self._plane: WirePlane | None = None
         self._processes: dict[int, object] = {}
-        self._commands: dict[int, object] = {}
-        self._results = None
+        # The chief's end of each shard's duplex pipe: commands go down,
+        # ``(kind, value, events)`` replies come back.
+        self._pipes: dict[int, object] = {}
         self._departed: dict[int, str] = {}
         self._dead_rows: list[int] = []
         self._context = None
@@ -157,9 +180,9 @@ class MultiprocessCluster(RoundCore):
         # this log survives respawns, so a crash->rejoin run keeps its
         # complete fault narrative.
         self._membership_log: list[tuple[int, int, str, str]] = []
-        # With a chief-side telemetry source, start() also creates the
-        # shared shard->chief event queue the merge drains.
-        self._telemetry_queue = None
+        # Whether the shards were launched with telemetry: only then do
+        # their replies carry events.
+        self._observed = False
 
     # ------------------------------------------------------------------
     # multiprocess read surface
@@ -195,10 +218,10 @@ class MultiprocessCluster(RoundCore):
 
     @RoundCore.telemetry.setter
     def telemetry(self, handle) -> None:
-        if self._started and handle is not None and self._telemetry_queue is None:
+        if self._started and handle is not None and not self._observed:
             raise ConfigurationError(
                 "telemetry must be installed before the runtime starts "
-                "(shard processes are launched with the telemetry queue)"
+                "(shard processes are launched knowing whether to record events)"
             )
         self._telemetry = handle
 
@@ -219,17 +242,10 @@ class MultiprocessCluster(RoundCore):
             raise TrainingError("cluster already shut down; build a new one")
         if self._started:
             return
-        context = multiprocessing_context(self._start_method)
-        self._context = context
+        self._context = multiprocessing_context(self._start_method)
         dimension = int(self._server.parameters_view.shape[0])
         self._plane = WirePlane.create(self._num_honest, dimension)
-        self._results = context.Queue()
-        if self._telemetry is not None:
-            # One shared event queue for all shards: each shard's
-            # QueueSink batches put their events in order, and the
-            # chief's drain preserves per-source ordering — all the
-            # merged trace's validation requires.
-            self._telemetry_queue = context.Queue()
+        self._observed = self._telemetry is not None
         try:
             for spec in self._shard_specs:
                 if self._faults is not None:
@@ -240,7 +256,9 @@ class MultiprocessCluster(RoundCore):
                         spec, **self._faults.shard_spec_fields(spec.shard_id)
                     )
                 self._launch(spec)
-            self._await_joins()
+            failures = self._receive(list(self._pipes), "join", self._join_timeout)
+            for shard_id, (cause, detail) in sorted(failures.items()):
+                self._depart(shard_id, _JOIN_FAILURES[cause].format(detail))
         except BaseException:
             self._started = True  # so shutdown tears down the partial launch
             self.shutdown()
@@ -254,49 +272,79 @@ class MultiprocessCluster(RoundCore):
             raise TrainingError(f"no worker shard joined the runtime ({reasons})")
 
     def _launch(self, spec: WorkerShardSpec) -> None:
-        """Spawn one shard process and register its queues."""
-        commands = self._context.Queue()
+        """Spawn one shard process over a fresh duplex pipe.
+
+        The chief closes its copy of the shard's end as soon as the
+        process has it, before the next shard is launched: the shard
+        then holds the only copy, so its death reads as end-of-file.
+        """
+        pipe, shard_end = self._context.Pipe()
         process = self._context.Process(
             target=shard_main,
-            args=(
-                spec,
-                self._plane.spec,
-                commands,
-                self._results,
-                self._telemetry_queue,
-            ),
+            args=(spec, self._plane.spec, shard_end, self._observed),
             daemon=True,
             name=f"repro-shard-{spec.shard_id}",
         )
-        process.start()
-        self._commands[spec.shard_id] = commands
+        try:
+            process.start()
+        finally:
+            shard_end.close()
+        self._pipes[spec.shard_id] = pipe
         self._processes[spec.shard_id] = process
 
-    def _await_joins(self) -> None:
-        waiting = {spec.shard_id for spec in self._shard_specs}
-        deadline = time.monotonic() + self._join_timeout
+    def _send(self, shard_id: int, command: tuple) -> None:
+        try:
+            self._pipes[shard_id].send(command)
+        except OSError:
+            pass  # a dead shard: its pipe reads end-of-file in _receive
+
+    def _receive(
+        self, shards, kind: str, timeout: float
+    ) -> dict[int, tuple[str, object]]:
+        """Wait up to ``timeout`` seconds for each of ``shards`` to reply ``kind``.
+
+        The one place the chief waits: on the shards' pipes and process
+        sentinels together.  Every reply's events are merged into the
+        chief's trace as it arrives, keeping their ``src`` and ``seq``.
+        Returns the shards that did not reply ``kind``, each as
+        ``(cause, detail)``: ``("died", exit_code)``, ``("error",
+        message)`` or ``("silent", None)``.  A ready shard's pipe is read
+        before its death is believed, so a reply sent just before exit
+        still counts; end-of-file or a torn frame is a death.
+        """
+        waiting = set(shards)
+        failures: dict[int, tuple[str, object]] = {}
+        deadline = time.monotonic() + timeout
         while waiting:
-            try:
-                message = self._results.get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
-                for shard_id in list(waiting):
+            handles = {}
+            for shard_id in waiting:
+                handles[self._pipes[shard_id]] = shard_id
+                handles[self._processes[shard_id].sentinel] = shard_id
+            ready = wait(list(handles), max(0.0, deadline - time.monotonic()))
+            if not ready:
+                failures.update((shard_id, ("silent", None)) for shard_id in waiting)
+                break
+            for shard_id in {handles[handle] for handle in ready}:
+                waiting.discard(shard_id)
+                try:
+                    reply, value, events = self._pipes[shard_id].recv()
+                except (EOFError, OSError):
                     process = self._processes[shard_id]
-                    if not process.is_alive():
-                        waiting.discard(shard_id)
-                        self._depart(
-                            shard_id,
-                            f"exited before joining (code {process.exitcode})",
-                        )
-                if time.monotonic() >= deadline:
-                    for shard_id in sorted(waiting):
-                        self._depart(shard_id, "failed to join in time", kill=True)
-                    return
-                continue
-            if message[0] == "join":
-                waiting.discard(message[1])
-            elif message[0] == "error":
-                waiting.discard(message[1])
-                self._depart(message[1], f"startup error: {message[2]}")
+                    process.join(timeout=1.0)
+                    failures[shard_id] = ("died", process.exitcode)
+                    continue
+                if self._telemetry is not None:
+                    for event in events:
+                        self._telemetry.forward(event)
+                if reply != kind:
+                    failures[shard_id] = ("error", value)
+        return failures
+
+    def _stop(self, shards) -> None:
+        """Ask ``shards`` to stop; merge the last events they reply with."""
+        for shard_id in shards:
+            self._send(shard_id, ("stop",))
+        self._receive(shards, "stopped", _STOP_SECONDS)
 
     def shutdown(self) -> None:
         """Stop shards, reap processes, release the wire plane.
@@ -309,36 +357,18 @@ class MultiprocessCluster(RoundCore):
         self._closed = True
         if not self._started and self._plane is None:
             return
-        for shard_id, commands in self._commands.items():
-            if shard_id not in self._departed:
-                try:
-                    commands.put(("stop",))
-                except Exception:  # pragma: no cover - queue already broken
-                    pass
+        self._stop([shard for shard in self._pipes if shard not in self._departed])
         for process in self._processes.values():
-            process.join(timeout=2.0)
+            process.join(timeout=_STOP_SECONDS)
             if process.is_alive():
                 process.kill()
                 process.join(timeout=1.0)
-        # Final merge: with every shard joined (or killed) the queue
-        # feeder threads have flushed, so a single drain collects all
-        # remaining shard events — including the shard.stop marks.
-        self._drain_shard_events()
-        if self._telemetry_queue is not None:
-            self._telemetry_queue.close()
-            self._telemetry_queue.cancel_join_thread()
-            self._telemetry_queue = None
-        for commands in self._commands.values():
-            commands.close()
-            commands.cancel_join_thread()
-        if self._results is not None:
-            self._results.close()
-            self._results.cancel_join_thread()
-            self._results = None
+        for pipe in self._pipes.values():
+            pipe.close()
         if self._plane is not None:
             self._plane.close()
             self._plane = None
-        self._commands.clear()
+        self._pipes.clear()
         self._processes.clear()
 
     def __enter__(self) -> "MultiprocessCluster":
@@ -360,35 +390,31 @@ class MultiprocessCluster(RoundCore):
         ``"left"``.  Unknown or already-departed shards are rejected /
         ignored respectively.
         """
-        if shard_id not in self._commands and not any(
-            spec.shard_id == shard_id for spec in self._shard_specs
-        ):
+        if not any(spec.shard_id == shard_id for spec in self._shard_specs):
             raise ConfigurationError(f"unknown shard {shard_id}")
         if shard_id in self._departed:
             return
         if not self._started:
             self.start()
-        commands = self._commands[shard_id]
-        try:
-            commands.put(("stop",))
-        except Exception:  # pragma: no cover - queue already broken
-            pass
-        process = self._processes[shard_id]
-        process.join(timeout=2.0)
-        self._depart(shard_id, "left", kill=process.is_alive())
+        self._stop([shard_id])
+        self._processes[shard_id].join(timeout=_STOP_SECONDS)
+        self._depart(shard_id, "left")
 
-    def _depart(self, shard_id: int, reason: str, kill: bool = False) -> None:
-        """Permanently remove a shard from the protocol."""
+    def _depart(self, shard_id: int, reason: str) -> None:
+        """Permanently remove a shard from the protocol.
+
+        A shard still alive is SIGKILLed, not terminated: a hung shard
+        must never wake up and write rows into a later round's wire
+        matrix.
+        """
         if shard_id in self._departed:
             return
         self._departed[shard_id] = reason
         self._membership_log.append((self._step, shard_id, "departed", reason))
         spec = next(s for s in self._shard_specs if s.shard_id == shard_id)
         self._dead_rows = sorted(set(self._dead_rows) | set(spec.worker_ids))
-        process = self._processes.get(shard_id)
-        if process is not None and kill and process.is_alive():
-            # SIGKILL, not terminate: a hung shard must never wake up and
-            # write rows into a later round's wire matrix.
+        process = self._processes[shard_id]
+        if process.is_alive():
             process.kill()
             process.join(timeout=1.0)
         if self._telemetry is not None:
@@ -400,7 +426,7 @@ class MultiprocessCluster(RoundCore):
                 shard=shard_id,
                 reason=reason,
                 fail_step=self._step,
-                exit_code=process.exitcode if process is not None else None,
+                exit_code=process.exitcode,
                 workers=list(spec.worker_ids),
             )
             self._telemetry.counter("shard.departed")
@@ -418,39 +444,13 @@ class MultiprocessCluster(RoundCore):
         assert self._faults is not None
         spec = next(s for s in self._shard_specs if s.shard_id == shard_id)
         fields = self._faults.shard_spec_fields(shard_id, start_round=self._step)
-        old_commands = self._commands.pop(shard_id, None)
-        if old_commands is not None:
-            try:
-                old_commands.close()
-                old_commands.cancel_join_thread()
-            except Exception:  # pragma: no cover - queue already broken
-                pass
-        old_process = self._processes.pop(shard_id, None)
-        if old_process is not None and old_process.is_alive():  # pragma: no cover
-            old_process.kill()
-            old_process.join(timeout=1.0)
+        self._pipes.pop(shard_id).close()
         self._launch(replace(spec, **fields))
         process = self._processes[shard_id]
-        deadline = time.monotonic() + self._join_timeout
-        joined = False
-        failure = "failed to join in time"
-        while time.monotonic() < deadline:
-            try:
-                message = self._results.get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
-                if not process.is_alive():
-                    failure = f"respawn died (code {process.exitcode})"
-                    break
-                continue
-            if message[0] == "join" and message[1] == shard_id:
-                joined = True
-                break
-            if message[0] == "error" and message[1] == shard_id:
-                failure = f"respawn error: {message[2]}"
-                break
-            # Stray messages from other shards (none expected between
-            # rounds) are dropped, matching _collect's join handling.
-        if not joined:
+        failure = self._receive([shard_id], "join", self._join_timeout).get(shard_id)
+        if failure is not None:
+            cause, detail = failure
+            failure = _RESPAWN_FAILURES[cause].format(detail)
             reason = f"respawn failed: {failure}"
             self._departed[shard_id] = reason
             self._membership_log.append((self._step, shard_id, "departed", reason))
@@ -507,16 +507,14 @@ class MultiprocessCluster(RoundCore):
         parameters = self._server.parameters
         plane = self._plane
         np.copyto(plane.parameters, parameters)
-        pending: set[int] = set()
-        for spec in self._shard_specs:
-            if spec.shard_id not in self._departed:
-                self._commands[spec.shard_id].put(("round", step))
-                pending.add(spec.shard_id)
+        live = [shard for shard in self._pipes if shard not in self._departed]
+        for shard_id in live:
+            self._send(shard_id, ("round", step))
         timer.lap("round.publish")
-        self._collect(pending)
+        failures = self._receive(live, "done", self._round_timeout)
+        for shard_id, (cause, detail) in sorted(failures.items()):
+            self._depart(shard_id, _ROUND_FAILURES[cause].format(detail))
         timer.lap("round.wait")
-        self._drain_shard_events()
-        timer.restart()
 
         submitted = np.array(plane.wire)
         clean = np.array(plane.clean)
@@ -539,58 +537,3 @@ class MultiprocessCluster(RoundCore):
         return self._finish_round(
             timer, parameters, submitted, clean, row_bytes, losses
         )
-
-    def _drain_shard_events(self) -> None:
-        """Merge every queued shard event into the chief's trace.
-
-        Shard events keep their original ``src``/``seq``: drain order
-        is causal per shard (one queue, FIFO feeders), which is exactly
-        the ordering the trace schema validates.  A batch a shard
-        flushed late simply merges on a later drain — or on the final
-        drain in :meth:`shutdown`.
-        """
-        queue = self._telemetry_queue
-        if queue is None or self._telemetry is None:
-            return
-        while True:
-            try:
-                batch = queue.get_nowait()
-            except (queue_module.Empty, OSError, ValueError):
-                return
-            for event in batch:
-                self._telemetry.forward(event)
-
-    def _collect(self, pending: set[int]) -> None:
-        """Await ``("done", ...)`` replies; depart the dead and the late."""
-        deadline = time.monotonic() + self._round_timeout
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0.0:
-                for shard_id in sorted(pending):
-                    self._depart(shard_id, "round timed out", kill=True)
-                pending.clear()
-                return
-            try:
-                message = self._results.get(timeout=min(remaining, _POLL_SECONDS))
-            except queue_module.Empty:
-                # No reply in flight: a shard that is no longer alive can
-                # never answer, so depart it now instead of burning the
-                # whole round timeout.
-                for shard_id in list(pending):
-                    process = self._processes[shard_id]
-                    if not process.is_alive():
-                        pending.discard(shard_id)
-                        self._depart(
-                            shard_id, f"process died (code {process.exitcode})"
-                        )
-                continue
-            kind = message[0]
-            if kind == "done":
-                _, shard_id, step = message
-                if step == self._step:
-                    pending.discard(shard_id)
-            elif kind == "error":
-                _, shard_id, reason = message
-                pending.discard(shard_id)
-                self._depart(shard_id, f"worker error: {reason}")
-            # stray "join" messages (late joiner already departed) are dropped

@@ -24,13 +24,12 @@ Bit-identity with the in-process engine rests on two facts:
   bit for bit.  The differential suite (in-process vs multiprocess,
   per-round) is the empirical arbiter of this property.
 
-Control flow runs over two kinds of queue: each shard has its own
-command queue (``("round", step)`` / ``("stop",)``), while every shard
-puts its results (``("join", ...)``, ``("done", ...)``, ``("error",
-...)``) on one queue that all shards share (the chief's ``_results``).
-All numerical payloads travel through shared memory.  A shard whose
-chief is gone returns on its own: it holds the write end of its command
-queue, so it would otherwise block on it forever.
+Control flow runs over one duplex pipe per shard, which no other shard
+shares: commands (``("round", step)`` / ``("stop",)``) go in, and every
+reply comes out as ``(kind, value, events)`` — ``join``, ``done``,
+``stopped`` or ``error``, carrying the shard's telemetry events since
+its previous reply.  A shard that dies can therefore break only its own
+pipe.  All numerical payloads travel through shared memory.
 
 The spec carries an optional *failure-injection seam* (``fail_step`` /
 ``fail_mode``) used by the crash-resilience tests: real mid-round
@@ -42,7 +41,6 @@ deterministic and therefore pinnable.
 from __future__ import annotations
 
 import os
-import queue
 import time
 from dataclasses import dataclass
 
@@ -192,7 +190,7 @@ class WorkerShardSpec:
 def _inject_failure(spec: WorkerShardSpec) -> None:
     """Fire the spec's failure seam (never returns for ``"die"``)."""
     if spec.fail_mode == "die":
-        # Abrupt death: no queue message, no row writes, skip all
+        # Abrupt death: no reply, no row writes, skip all
         # cleanup — the closest deterministic stand-in for a SIGKILL.
         os._exit(CRASH_EXIT_CODE)
     while True:  # "hang": outlive any round timeout until the chief kills us
@@ -200,36 +198,32 @@ def _inject_failure(spec: WorkerShardSpec) -> None:
 
 
 def shard_main(
-    spec: WorkerShardSpec,
-    plane_spec: PlaneSpec,
-    commands,
-    results,
-    telemetry_queue=None,
+    spec: WorkerShardSpec, plane_spec: PlaneSpec, pipe, observed: bool
 ) -> None:
     """Entry point of one shard process.
 
     Attaches the wire plane, rebuilds the shard's workers, announces
-    itself with ``("join", shard_id, pid)``, then serves rounds until a
-    ``("stop",)`` command, or until its chief is gone: a shard that
-    finds itself reparented returns.  Any exception is reported as
-    ``("error", shard_id, message)`` so the chief can depart the shard
-    instead of timing out on it.  The plane attachment is closed on
-    every exit path; the shard never unlinks the segment (the chief
-    owns it).
+    itself with a ``join`` reply, then serves ``("round", step)``
+    commands from ``pipe`` until a ``("stop",)``, which it answers with
+    ``stopped``.  Every reply is ``(kind, value, events)``; it does not
+    name the shard, because the pipe does.  Any exception is reported as
+    an ``error`` reply so the chief can depart the shard instead of
+    timing out on it.  A shard whose chief is gone returns on its own:
+    under ``fork`` it inherits the chief's end of its own pipe, so
+    end-of-file cannot tell it, and it checks its parent instead.  The
+    plane attachment is closed on every exit path; the shard never
+    unlinks the segment (the chief owns it).
 
-    ``telemetry_queue`` (chief-created, one per run) enables the
-    shard's telemetry source: span/counter events tagged
-    ``src="shard:<id>"`` are batched through a
-    :class:`~repro.telemetry.sinks.QueueSink` and flushed once per
-    round *before* the ``("done", ...)`` reply, so the chief's drain
-    after collecting the round usually sees them immediately — and
-    always eventually, since per-source ordering is all the merged
-    trace requires.  Telemetry never touches the workers' RNG streams.
+    ``observed`` turns on the shard's telemetry source: its events,
+    tagged ``src="shard:<id>"``, are buffered in a
+    :class:`~repro.telemetry.sinks.MemorySink` and shipped with the next
+    reply, which the chief merges into the run trace.  Telemetry never
+    touches the workers' RNG streams.
     """
     chief = os.getppid()
-    telemetry = None
-    if telemetry_queue is not None:
-        from repro.telemetry import QueueSink, Telemetry
+    telemetry = sink = None
+    if observed:
+        from repro.telemetry import MemorySink, Telemetry
 
         # A respawned incarnation is a new process with a fresh event
         # counter: it gets its own src so the merged trace's per-source
@@ -237,7 +231,15 @@ def shard_main(
         src = f"shard:{spec.shard_id}"
         if spec.start_step > 0:
             src = f"{src}.r{spec.start_step}"
-        telemetry = Telemetry(sinks=[QueueSink(telemetry_queue)], src=src)
+        sink = MemorySink()
+        telemetry = Telemetry(sinks=[sink], src=src)
+
+    def reply(kind: str, value=None) -> None:
+        events = []
+        if sink is not None:
+            events, sink.events = sink.events, []
+        pipe.send((kind, value, events))
+
     try:
         with WirePlane.attach(plane_spec) as plane:
             if spec.fail_step == 0:
@@ -250,15 +252,13 @@ def shard_main(
                 telemetry.mark(
                     "shard.start", pid=os.getpid(), workers=list(spec.worker_ids)
                 )
-                telemetry.flush()
-            results.put(("join", spec.shard_id, os.getpid()))
+            reply("join")
             while True:
-                try:
-                    command = commands.get(timeout=_CHIEF_POLL_SECONDS)
-                except queue.Empty:
+                if not pipe.poll(_CHIEF_POLL_SECONDS):
                     if os.getppid() != chief:
                         return
                     continue
+                command = pipe.recv()
                 if command[0] == "stop":
                     break
                 step = command[1]
@@ -291,25 +291,19 @@ def shard_main(
                         "round.cohort", time.perf_counter_ns() - round_started
                     )
                     telemetry.counter("rounds")
-                    telemetry.flush()
-                results.put(("done", spec.shard_id, step))
+                reply("done", step)
             if telemetry is not None:
                 telemetry.mark("shard.stop")
-                telemetry.flush()
+            reply("stopped")
     except KeyboardInterrupt:  # pragma: no cover - chief tears us down
         pass
     except Exception as error:
+        message = f"{type(error).__name__}: {error}"
         if telemetry is not None:
-            try:
-                telemetry.warning(
-                    "shard.error", f"{type(error).__name__}: {error}"
-                )
-                telemetry.flush()
-            except Exception:  # pragma: no cover - queue already torn down
-                pass
+            telemetry.warning("shard.error", message)
         try:
-            results.put(("error", spec.shard_id, f"{type(error).__name__}: {error}"))
-        except Exception:  # pragma: no cover - queue already torn down
+            reply("error", message)
+        except OSError:  # pragma: no cover - the chief is gone
             pass
 
 

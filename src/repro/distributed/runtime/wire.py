@@ -19,8 +19,9 @@ laid out as five float64 arrays:
   exact.
 
 Gradients therefore cross the process boundary as plain memory writes:
-no per-round pickling, no sockets — the per-round IPC is a handful of
-tiny queue tokens (see :mod:`repro.distributed.runtime.cluster`).
+no gradient is pickled — the per-round IPC is one tiny command and one
+tiny reply on each shard's own pipe (see
+:mod:`repro.distributed.runtime.cluster`).
 
 Lifecycle: the chief *creates* (and ultimately *unlinks*) the segment;
 workers *attach* and only ever *close* their mapping.  Creation
@@ -30,16 +31,20 @@ exception cannot leak ``/dev/shm`` segments — the context-manager form
 (``with WirePlane.create(...) as plane:``) is still the primary
 cleanup path; the hook is the backstop.  A creation that is itself
 interrupted, before the plane reaches the table, unlinks its segment on
-the way out.
+the way out.  Behind both stands the resource tracker: the chief
+registers the segment's name with it *before* ``shm_open``, so a chief
+SIGKILLed at any point after the segment exists still has it unlinked
+when the tracker sees the chief gone.
 """
 
 from __future__ import annotations
 
 import atexit
+import os
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +84,7 @@ def _register_active(plane: "WirePlane") -> None:
 
 @contextmanager
 def _untracked_shared_memory():
-    """Suppress resource-tracker registration while attaching a segment.
+    """Suppress ``SharedMemory``'s own resource-tracker registration.
 
     Every ``SharedMemory`` constructed in a process registers itself
     with a resource tracker — including pure attachments (until Python
@@ -88,12 +93,12 @@ def _untracked_shared_memory():
     chief's segment when the child exits; under ``fork`` the child
     shares the chief's tracker, so a later child-side ``unregister``
     would strip the chief's one registration and lose the leak
-    backstop.  Skipping registration on attach leaves exactly one
-    registration alive — the creating chief's — which is what makes the
-    tracker the second backstop behind :func:`_cleanup_active_planes`.
+    backstop.  On the chief's side the constructor registers too late:
+    only after ``shm_open``, so :meth:`WirePlane.create` registers
+    first and suppresses this one.  Exactly one registration stays
+    alive — the creating chief's — which is what makes the tracker the
+    second backstop behind :func:`_cleanup_active_planes`.
     """
-    from multiprocessing import resource_tracker
-
     original = resource_tracker.register
 
     def register(name, rtype):  # pragma: no cover - trivial shim
@@ -110,10 +115,10 @@ def _untracked_shared_memory():
 def _unlink_created(name: str, segment: shared_memory.SharedMemory | None) -> None:
     """Unlink a segment :meth:`WirePlane.create` made but never returned.
 
-    Without a ``SharedMemory`` object (its constructor was interrupted,
-    e.g. while starting the resource tracker) the name is unlinked
-    directly: neither the ``atexit`` table nor, possibly, the tracker
-    knows it.
+    Without a ``SharedMemory`` object (its constructor was interrupted
+    after ``shm_open``, say while mapping the segment) the name is
+    unregistered and unlinked directly: the ``atexit`` table does not
+    know it.
     """
     if segment is not None:
         segment.unlink()  # also unregisters it from the resource tracker
@@ -122,6 +127,7 @@ def _unlink_created(name: str, segment: shared_memory.SharedMemory | None) -> No
         import _posixshmem
     except ImportError:  # pragma: no cover - Windows: dies with its handle
         return
+    resource_tracker.unregister(f"/{name}", "shared_memory")
     try:
         _posixshmem.shm_unlink(f"/{name}")
     except FileNotFoundError:
@@ -202,9 +208,9 @@ class WirePlane:
         """Create (and own) a zero-initialised plane for ``H`` workers.
 
         Any exit that does not return a registered plane — a
-        ``KeyboardInterrupt`` while ``SharedMemory`` starts the resource
-        tracker, say — unlinks the segment it created.  A name that
-        already exists belongs to someone else and is never unlinked.
+        ``KeyboardInterrupt`` while ``SharedMemory`` maps the segment,
+        say — unlinks the segment it created.  A name that already
+        exists belongs to someone else and is never unlinked.
         """
         if num_honest < 1:
             raise ConfigurationError(f"num_honest must be >= 1, got {num_honest}")
@@ -215,11 +221,20 @@ class WirePlane:
             num_honest=int(num_honest),
             dimension=int(dimension),
         )
+        name = spec.segment_name
+        posix = os.name == "posix"  # Windows segments die with their handles
+        if posix:
+            # Registered before the segment exists, so a chief killed at
+            # any point after shm_open leaves a name its resource tracker
+            # unlinks; the constructor's own registration is suppressed,
+            # leaving exactly this one.
+            resource_tracker.register(f"/{name}", "shared_memory")
         segment = None
         try:
-            segment = shared_memory.SharedMemory(
-                name=spec.segment_name, create=True, size=spec.size_bytes
-            )
+            with _untracked_shared_memory():
+                segment = shared_memory.SharedMemory(
+                    name=name, create=True, size=spec.size_bytes
+                )
             plane = cls(spec, segment, owner=True)
             plane._wire[:] = 0.0
             plane._clean[:] = 0.0
@@ -228,9 +243,11 @@ class WirePlane:
             plane._parameters[:] = 0.0
             _register_active(plane)
         except FileExistsError:
+            if posix:  # another owner's segment: never the tracker's to unlink
+                resource_tracker.unregister(f"/{name}", "shared_memory")
             raise
         except BaseException:
-            _unlink_created(spec.segment_name, segment)
+            _unlink_created(name, segment)
             raise
         return plane
 

@@ -623,7 +623,8 @@ def _dispatch(arguments: argparse.Namespace) -> int:
             plan = plan_campaign(matrix, store, smoke=arguments.smoke)
             lines = [
                 f"campaign {plan.matrix.name!r}: {len(plan.pending)} pending "
-                f"run(s), {len(plan.completed)} cached, {plan.total_runs} total"
+                f"run(s), {len(plan.completed)} cached, {len(plan.corrupt)} "
+                f"corrupt, {plan.total_runs} total"
             ]
             lines += [
                 f"  miss  {job.name:<28} seed {job.seed:<11} "
@@ -633,6 +634,11 @@ def _dispatch(arguments: argparse.Namespace) -> int:
             lines += [
                 f"  hit   {name:<28} seed {seed:<11} {'':<9} {key[:12]}"
                 for name, seed, key in plan.completed
+            ]
+            lines += [
+                f"  corrupt {name:<26} seed {seed:<11} {'':<9} {key[:12]}\n"
+                f"        {error}"
+                for name, seed, key, error in plan.corrupt
             ]
             _emit("\n".join(lines), arguments.output)
             return 0

@@ -708,7 +708,7 @@ class Experiment:
         )
         with self._telemetry_run(mode) as telemetry:
             # Installed before a multiprocess runtime starts: shard
-            # processes are launched with the telemetry queue.
+            # processes are launched knowing whether to record events.
             cluster.telemetry = telemetry
             if mode == "resume":
                 state = loop.resume(self.num_steps)

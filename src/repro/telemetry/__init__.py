@@ -21,7 +21,7 @@ The contract that makes telemetry safe to leave wired in everywhere:
 
 from repro.telemetry.core import Counter, Gauge, MetricsRegistry, Telemetry
 from repro.telemetry.events import EVENT_KINDS, TRACE_SCHEMA, TraceError, validate_events
-from repro.telemetry.sinks import JsonlSink, MemorySink, QueueSink, Sink, StderrProgressSink
+from repro.telemetry.sinks import JsonlSink, MemorySink, Sink, StderrProgressSink
 from repro.telemetry.trace import read_trace, render_trace_summary, summarize_trace
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "JsonlSink",
     "MemorySink",
     "MetricsRegistry",
-    "QueueSink",
     "Sink",
     "StderrProgressSink",
     "TRACE_SCHEMA",

@@ -2,15 +2,15 @@
 
 A sink receives finished event dicts (see
 :mod:`repro.telemetry.events`) and stores, forwards, or renders them.
-Four are provided:
+Three are provided:
 
 * :class:`JsonlSink` — one schema-versioned JSONL file per run, the
   durable trace the CLI's ``trace summarize`` reads back;
-* :class:`MemorySink` — an in-process list, for tests and benchmarks;
+* :class:`MemorySink` — an in-process list, for tests and benchmarks,
+  and the buffer in which a runtime shard collects the events it ships
+  to the chief with each reply;
 * :class:`StderrProgressSink` — a rate-limited one-line progress
-  reporter for long runs;
-* :class:`QueueSink` — batches events onto a ``multiprocessing`` queue,
-  the shard side of the runtime's telemetry merge.
+  reporter for long runs.
 
 Sinks never inspect or mutate events beyond serialisation, and none of
 them touches an RNG stream — a sink can therefore never perturb
@@ -24,7 +24,7 @@ import sys
 import time
 from pathlib import Path
 
-__all__ = ["Sink", "JsonlSink", "MemorySink", "StderrProgressSink", "QueueSink"]
+__all__ = ["Sink", "JsonlSink", "MemorySink", "StderrProgressSink"]
 
 
 class Sink:
@@ -128,26 +128,3 @@ class StderrProgressSink(Sink):
             f"[telemetry] {event.get('src')} step {event.get('step')} ({kind})",
             file=self._stream,
         )
-
-
-class QueueSink(Sink):
-    """Buffer events and ship them in batches over a process queue.
-
-    The multiprocess runtime's shard side: events accumulate locally
-    and :meth:`flush` puts the whole batch (a plain list of dicts) on
-    the queue in one call, so per-round IPC stays a single token.  The
-    chief drains batches and forwards each event — with its original
-    ``src`` and ``seq`` — into the merged run trace.
-    """
-
-    def __init__(self, queue):
-        self._queue = queue
-        self._buffer: list[dict] = []
-
-    def emit(self, event: dict) -> None:
-        self._buffer.append(event)
-
-    def flush(self) -> None:
-        if self._buffer:
-            batch, self._buffer = self._buffer, []
-            self._queue.put(batch)

@@ -5,8 +5,9 @@ import pytest
 
 from repro.campaign.matrix import ScenarioMatrix
 from repro.campaign.runner import execute_cell, job_key, plan_campaign, run_campaign
-from repro.campaign.store import ResultStore, cell_key
+from repro.campaign.store import STORE_SCHEMA, ResultStore, cell_key
 from repro.campaign.report import render_campaign_report
+from repro.metrics.history import TrainingHistory
 
 MATRIX = {
     "name": "runner-test",
@@ -131,7 +132,19 @@ class TestRunCampaign:
     def test_diverged_runs_are_flagged(self, matrix, tmp_path):
         def fake_execute(job):
             loss = float("inf") if job.name.startswith("gar=mda") else 0.5
-            return {"final_loss": loss, "name": job.name, "seed": job.seed}
+            return {
+                "schema": STORE_SCHEMA,
+                "key": job.key,
+                "name": job.name,
+                "seed": job.seed,
+                "final_loss": loss,
+                "min_loss": loss,
+                "final_accuracy": None,
+                "history": TrainingHistory().to_dict(),
+                "privacy": None,
+                "vn": None,
+                "simulation": None,
+            }
 
         store = ResultStore(tmp_path / "store")
         summary = run_campaign(matrix, store, execute=fake_execute)

@@ -8,6 +8,7 @@ import pytest
 from repro.campaign.store import STORE_SCHEMA, ResultStore, cell_key
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
+from repro.metrics.history import TrainingHistory
 
 
 def config(**overrides):
@@ -22,6 +23,22 @@ def config(**overrides):
     }
     payload.update(overrides)
     return ExperimentConfig(**payload)
+
+
+def run_record(key):
+    """The smallest run record the store loads: the fields the campaign
+    runner and report read."""
+    return {
+        "schema": STORE_SCHEMA,
+        "key": key,
+        "final_loss": None,
+        "min_loss": None,
+        "final_accuracy": None,
+        "history": TrainingHistory().to_dict(),
+        "privacy": None,
+        "vn": None,
+        "simulation": None,
+    }
 
 
 class TestCellKey:
@@ -71,12 +88,13 @@ class TestCellKey:
 class TestResultStore:
     def test_round_trips_records_exactly(self, tmp_path):
         store = ResultStore(tmp_path / "store")
+        key = cell_key(config(), 1)
         record = {
+            **run_record(key),
             "final_loss": 0.1 + 0.2,  # not exactly representable: repr round-trip
             "values": [1e-323, 3.141592653589793, -0.0],
             "nested": {"accuracy": None},
         }
-        key = cell_key(config(), 1)
         store.save(key, record)
         assert store.load(key) == record
         assert store.load(key)["final_loss"] == 0.30000000000000004

@@ -160,6 +160,37 @@ class TestCampaignCommand:
         assert serial_out.read_bytes() == parallel_out.read_bytes()
 
 
+class TestDamagedStoreRecords:
+    """A record damaged outside the program is no cache hit: the dry run
+    lists it as corrupt, and a resume or a report exits 2 naming its key
+    and path, without re-running it."""
+
+    @pytest.mark.parametrize(
+        "text", ['{"cell": 1}', '{"broken'], ids=["wrong-shape", "truncated"]
+    )
+    def test_damaged_record_exits_2_naming_key_and_path(
+        self, matrix_path, tmp_path, capsys, text
+    ):
+        store_dir = tmp_path / "store"
+        assert main(["campaign", str(matrix_path), "--store", str(store_dir)]) == 0
+        store = ResultStore(store_dir)
+        key = store.keys()[0]
+        path = store.path_for(key)
+        path.write_text(text)
+        capsys.readouterr()
+        command = ["campaign", str(matrix_path), "--store", str(store_dir)]
+        assert main([*command, "--dry-run"]) == 0
+        output = capsys.readouterr().out
+        assert "0 pending run(s), 3 cached, 1 corrupt" in output
+        (line,) = [line for line in output.splitlines() if line.startswith("  corrupt")]
+        assert key[:12] in line
+        for extra in (["--report"], []):
+            assert main([*command, *extra]) == 2
+            error = capsys.readouterr().err
+            assert key in error and str(path) in error
+        assert path.read_text() == text  # nothing re-ran the cell
+
+
 class TestCampaignErrors:
     def test_missing_matrix_file_exits_2(self, tmp_path, capsys):
         assert main(["campaign", str(tmp_path / "nope.json")]) == 2

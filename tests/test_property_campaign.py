@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.matrix import expand_matrix
-from repro.campaign.store import ResultStore, cell_key
+from repro.campaign.store import STORE_SCHEMA, ResultStore, cell_key
 from repro.experiments.config import ExperimentConfig
+from repro.metrics.history import TrainingHistory
 
 BASE = {
     "num_steps": 4,
@@ -200,5 +201,18 @@ class TestStoreProperties:
     def test_save_load_round_trip(self, tmp_path_factory, record):
         store = ResultStore(tmp_path_factory.mktemp("store"))
         key = cell_key(base_config(), 1)
+        # The drawn payload rides in the smallest record the store loads.
+        record = {
+            "schema": STORE_SCHEMA,
+            "key": key,
+            "final_loss": None,
+            "min_loss": None,
+            "final_accuracy": None,
+            "history": TrainingHistory().to_dict(),
+            "privacy": None,
+            "vn": None,
+            "simulation": None,
+            "payload": record,
+        }
         store.save(key, record)
         assert store.load(key) == record

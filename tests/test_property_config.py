@@ -6,22 +6,32 @@ names a config field.  The same holds for the axes of a campaign
 matrix.  A run that loses every honest worker or diverges is a result,
 not a failure.  A damaged checkpoint (a key dropped, a value retyped, a
 list resized, the bytes truncated) either resumes bit-identically or
-fails with a TrainingError or ConfigurationError naming the file.
+fails with a TrainingError or ConfigurationError naming the file.  A
+stored campaign record damaged the same way either loads, or the
+campaign's dry run lists it as corrupt while its report and its resume
+exit 2 naming the file.
 """
 
+import contextlib
+import io
 import json
 import os
 import re
+import shutil
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.matrix import ScenarioMatrix
+from repro.campaign.runner import execute_cell, run_campaign
+from repro.campaign.store import ResultStore
 from repro.data.datasets import train_test_split
 from repro.data.phishing import make_phishing_dataset
 from repro.exceptions import ConfigurationError, ReproError, TrainingError
+from repro.experiments.cli import main
 from repro.experiments.config import FAMILIES, ExperimentConfig
 from repro.models.logistic import LogisticRegressionModel
 from repro.pipeline import REGISTRY, Experiment
@@ -261,3 +271,80 @@ def test_damaged_checkpoint_resumes_or_names_the_file(snapshot, data, operation,
     assert resumed.history.losses.tobytes() == reference.history.losses.tobytes()
     assert resumed.history.accuracies.tobytes() == reference.history.accuracies.tobytes()
     assert resumed.final_parameters.tobytes() == reference.final_parameters.tobytes()
+
+
+#: A two-run campaign of CELL: seed 1 trains (DP, an attack, accuracy
+#: and VN tracking fill every record field); seed 2 fails and is
+#: quarantined.
+STORE_MATRIX = {
+    "name": "fuzz-store",
+    "model": {"name": "logistic", "loss_kind": "mse"},
+    "data_seed": 0,
+    "base": {**{key: CELL[key] for key in CELL if key != "name"}, "seeds": [1, 2]},
+    "axes": {"gar": ["mda"]},
+}
+
+
+@pytest.fixture(scope="module")
+def campaign_store():
+    """The matrix file, a valid store of one run record and one
+    quarantine record, and its records as ``{path: document}``."""
+    matrix_path = Path("store-matrix.json").resolve()
+    matrix_path.write_text(json.dumps(STORE_MATRIX))
+    store = ResultStore(Path("valid-store").resolve())
+
+    def fail_seed_two(job):
+        if job.seed == 2:
+            raise RuntimeError("induced failure")
+        return execute_cell(job)
+
+    matrix = ScenarioMatrix.from_file(matrix_path)
+    summary = run_campaign(matrix, store, execute=fail_seed_two, retries=0)
+    assert summary.executed == 2 and len(summary.quarantined) == 1
+    records = {store.path_for(key): store.load(key) for key in store.keys()}
+    return matrix_path, store.root, records
+
+
+def campaign(*arguments):
+    """``repro campaign`` with captured output: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["campaign", *map(str, arguments)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    operation=st.sampled_from(["drop", "retype", "resize", "truncate"]),
+    choice=st.integers(0, 1 << 16),
+)
+@example(data=None, operation="drop", choice=0)
+@example(data=None, operation="truncate", choice=8)
+def test_damaged_store_record_loads_or_exits_2_naming_the_file(
+    campaign_store, data, operation, choice
+):
+    matrix_path, valid_root, records = campaign_store
+    root = Path("damaged-store").resolve()
+    shutil.rmtree(root, ignore_errors=True)
+    shutil.copytree(valid_root, root)
+    record_paths = sorted(records, key=str)
+    if data is None:  # the run record's final_loss
+        record_path = next(p for p in record_paths if "final_loss" in records[p])
+        path = ("final_loss",)
+    else:
+        record_path = data.draw(st.sampled_from(record_paths))
+        paths = sorted(tree_paths(records[record_path]), key=repr)
+        path = data.draw(st.sampled_from(paths))
+    document = json.loads(json.dumps(records[record_path]))
+    damaged = root / record_path.relative_to(valid_root)
+    damaged.write_text(damage(document, operation, path, choice))
+    code, out, _ = campaign(matrix_path, "--store", root, "--dry-run")
+    assert code == 0
+    corrupt = "1 corrupt" in out
+    for arguments in (["--report"], []):
+        code, _, err = campaign(matrix_path, "--store", root, *arguments)
+        if corrupt:
+            assert code == 2 and str(damaged) in err, err
+        else:  # loaded: the report renders; a resume runs nothing
+            assert code in (0, 1), err

@@ -13,6 +13,10 @@ deterministic, so the tests can assert exact equality instead of
 "didn't hang".
 """
 
+import os
+import struct
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +28,7 @@ from repro.distributed.runtime import (
     MultiprocessCluster,
     WorkerShardSpec,
 )
+from repro.distributed.runtime import shard as shard_module
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.models.logistic import LogisticRegressionModel
 from repro.pipeline.builder import Experiment
@@ -220,6 +225,39 @@ def test_degraded_trace_is_deterministic():
     _, first = run_degraded(make_experiment, fail_shard_one)
     _, second = run_degraded(make_experiment, fail_shard_one)
     assert first == second  # exact: reasons, rows, and parameter bits
+
+
+def test_death_mid_reply_costs_only_its_own_rows(monkeypatch):
+    """A shard that dies halfway through writing a reply breaks only its
+    own pipe: the round completes long before ``round_timeout``, with
+    that shard departed and the other shard's rows live."""
+
+    def die_mid_reply(spec):
+        pipe = sys._getframe(1).f_locals["pipe"]  # shard_main's pipe
+        # A frame header promising 64 bytes, then 8 of them.
+        os.write(pipe.fileno(), struct.pack("!i", 64) + bytes(8))
+        os._exit(CRASH_EXIT_CODE)
+
+    # Under fork the shards inherit the patched seam.
+    monkeypatch.setattr(shard_module, "_inject_failure", die_mid_reply)
+    experiment = make_experiment()
+    specs = [
+        replace(spec, fail_step=3) if spec.shard_id == 1 else spec
+        for spec in experiment.build_shard_specs()
+    ]
+    runtime = build_runtime(
+        experiment, specs=specs, round_timeout=30.0, start_method="fork"
+    )
+    with runtime:
+        runtime.run(2)
+        started = time.monotonic()
+        result = runtime.step()
+        elapsed = time.monotonic() - started
+        assert runtime.departed == {1: f"process died (code {CRASH_EXIT_CODE})"}
+    assert elapsed < 5.0
+    assert np.all(result.honest_submitted[2:] == 0.0)
+    assert np.any(result.honest_submitted[:2] != 0.0)
+    assert result.honest_losses.shape == (2,)
 
 
 def test_hung_worker_times_out_to_the_same_trace_as_a_dead_one():

@@ -109,19 +109,66 @@ def test_atexit_backstop_unlinks_on_crash():
 
 
 def test_interrupted_create_unlinks_its_segment(monkeypatch):
-    """An interrupt while ``SharedMemory`` starts the resource tracker
-    leaves a segment that neither the atexit table nor the tracker
-    knows about: ``create`` itself must unlink it."""
+    """An interrupt while the segment's name is registered, or after
+    ``shm_open`` while ``SharedMemory`` maps the segment, leaves no
+    ``SharedMemory`` object for the atexit table: ``create`` itself must
+    unlink whatever it made."""
+    import mmap
     from multiprocessing import resource_tracker
 
-    def interrupted(name, rtype):
+    def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(resource_tracker, "register", interrupted)
     before = set(wire_segment_names())
-    with pytest.raises(KeyboardInterrupt):
-        WirePlane.create(5, 69)
+    with monkeypatch.context() as patch:
+        patch.setattr(resource_tracker, "register", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            WirePlane.create(5, 69)
+    with monkeypatch.context() as patch:
+        patch.setattr(mmap, "mmap", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            WirePlane.create(5, 69)
     assert set(wire_segment_names()) - before == set()
+
+
+def test_sigkill_right_after_shm_open_leaks_nothing():
+    """A chief SIGKILLed between ``shm_open`` and anything after it runs
+    no cleanup of its own: the name was registered with the resource
+    tracker beforehand, so the tracker unlinks the segment."""
+    script = textwrap.dedent(
+        """
+        import os, signal
+        import _posixshmem
+        from repro.distributed.runtime.wire import WirePlane
+
+        shm_open = _posixshmem.shm_open
+
+        def open_then_die(name, *args, **kwargs):
+            descriptor = shm_open(name, *args, **kwargs)
+            print(name.lstrip("/"), flush=True)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        _posixshmem.shm_open = open_then_die
+        WirePlane.create(2, 3)
+        """
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert completed.returncode == -signal.SIGKILL, completed.stderr
+    name = completed.stdout.strip()
+    assert name.startswith(f"{SEGMENT_PREFIX}-")
+    deadline = time.monotonic() + 10.0
+    while name in wire_segment_names() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    leaked = name in wire_segment_names()
+    if leaked:  # clean up before failing: a leak must not outlive the test
+        os.unlink(f"/dev/shm/{name}")
+    assert not leaked
 
 
 def test_name_collision_never_unlinks_the_owner():

@@ -1,7 +1,7 @@
-"""Multiprocess telemetry: queue transport, chief merge, crash evidence.
+"""Multiprocess telemetry: pipe transport, chief merge, crash evidence.
 
-Shards emit over a chief-created queue; the chief drains and forwards
-into one merged trace tagged per source.  The merged trace must stay
+Shards ship their events with each reply on their own pipe; the chief
+forwards them into one merged trace tagged per source.  The merged trace must stay
 schema-valid (per-source ordering), the run must stay bit-identical to
 an unobserved one, and a crashed or hung shard must leave a legible
 final warning carrying the exit code, failure round, and worker ids.

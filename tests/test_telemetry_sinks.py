@@ -6,12 +6,10 @@ module is the one clock every round path's phase spans are timed with.
 
 import io
 import json
-import queue
 
 from repro.telemetry import (
     JsonlSink,
     MemorySink,
-    QueueSink,
     Sink,
     StderrProgressSink,
     Telemetry,
@@ -83,31 +81,6 @@ class TestMemorySink:
         assert len(sink.by_kind("span")) == 2
         assert len(sink.named("rounds")) == 1
         assert sink.by_kind("gauge") == []
-
-
-class TestQueueSink:
-    def test_batches_only_on_flush(self):
-        channel = queue.Queue()
-        sink = QueueSink(channel)
-        sink.emit(sample_event(seq=0))
-        sink.emit(sample_event(seq=1))
-        assert channel.empty()  # per-round IPC is one token, not two
-        sink.flush()
-        batch = channel.get_nowait()
-        assert [event["seq"] for event in batch] == [0, 1]
-
-    def test_flush_of_empty_buffer_sends_nothing(self):
-        channel = queue.Queue()
-        QueueSink(channel).flush()
-        assert channel.empty()
-
-    def test_telemetry_flush_drains_through(self):
-        channel = queue.Queue()
-        telemetry = Telemetry(sinks=[QueueSink(channel)], src="shard:0")
-        telemetry.mark("shard.start")
-        telemetry.flush()
-        (event,) = channel.get_nowait()
-        assert event["src"] == "shard:0"
 
 
 class TestStderrProgressSink:
