@@ -32,7 +32,7 @@ The package is organised as:
   campaign retry-with-backoff + quarantine
   (``Experiment(faults=...)``, ``repro run --faults``).
 * :mod:`repro.telemetry` — the unified observability plane: structured
-  tracing (schema-versioned JSONL), a typed metrics registry, and
+  tracing (schema-versioned JSONL), counters and gauges, and
   per-round phase profiling across the engine, the multiprocess
   runtime, the simulator, and campaigns.  Off by default and free when
   off; bit-identical when on (``Experiment(telemetry=...)``,
@@ -128,7 +128,6 @@ from repro.simulation import (
 from repro.telemetry import (
     JsonlSink,
     MemorySink,
-    MetricsRegistry,
     Telemetry,
     TraceError,
     read_trace,
@@ -165,7 +164,6 @@ __all__ = [
     "LognormalLatency",
     "MeanEstimationModel",
     "MemorySink",
-    "MetricsRegistry",
     "ParameterServer",
     "PrivacyError",
     "ReproError",

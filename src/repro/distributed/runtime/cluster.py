@@ -82,6 +82,9 @@ _RESPAWN_FAILURES = {
     "silent": "failed to join in time",
 }
 
+#: How long a launched shard gets to join before it is departed.
+_JOIN_SECONDS = 30.0
+
 #: How long a stopping shard gets to reply and exit before it is killed.
 _STOP_SECONDS = 2.0
 
@@ -112,7 +115,6 @@ class MultiprocessCluster(RoundCore):
         network: PerfectNetwork | None = None,
         codec: GradientCodec | None = None,
         round_timeout: float = 30.0,
-        join_timeout: float = 30.0,
         start_method: str | None = None,
         telemetry=None,
         faults: ResolvedFaultPlan | None = None,
@@ -144,8 +146,6 @@ class MultiprocessCluster(RoundCore):
         )
         if round_timeout <= 0:
             raise ConfigurationError(f"round_timeout must be > 0, got {round_timeout}")
-        if join_timeout <= 0:
-            raise ConfigurationError(f"join_timeout must be > 0, got {join_timeout}")
         if faults is not None:
             if faults.num_shards != len(shard_specs):
                 raise ConfigurationError(
@@ -163,7 +163,6 @@ class MultiprocessCluster(RoundCore):
 
         self._shard_specs = shard_specs
         self._round_timeout = float(round_timeout)
-        self._join_timeout = float(join_timeout)
         self._start_method = start_method
         self._started = False
         self._closed = False
@@ -232,7 +231,7 @@ class MultiprocessCluster(RoundCore):
     def start(self) -> None:
         """Create the wire plane, launch shard processes, await joins.
 
-        Shards that fail to join within ``join_timeout`` (or die/error
+        Shards that fail to join within ``_JOIN_SECONDS`` (or die/error
         during startup) are departed; if *none* joins the runtime is
         torn down and a :class:`TrainingError` raised — a run where no
         honest worker ever existed is a configuration failure, not a
@@ -256,7 +255,7 @@ class MultiprocessCluster(RoundCore):
                         spec, **self._faults.shard_spec_fields(spec.shard_id)
                     )
                 self._launch(spec)
-            failures = self._receive(list(self._pipes), "join", self._join_timeout)
+            failures = self._receive(list(self._pipes), "join", _JOIN_SECONDS)
             for shard_id, (cause, detail) in sorted(failures.items()):
                 self._depart(shard_id, _JOIN_FAILURES[cause].format(detail))
         except BaseException:
@@ -447,7 +446,7 @@ class MultiprocessCluster(RoundCore):
         self._pipes.pop(shard_id).close()
         self._launch(replace(spec, **fields))
         process = self._processes[shard_id]
-        failure = self._receive([shard_id], "join", self._join_timeout).get(shard_id)
+        failure = self._receive([shard_id], "join", _JOIN_SECONDS).get(shard_id)
         if failure is not None:
             cause, detail = failure
             failure = _RESPAWN_FAILURES[cause].format(detail)

@@ -60,6 +60,7 @@ from repro.exceptions import ConfigurationError
 from repro.models.base import Model
 from repro.privacy.mechanisms import NoiseMechanism
 from repro.rng import SeedTree
+from repro.telemetry.timing import phase_timer
 
 __all__ = ["WorkerShardSpec", "shard_main", "FAIL_MODES", "CRASH_EXIT_CODE"]
 
@@ -217,8 +218,10 @@ def shard_main(
     ``observed`` turns on the shard's telemetry source: its events,
     tagged ``src="shard:<id>"``, are buffered in a
     :class:`~repro.telemetry.sinks.MemorySink` and shipped with the next
-    reply, which the chief merges into the run trace.  Telemetry never
-    touches the workers' RNG streams.
+    reply, which the chief merges into the run trace.  Each round is
+    timed as one ``round.cohort`` phase through the
+    :class:`~repro.telemetry.timing.PhaseTimer` every round path uses.
+    Telemetry never touches the workers' RNG streams.
     """
     chief = os.getppid()
     telemetry = sink = None
@@ -266,7 +269,7 @@ def shard_main(
                     _inject_failure(spec)
                 if telemetry is not None:
                     telemetry.set_step(step)
-                    round_started = time.perf_counter_ns()
+                timer = phase_timer(telemetry)
                 # Copy the chief-published parameters out of shared
                 # memory: float64 bits survive the round trip untouched.
                 parameters = np.array(plane.parameters)
@@ -286,10 +289,9 @@ def shard_main(
                 plane.wire[rows] = submitted
                 plane.clean[rows] = clean
                 plane.losses[rows] = losses
+                timer.lap("round.cohort")
+                timer.emit(telemetry)
                 if telemetry is not None:
-                    telemetry.span_ns(
-                        "round.cohort", time.perf_counter_ns() - round_started
-                    )
                     telemetry.counter("rounds")
                 reply("done", step)
             if telemetry is not None:

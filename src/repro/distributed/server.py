@@ -4,10 +4,10 @@ The server performs the protocol of Section 2.1 faithfully: gather
 ``n`` gradients, aggregate with the configured GAR, update the model
 parameters with the optimizer, broadcast (implicitly — workers read
 ``parameters``).  Every backend updates the one parameter buffer in
-place, through the optimizer's ``out=`` path.  *Curiosity* is modelled by an optional tap that
-retains every received gradient, which the leakage analysis
-(:mod:`repro.analysis.leakage`) then exploits — exactly the threat the
-paper's DP noise is there to blunt.
+place, through the optimizer's ``out=`` path.  What a *curious* server
+could learn from the gradients it receives is measured separately, on
+single-example gradients, by :mod:`repro.analysis.leakage` — the threat
+the paper's DP noise is there to blunt.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class ParameterServer:
         initial_parameters: Vector,
         gar: GAR,
         optimizer: SGDOptimizer,
-        record_received: bool = False,
     ):
         initial_parameters = np.asarray(initial_parameters, dtype=np.float64)
         if initial_parameters.ndim != 1:
@@ -40,8 +39,6 @@ class ParameterServer:
         self._parameters = initial_parameters.copy()
         self._gar = gar
         self._optimizer = optimizer
-        self._record_received = bool(record_received)
-        self._received_log: list[Matrix] = []
         self._step = 0
 
     @property
@@ -75,14 +72,6 @@ class ParameterServer:
         """Number of aggregation/update rounds performed."""
         return self._step
 
-    @property
-    def received_log(self) -> list[Matrix]:
-        """Every gradient matrix the curious server has retained.
-
-        Empty unless constructed with ``record_received=True``.
-        """
-        return list(self._received_log)
-
     def step(self, gradients: Matrix, update_scale: float = 1.0) -> Vector:
         """One round: aggregate ``gradients`` and update the parameters.
 
@@ -113,8 +102,6 @@ class ParameterServer:
             raise ConfigurationError(
                 f"update_scale must be in [0, 1], got {update_scale}"
             )
-        if self._record_received:
-            self._received_log.append(matrix.copy())
         aggregated = self._gar.aggregate(matrix)
         update = aggregated if update_scale == 1.0 else update_scale * aggregated
         updated = self._optimizer.step(self._parameters, update, out=self._parameters)

@@ -87,7 +87,6 @@ def capture_cluster_state(cluster) -> dict:
         "server": {
             "parameters": server._parameters.tolist(),
             "step": server._step,
-            "received_log": [matrix.tolist() for matrix in server._received_log],
         },
         "optimizer": {
             "velocity": _vector(optimizer._velocity),
@@ -120,10 +119,6 @@ def restore_cluster_state(cluster, state: dict) -> None:
     optimizer = server._optimizer
     server._parameters[:] = state["server"]["parameters"]
     server._step = state["server"]["step"]
-    server._received_log = [
-        np.asarray(matrix, dtype=np.float64)
-        for matrix in state["server"].get("received_log", ())
-    ]
     optimizer._velocity = np.array(state["optimizer"]["velocity"], dtype=np.float64)
     optimizer._step_count = state["optimizer"]["step_count"]
     for worker, snapshot in zip(cluster._honest_workers, state["workers"]):
@@ -226,7 +221,7 @@ def _check_state(cluster, state) -> None:
     spec = {
         "step": _count,
         "bytes_on_wire_total": _count,
-        "server": {"parameters": vector, "step": _count, "received_log?": [[vector]]},
+        "server": {"parameters": vector, "step": _count},
         "optimizer": {"velocity": vector, "step_count": _count},
         "workers": tuple(
             {
@@ -265,16 +260,8 @@ def restore_checkpoint(path: str | Path, cluster) -> TrainingHistory:
     }
     try:
         _walk(payload, spec, "")
-        history = payload["history"]
-        for steps, values in (
-            ("loss_steps", "losses"),
-            ("accuracy_steps", "accuracies"),
-            ("virtual_time_steps", "virtual_times"),
-        ):
-            if len(history.get(steps, ())) != len(history.get(values, ())):
-                raise _invalid(f"history.{values}", f"does not pair with {steps}")
         try:
-            restored = TrainingHistory.from_dict(history)
+            restored = TrainingHistory.from_dict(payload["history"])
         except ValueError as error:
             raise _invalid("history", str(error)) from None
         restore_cluster_state(cluster, payload["cluster"])

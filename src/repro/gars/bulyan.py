@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.gars.base import GAR
 from repro.gars.constants import k_bulyan, require_bulyan_valid
-from repro.gars.kernels import bulyan_select, mean_around_anchor_batch, median_batch
+from repro.gars.kernels import bulyan_select, mean_around_anchor, median
 from repro.typing import Matrix, Vector
 
 __all__ = ["BulyanGAR"]
@@ -43,4 +43,4 @@ class BulyanGAR(GAR):
         # Stage 2: per coordinate, average the beta values closest to
         # the median of the selection (ties broken by value so the rule
         # stays permutation-invariant).
-        return mean_around_anchor_batch(selection, median_batch(selection), beta)
+        return mean_around_anchor(selection, median(selection), beta)

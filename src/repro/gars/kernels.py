@@ -1,11 +1,8 @@
 """Vectorized aggregation kernels — the engine behind every GAR hot path.
 
-Every kernel here operates on NumPy arrays end to end, with no per-row
-Python loops on the hot path.  The distance, geometric-median and
-coordinate-wise kernels also accept a stacked batch ``(B, n, d)``; the
-single-matrix form is the one-slice view of it, and NumPy's batched
-``matmul``/``einsum``/``sort`` reductions perform the same per-lane
-operations, which the kernel test-suite locks in.
+Every kernel here takes one round's ``(n, d)`` matrix (``n`` worker
+submissions of dimension ``d``) and operates on NumPy arrays end to end,
+with no per-row Python loops on the hot path.
 
 Kernel inventory
 ----------------
@@ -21,10 +18,8 @@ Kernel inventory
 * :func:`rank_by_score_then_value` — NumPy-native replacement for the
   Python ``sorted(..., key=(score, tuple(row)))`` tie-break: a stable
   argsort plus ``np.lexsort`` resolution of exact-tie runs only.
-* :func:`geometric_median` / :func:`geometric_median_batch` — Weiszfeld
-  iterations driven by two BLAS matrix-vector products per round
-  instead of four broadcast passes, with vectorized convergence masking
-  across the batch.
+* :func:`geometric_median` — Weiszfeld iterations driven by two BLAS
+  matrix-vector products per round instead of four broadcast passes.
 * :func:`mda_aggregate` — exhaustive minimum-diameter search over a
   precomputed distance matrix.  A search plan (every subset, and the
   flat matrix indices of its pairs) is built once per ``(n, n - f)``
@@ -34,9 +29,9 @@ Kernel inventory
 * :func:`bulyan_select` — iterated-Krum selection that *slices* the
   precomputed distance matrix instead of recomputing distances on
   every pass.
-* coordinate-wise kernels (:func:`median_batch`,
-  :func:`trimmed_mean_batch`, :func:`mean_around_anchor_batch`) —
-  ``axis``-generalised over the worker axis.
+* coordinate-wise kernels (:func:`median`, :func:`trimmed_mean`,
+  :func:`mean_around_anchor`) — one sort or selection along the worker
+  axis.
 """
 
 from __future__ import annotations
@@ -54,14 +49,13 @@ from repro.typing import Matrix, Vector
 __all__ = [
     "bulyan_select",
     "geometric_median",
-    "geometric_median_batch",
     "krum_scores_from_sq_distances",
     "mda_aggregate",
-    "mean_around_anchor_batch",
-    "median_batch",
+    "mean_around_anchor",
+    "median",
     "pairwise_sq_distances",
     "rank_by_score_then_value",
-    "trimmed_mean_batch",
+    "trimmed_mean",
 ]
 
 #: Entries of the Gram-expansion distance matrix smaller than this
@@ -87,8 +81,10 @@ _MDA_PLAN_ENTRIES = 250_000
 #: Upper bound on ``pairs * d`` scratch floats held at once by the
 #: exact-distance fallback's difference gather (~64 MiB of float64).
 #: Duplicate rows make the fallback routine — e.g. every attacked round
-#: carries f identical Byzantine submissions — so a big batched call
-#: must not materialise all unreliable pairs in one allocation.
+#: carries f identical Byzantine submissions — so a large matrix must
+#: not materialise all unreliable pairs in one allocation.  The chunks
+#: are part of the result: at d ~ 10^4 the bits ``np.einsum`` returns
+#: for a pair depend on how many pairs the call holds.
 _EXACT_CHUNK_FLOATS = 8_000_000
 
 
@@ -97,49 +93,39 @@ _EXACT_CHUNK_FLOATS = 8_000_000
 # ---------------------------------------------------------------------------
 
 
-def pairwise_sq_distances(gradients: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance matrix of the rows, batched.
+def pairwise_sq_distances(gradients: Matrix) -> np.ndarray:
+    """Squared Euclidean distance matrix of the rows: ``(n, d) -> (n, n)``.
 
-    ``(n, d) -> (n, n)`` or ``(B, n, d) -> (B, n, n)``.  Fast path is
-    the Gram expansion (one ``matmul``); entries that the expansion
-    cannot resolve — anything below ``1e-10 * (||x||^2 + ||y||^2)``,
-    which includes every near-duplicate pair — are recomputed exactly
-    from the row differences, so near-duplicate rows score 0 (or their
-    true tiny distance) instead of cancellation noise.
+    Fast path is the Gram expansion (one ``matmul``); entries that the
+    expansion cannot resolve — anything below
+    ``1e-10 * (||x||^2 + ||y||^2)``, which includes every near-duplicate
+    pair — are recomputed exactly from the row differences, so
+    near-duplicate rows score 0 (or their true tiny distance) instead of
+    cancellation noise.
     """
     gradients = np.asarray(gradients, dtype=np.float64)
-    if gradients.ndim == 2:
-        return _pairwise_sq_exact_hybrid(gradients[None])[0]
-    if gradients.ndim != 3:
-        raise AggregationError(
-            f"gradients must be (n, d) or (B, n, d), got shape {gradients.shape}"
-        )
-    return _pairwise_sq_exact_hybrid(gradients)
-
-
-def _pairwise_sq_exact_hybrid(stack: np.ndarray) -> np.ndarray:
-    """The ``(B, n, d)`` hybrid Gram + exact-fallback distance kernel."""
-    sq_norms = np.einsum("bnd,bnd->bn", stack, stack)
-    sq = sq_norms[:, :, None] + sq_norms[:, None, :]
+    if gradients.ndim != 2:
+        raise AggregationError(f"gradients must be (n, d), got shape {gradients.shape}")
+    sq_norms = np.einsum("nd,nd->n", gradients, gradients)
+    sq = sq_norms[:, None] + sq_norms[None, :]
     scale = sq.copy()
-    sq -= 2.0 * (stack @ stack.transpose(0, 2, 1))
+    sq -= 2.0 * (gradients @ gradients.T)
     np.maximum(sq, 0.0, out=sq)
-    diagonal = np.arange(stack.shape[1])
-    sq[:, diagonal, diagonal] = 0.0
+    diagonal = np.arange(gradients.shape[0])
+    sq[diagonal, diagonal] = 0.0
     unreliable = sq <= _GRAM_RELIABLE_RTOL * scale
-    unreliable[:, diagonal, diagonal] = False
+    unreliable[diagonal, diagonal] = False
     if unreliable.any():
-        batch, ii, jj = np.nonzero(unreliable)
+        ii, jj = np.nonzero(unreliable)
         upper = ii < jj  # the matrix is symmetric; compute each pair once
-        batch, ii, jj = batch[upper], ii[upper], jj[upper]
-        chunk = max(1, _EXACT_CHUNK_FLOATS // stack.shape[2])
-        for start in range(0, len(batch), chunk):
-            stop = start + chunk
-            b, i, j = batch[start:stop], ii[start:stop], jj[start:stop]
-            difference = stack[b, i] - stack[b, j]
+        ii, jj = ii[upper], jj[upper]
+        chunk = max(1, _EXACT_CHUNK_FLOATS // gradients.shape[1])
+        for start in range(0, len(ii), chunk):
+            i, j = ii[start : start + chunk], jj[start : start + chunk]
+            difference = gradients[i] - gradients[j]
             exact = np.einsum("md,md->m", difference, difference)
-            sq[b, i, j] = exact
-            sq[b, j, i] = exact
+            sq[i, j] = exact
+            sq[j, i] = exact
     return sq
 
 
@@ -151,7 +137,7 @@ def _pairwise_sq_exact_hybrid(stack: np.ndarray) -> np.ndarray:
 def krum_scores_from_sq_distances(sq_distances: np.ndarray, f: int) -> np.ndarray:
     """Krum score of each row from a precomputed distance matrix.
 
-    ``(..., n, n) -> (..., n)``: the sum of the ``n - f - 2`` smallest
+    ``(n, n) -> (n,)``: the sum of the ``n - f - 2`` smallest
     squared distances to the *other* rows.  ``np.partition`` isolates
     the neighbour set in O(n) per row; the selected block is then
     sorted so the summation order (ascending) matches the reference
@@ -166,10 +152,10 @@ def krum_scores_from_sq_distances(sq_distances: np.ndarray, f: int) -> np.ndarra
         )
     masked = sq_distances.copy()
     diagonal = np.arange(n)
-    masked[..., diagonal, diagonal] = np.inf  # a row is not its own neighbour
-    nearest = np.partition(masked, neighbours - 1, axis=-1)[..., :neighbours]
-    nearest.sort(axis=-1)
-    return nearest.sum(axis=-1)
+    masked[diagonal, diagonal] = np.inf  # a row is not its own neighbour
+    nearest = np.partition(masked, neighbours - 1, axis=1)[:, :neighbours]
+    nearest.sort(axis=1)
+    return nearest.sum(axis=1)
 
 
 def select_best_by_score_then_value(scores: np.ndarray, gradients: Matrix) -> int:
@@ -237,13 +223,13 @@ def rank_by_score_then_value(scores: np.ndarray, gradients: Matrix) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def geometric_median_batch(
-    points: np.ndarray,
+def geometric_median(
+    points: Matrix,
     max_iterations: int = 100,
     tolerance: float = 1e-9,
     smoothing: float = 1e-12,
-) -> np.ndarray:
-    """Smoothed Weiszfeld over a ``(B, n, d)`` stack in one vectorized run.
+) -> Vector:
+    """Smoothed Weiszfeld geometric median of the rows of ``(n, d)``.
 
     Each iteration needs only two BLAS products over the data —
     ``points @ estimate`` for the distances (via the norm expansion,
@@ -251,89 +237,47 @@ def geometric_median_batch(
     expansion's cancellation noise near a data point and keeps the
     iteration defined there) and ``weights @ points`` for the
     reweighted average — instead of materialising ``points - estimate``
-    and ``weights * points`` temporaries.  Convergence is tracked per
-    slice: slices whose estimate moved at most ``tolerance`` drop out
-    of subsequent iterations, so a batch is never slower than its
-    slowest member.
+    and ``weights * points`` temporaries.  It stops once the estimate
+    moves at most ``tolerance``.
     """
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 3 or points.shape[1] < 1:
-        raise AggregationError(
-            f"points must be (B, n, d) with n >= 1, got {points.shape}"
-        )
+    if points.ndim != 2 or points.shape[0] < 1:
+        raise AggregationError(f"points must be (n, d) with n >= 1, got {points.shape}")
     if max_iterations < 1:
         raise AggregationError(f"max_iterations must be >= 1, got {max_iterations}")
-    # Center each slice on its mean (the iteration's starting estimate).
-    # The geometric median is translation-equivariant, and centering
-    # keeps ||x||^2 on the order of the data spread — without it, a
-    # tight cluster at a large offset would lose the distances to
-    # catastrophic cancellation in the norm expansion below (the same
-    # failure mode pairwise_sq_distances guards against).
-    centers = points.mean(axis=1)
-    points = points - centers[:, None, :]
+    # The loop runs on a (1, n, d) view: its batched matmul/einsum calls
+    # fix the result's last bits, which plain 2-D products would change.
+    points = points[None]
+    # Center on the mean (the iteration's starting estimate).  The
+    # geometric median is translation-equivariant, and centering keeps
+    # ||x||^2 on the order of the data spread — without it, a tight
+    # cluster at a large offset would lose the distances to catastrophic
+    # cancellation in the norm expansion below (the same failure mode
+    # pairwise_sq_distances guards against).
+    center = points.mean(axis=1)
+    points = points - center[:, None, :]
     sq_norms = np.einsum("bnd,bnd->bn", points, points)
-    estimates = np.zeros_like(centers)
-    # Active-set state: ``group``/``group_sq_norms``/``estimate`` hold the
-    # not-yet-converged slices and are re-gathered only when a slice
-    # retires, so a steady-state iteration is exactly two BLAS products
-    # (points @ estimate for the distances, weights @ points for the
-    # reweighted average) with no (n, d) temporaries or copies.
-    active = np.arange(points.shape[0])
-    group = points
-    group_sq_norms = sq_norms
-    estimate = estimates.copy()
-    first_iteration = True
-    for _ in range(max_iterations):
-        if first_iteration:
-            # The starting estimate is exactly zero (the centered mean),
-            # so the expansion collapses to the precomputed row norms —
-            # bit-identically, since every skipped term is a product
-            # with 0.0.
-            sq_distances = group_sq_norms
-            first_iteration = False
-        else:
+    estimate = np.zeros_like(center)
+    # The starting estimate is exactly zero, so the first iteration's
+    # expansion collapses to the row norms — bit-identically, since
+    # every skipped term is a product with 0.0.
+    sq_distances = sq_norms
+    for iteration in range(max_iterations):
+        if iteration:
             sq_distances = (
-                group_sq_norms
-                - 2.0 * (group @ estimate[:, :, None])[:, :, 0]
+                sq_norms
+                - 2.0 * (points @ estimate[:, :, None])[:, :, 0]
                 + np.einsum("bd,bd->b", estimate, estimate)[:, None]
             )
             np.maximum(sq_distances, 0.0, out=sq_distances)
         weights = 1.0 / np.maximum(np.sqrt(sq_distances), smoothing)
-        updated = (weights[:, None, :] @ group)[:, 0, :]
+        updated = (weights[:, None, :] @ points)[:, 0, :]
         updated /= weights.sum(axis=1)[:, None]
         shift = np.linalg.norm(updated - estimate, axis=1)
         estimate = updated
-        still_moving = shift > tolerance
-        if not still_moving.all():
-            retired = ~still_moving
-            estimates[active[retired]] = estimate[retired]
-            active = active[still_moving]
-            if not active.size:
-                break
-            group = group[still_moving]
-            group_sq_norms = group_sq_norms[still_moving]
-            estimate = estimate[still_moving]
-    if active.size:
-        estimates[active] = estimate
-    return estimates + centers
-
-
-def geometric_median(
-    points: Matrix,
-    max_iterations: int = 100,
-    tolerance: float = 1e-9,
-    smoothing: float = 1e-12,
-) -> Vector:
-    """Single-matrix geometric median; one-slice view of the batch kernel."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise AggregationError(f"points must be (n, d) with n >= 1, got {points.shape}")
-    return geometric_median_batch(
-        points[None],
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        smoothing=smoothing,
-    )[0]
+        if not shift[0] > tolerance:  # a NaN shift stops too
+            break
+    return (estimate + center)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -468,34 +412,33 @@ def bulyan_select(gradients: Matrix, f: int, theta: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# coordinate-wise kernels (batched along axis -2)
+# coordinate-wise kernels
 # ---------------------------------------------------------------------------
 
 
-def median_batch(stack: np.ndarray) -> np.ndarray:
-    """Coordinate-wise median over the worker axis: ``(..., n, d) -> (..., d)``."""
-    return np.median(stack, axis=-2)
+def median(gradients: Matrix) -> Vector:
+    """Coordinate-wise median over the workers: ``(n, d) -> (d,)``."""
+    return np.median(gradients, axis=0)
 
 
-def trimmed_mean_batch(stack: np.ndarray, f: int) -> np.ndarray:
-    """Coordinate-wise ``f``-trimmed mean: ``(..., n, d) -> (..., d)``."""
-    n = stack.shape[-2]
+def trimmed_mean(gradients: Matrix, f: int) -> Vector:
+    """Coordinate-wise ``f``-trimmed mean: ``(n, d) -> (d,)``."""
+    n = gradients.shape[0]
     if f == 0:
-        return stack.mean(axis=-2)
-    ordered = np.sort(stack, axis=-2)
-    return ordered[..., f : n - f, :].mean(axis=-2)
+        return gradients.mean(axis=0)
+    ordered = np.sort(gradients, axis=0)
+    return ordered[f : n - f].mean(axis=0)
 
 
-def mean_around_anchor_batch(
-    stack: np.ndarray, anchor: np.ndarray, keep: int
-) -> np.ndarray:
+def mean_around_anchor(gradients: Matrix, anchor: Vector, keep: int) -> Vector:
     """Per coordinate, average the ``keep`` values closest to ``anchor``.
 
-    ``(..., n, d)`` with anchor ``(..., d)``; distance ties are broken
-    by the value itself (via a two-key lexsort) so the result is
+    ``(n, d)`` with anchor ``(d,)``: Meamed's median, Phocas's trimmed
+    mean, Bulyan's median of its selection.  Distance ties are broken by
+    the value itself (via a two-key lexsort) so the result is
     permutation-invariant even on equidistant inputs.
     """
-    deviation = np.abs(stack - np.expand_dims(anchor, -2))
-    closest = np.lexsort((stack, deviation), axis=-2)
-    picked = np.take_along_axis(stack, closest[..., :keep, :], axis=-2)
-    return picked.mean(axis=-2)
+    deviation = np.abs(gradients - anchor)
+    closest = np.lexsort((gradients, deviation), axis=0)
+    picked = np.take_along_axis(gradients, closest[:keep], axis=0)
+    return picked.mean(axis=0)

@@ -10,22 +10,10 @@ from __future__ import annotations
 
 from repro.gars.base import GAR
 from repro.gars.constants import k_meamed, require_majority_honest
-from repro.gars.kernels import mean_around_anchor_batch, median_batch
+from repro.gars.kernels import mean_around_anchor, median
 from repro.typing import Matrix, Vector
 
 __all__ = ["MeamedGAR", "mean_around_anchor"]
-
-
-def mean_around_anchor(gradients: Matrix, anchor: Vector, keep: int) -> Vector:
-    """Per coordinate, average the ``keep`` values closest to ``anchor``.
-
-    Shared by Meamed (anchor = median) and Phocas (anchor = trimmed
-    mean).  Distance ties are broken by the value itself (via lexsort)
-    so the rule is permutation-invariant even on equidistant inputs.
-    Delegates to the batched kernel, which also accepts ``(B, n, d)``
-    stacks.
-    """
-    return mean_around_anchor_batch(gradients, anchor, keep)
 
 
 class MeamedGAR(GAR):
@@ -42,6 +30,4 @@ class MeamedGAR(GAR):
         return k_meamed(self._n, self._f)
 
     def _aggregate(self, gradients: Matrix) -> Vector:
-        return mean_around_anchor(
-            gradients, median_batch(gradients), self._n - self._f
-        )
+        return mean_around_anchor(gradients, median(gradients), self._n - self._f)

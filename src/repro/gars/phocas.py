@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from repro.gars.base import GAR
 from repro.gars.constants import k_phocas, require_majority_honest
-from repro.gars.kernels import trimmed_mean_batch
-from repro.gars.meamed import mean_around_anchor
+from repro.gars.kernels import mean_around_anchor, trimmed_mean
 from repro.typing import Matrix, Vector
 
 __all__ = ["PhocasGAR"]
@@ -31,5 +30,5 @@ class PhocasGAR(GAR):
         return k_phocas(self._n, self._f)
 
     def _aggregate(self, gradients: Matrix) -> Vector:
-        anchor = trimmed_mean_batch(gradients, self._f)
+        anchor = trimmed_mean(gradients, self._f)
         return mean_around_anchor(gradients, anchor, self._n - self._f)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.gars.base import GAR
 from repro.gars.constants import k_trimmed_mean, require_majority_honest
-from repro.gars.kernels import trimmed_mean_batch
+from repro.gars.kernels import trimmed_mean
 from repro.typing import Matrix, Vector
 
 __all__ = ["TrimmedMeanGAR"]
@@ -29,4 +29,4 @@ class TrimmedMeanGAR(GAR):
         return k_trimmed_mean(self._n, self._f)
 
     def _aggregate(self, gradients: Matrix) -> Vector:
-        return trimmed_mean_batch(gradients, self._f)
+        return trimmed_mean(gradients, self._f)

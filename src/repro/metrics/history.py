@@ -161,18 +161,24 @@ class TrainingHistory:
     def from_dict(cls, payload: dict) -> "TrainingHistory":
         """Inverse of :meth:`to_dict`.
 
-        Payloads written before virtual times existed load fine: the
-        time axis just stays empty.
+        Every value list must pair with its step list: one that does not
+        raises ``ValueError`` naming it.  Payloads written before virtual
+        times existed load fine: the time axis just stays empty.
         """
         history = cls()
-        for step, loss in zip(payload["loss_steps"], payload["losses"]):
-            history.record_loss(step, loss)
-        for step, accuracy in zip(payload["accuracy_steps"], payload["accuracies"]):
-            history.record_accuracy(step, accuracy)
-        for step, time in zip(
-            payload.get("virtual_time_steps", ()), payload.get("virtual_times", ())
+        payload = {"virtual_time_steps": [], "virtual_times": [], **payload}
+        for steps, values, record in (
+            ("loss_steps", "losses", history.record_loss),
+            ("accuracy_steps", "accuracies", history.record_accuracy),
+            ("virtual_time_steps", "virtual_times", history.record_virtual_time),
         ):
-            history.record_virtual_time(step, time)
+            if len(payload[steps]) != len(payload[values]):
+                raise ValueError(
+                    f"{values} does not pair with {steps} "
+                    f"({len(payload[values])} against {len(payload[steps])} entries)"
+                )
+            for step, value in zip(payload[steps], payload[values]):
+                record(step, value)
         return history
 
     def __len__(self) -> int:

@@ -142,7 +142,6 @@ class Experiment:
         data_distribution: str | dict = "shared",
         eval_every: int = 50,
         seed: int = 1,
-        record_gradients: bool = False,
         network=None,
         callbacks: Iterable[Callback] = (),
         policy=None,
@@ -259,7 +258,6 @@ class Experiment:
         self.data_distribution = data_distribution
         self.eval_every = int(eval_every)
         self.seed = seed
-        self.record_gradients = bool(record_gradients)
         self.network_spec = network
         self.callbacks: list[Callback] = list(callbacks)
         self.policy_spec = policy
@@ -417,7 +415,6 @@ class Experiment:
                 ),
                 gar=self.gar,
                 optimizer=optimizer,
-                record_received=self.record_gradients,
             )
         return self._server
 

@@ -89,11 +89,6 @@ class TrainingLoop:
         """The composed callback list."""
         return self._callbacks
 
-    @property
-    def checkpoint_path(self) -> str | None:
-        """Where periodic checkpoints are written (``None`` disables)."""
-        return self._checkpoint
-
     def run(self, num_steps: int) -> LoopState:
         """Run up to ``num_steps`` rounds; returns the final state.
 

@@ -79,7 +79,7 @@ def run_jobs(
     (:mod:`repro.gars.kernels`) regardless of where the job executes.
 
     ``chunksize`` controls how many jobs a pool worker claims at once.
-    The default of 1 maximises load balance — with the engine's batched
+    The default of 1 maximises load balance — with the vectorized
     kernels a job's wall-clock is dominated by its ``(n, d)`` shape, so
     heterogeneous grids benefit from fine-grained scheduling — while
     larger values amortise IPC for swarms of tiny jobs.

@@ -60,6 +60,10 @@ from repro.typing import Vector
 
 __all__ = ["ClusterSimulator", "SimStepResult"]
 
+#: Events one :meth:`ClusterSimulator.advance` may process before it
+#: concludes the policy never aggregates.
+_MAX_EVENTS_PER_STEP = 100_000
+
 
 @dataclass(frozen=True)
 class SimStepResult(StepResult):
@@ -126,7 +130,6 @@ class ClusterSimulator(RoundCore):
         participation: ParticipationSampler | None = None,
         seeds: SeedTree | None = None,
         faults: ResolvedFaultPlan | None = None,
-        max_events_per_step: int = 100_000,
     ):
         honest_workers = list(honest_workers)
         if not honest_workers:
@@ -141,10 +144,6 @@ class ClusterSimulator(RoundCore):
             codec,
             faults,
         )
-        if max_events_per_step < 1:
-            raise ConfigurationError(
-                f"max_events_per_step must be >= 1, got {max_events_per_step}"
-            )
         if (
             policy is not None
             and not policy.barrier
@@ -165,7 +164,6 @@ class ClusterSimulator(RoundCore):
             participation if participation is not None else FullParticipation()
         )
         self._seeds = seeds if seeds is not None else SeedTree(0)
-        self._max_events_per_step = int(max_events_per_step)
         self._dimension = int(server.parameters.shape[0])
         self._policy.bind(self.n, self.num_honest, self._dimension)
 
@@ -208,11 +206,6 @@ class ClusterSimulator(RoundCore):
     def sampling_round_count(self) -> int:
         """Full broadcasts at which participation sampling applied."""
         return self._sampling_rounds
-
-    @property
-    def participation_counts(self) -> np.ndarray:
-        """Per-honest-worker count of sampled rounds participated in."""
-        return self._participation_counts.copy()
 
     @property
     def participation_rates(self) -> dict[int, float]:
@@ -271,7 +264,7 @@ class ClusterSimulator(RoundCore):
         events_processed = 0
         while self._queue:
             events_processed += 1
-            if events_processed > self._max_events_per_step:
+            if events_processed > _MAX_EVENTS_PER_STEP:
                 raise TrainingError(
                     f"simulation processed {events_processed} events without a "
                     f"server update; the policy appears to never aggregate"

@@ -1,4 +1,4 @@
-"""The :class:`Telemetry` handle and typed :class:`MetricsRegistry`.
+"""The :class:`Telemetry` handle: one source's events and metrics.
 
 Design constraints, in order:
 
@@ -14,7 +14,7 @@ Design constraints, in order:
 
 One :class:`Telemetry` instance represents one *source* (the chief, or
 one shard) and owns that source's monotonic ``seq`` counter, current
-``step``, metrics registry, and sink list.
+``step``, counters and gauges, and sink list.
 """
 
 from __future__ import annotations
@@ -24,96 +24,7 @@ import time
 from repro.exceptions import ConfigurationError
 from repro.telemetry.events import TRACE_SCHEMA
 
-__all__ = ["Counter", "Gauge", "MetricsRegistry", "Telemetry"]
-
-
-class Counter:
-    """A monotonically increasing count (messages dropped, rounds, ...)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def add(self, delta: int = 1) -> int:
-        """Increase by ``delta`` (>= 0); returns the new cumulative value."""
-        if delta < 0:
-            raise ConfigurationError(f"counter {self.name!r} cannot decrease (delta={delta})")
-        self.value += delta
-        return self.value
-
-
-class Gauge:
-    """A last-write-wins measurement (epsilon spent, rounds/sec, ...)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = None
-
-    def set(self, value) -> None:
-        """Record the latest value."""
-        self.value = value
-
-
-class MetricsRegistry:
-    """Named, typed metric instruments for one telemetry source.
-
-    A name is bound to its instrument type on first use; asking for the
-    same name as a different type is a configuration error (it would
-    silently fork the metric's meaning).
-    """
-
-    def __init__(self):
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-
-    def counter(self, name: str) -> Counter:
-        """The counter registered under ``name`` (created on first use)."""
-        if name in self._gauges:
-            raise ConfigurationError(f"metric {name!r} is already registered as a gauge")
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge registered under ``name`` (created on first use)."""
-        if name in self._counters:
-            raise ConfigurationError(f"metric {name!r} is already registered as a counter")
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
-        return instrument
-
-    def counter_values(self) -> dict[str, int]:
-        """Snapshot of every counter's cumulative value, sorted by name."""
-        return {name: self._counters[name].value for name in sorted(self._counters)}
-
-    def gauge_values(self) -> dict:
-        """Snapshot of every gauge's latest value, sorted by name."""
-        return {name: self._gauges[name].value for name in sorted(self._gauges)}
-
-
-class _Span(object):
-    """Context manager timing one named phase; emits on exit."""
-
-    __slots__ = ("_telemetry", "_name", "_attrs", "_start")
-
-    def __init__(self, telemetry: "Telemetry", name: str, attrs: dict | None):
-        self._telemetry = telemetry
-        self._name = name
-        self._attrs = attrs
-
-    def __enter__(self) -> "_Span":
-        self._start = time.perf_counter_ns()
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        duration = time.perf_counter_ns() - self._start
-        self._telemetry.span_ns(self._name, duration, **(self._attrs or {}))
+__all__ = ["Telemetry"]
 
 
 class Telemetry:
@@ -124,14 +35,19 @@ class Telemetry:
     ``"shard:<id>"``).  All emission goes through :meth:`_emit`, which
     stamps ``src``/``seq``/``step`` so every event satisfies the trace
     schema's per-source monotonicity invariants by construction.
+
+    A metric name is a counter (cumulative, never decreasing) or a gauge
+    (last write wins), never both: reusing a name as the other kind
+    would silently fork its meaning, so it is a configuration error.
     """
 
-    def __init__(self, sinks=(), src: str = "chief", metrics: MetricsRegistry | None = None):
+    def __init__(self, sinks=(), src: str = "chief"):
         self._sinks = list(sinks)
         self._src = str(src)
         self._seq = 0
         self._step = 0
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._counters: dict[str, int] = {}
+        self._gauges: dict = {}
         self._run_started_ns = None
 
     @property
@@ -143,6 +59,16 @@ class Telemetry:
     def sinks(self) -> list:
         """The sinks receiving this source's events."""
         return list(self._sinks)
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """Every counter's cumulative value, sorted by name."""
+        return {name: self._counters[name] for name in sorted(self._counters)}
+
+    @property
+    def gauges(self) -> dict:
+        """Every gauge's latest value, sorted by name."""
+        return {name: self._gauges[name] for name in sorted(self._gauges)}
 
     @property
     def step(self) -> int:
@@ -175,12 +101,9 @@ class Telemetry:
         for sink in self._sinks:
             sink.emit(event)
 
-    def span(self, name: str, **attrs) -> _Span:
-        """Context manager timing the enclosed block as span ``name``."""
-        return _Span(self, name, attrs or None)
-
     def span_ns(self, name: str, dur_ns: int, **attrs) -> None:
-        """Emit an already-measured span (block paths accumulate first)."""
+        """Emit a measured span; round paths call it through a
+        :class:`~repro.telemetry.timing.PhaseTimer`."""
         event_fields = {"name": name, "dur_ns": int(dur_ns)}
         if attrs:
             event_fields["attrs"] = attrs
@@ -188,7 +111,11 @@ class Telemetry:
 
     def counter(self, name: str, delta: int = 1, **attrs) -> None:
         """Increment counter ``name`` and emit its new cumulative value."""
-        value = self.metrics.counter(name).add(delta)
+        if name in self._gauges:
+            raise ConfigurationError(f"metric {name!r} is already registered as a gauge")
+        if delta < 0:
+            raise ConfigurationError(f"counter {name!r} cannot decrease (delta={delta})")
+        value = self._counters[name] = self._counters.get(name, 0) + delta
         fields = {"name": name, "value": value, "delta": int(delta)}
         if attrs:
             fields["attrs"] = attrs
@@ -196,7 +123,9 @@ class Telemetry:
 
     def gauge(self, name: str, value, **attrs) -> None:
         """Set gauge ``name`` and emit the new value."""
-        self.metrics.gauge(name).set(value)
+        if name in self._counters:
+            raise ConfigurationError(f"metric {name!r} is already registered as a counter")
+        self._gauges[name] = value
         fields = {"name": name, "value": value}
         if attrs:
             fields["attrs"] = attrs
@@ -226,7 +155,7 @@ class Telemetry:
         self._emit("run_start", schema=TRACE_SCHEMA, meta=meta)
 
     def close_run(self) -> None:
-        """Close the trace: snapshot metrics and emit ``run_end``.
+        """Close the trace: snapshot the metrics and emit ``run_end``.
 
         Derives the ``rounds_per_sec`` gauge from the ``rounds``
         counter and the elapsed wall time since :meth:`open_run`.
@@ -234,13 +163,13 @@ class Telemetry:
         elapsed_ns = 0
         if self._run_started_ns is not None:
             elapsed_ns = time.perf_counter_ns() - self._run_started_ns
-        rounds = self.metrics.counter_values().get("rounds", 0)
+        rounds = self._counters.get("rounds", 0)
         if rounds and elapsed_ns > 0:
             self.gauge("rounds_per_sec", rounds / (elapsed_ns / 1e9))
         self._emit(
             "run_end",
-            counters=self.metrics.counter_values(),
-            gauges=self.metrics.gauge_values(),
+            counters=self.counters,
+            gauges=self.gauges,
             elapsed_ns=int(elapsed_ns),
         )
 

@@ -69,13 +69,20 @@ def _fail(index: int, event: object, reason: str) -> None:
     raise TraceError(f"trace event {index}: {reason} (event: {event!r})")
 
 
+def _is_count(value: object) -> bool:
+    """A non-negative integer; JSON's ``true``/``false`` are not one
+    (``bool`` subclasses ``int``)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def validate_events(events) -> list[dict]:
     """Check a trace against the schema; returns the events on success.
 
     Raises :class:`TraceError` on the first violation: unknown kind,
-    missing field, wrong schema tag, a ``seq`` that fails to strictly
-    increase within its source, or a ``step`` that goes backwards
-    within its source.  The CLI's ``trace summarize`` and the CI
+    missing field, wrong schema tag, a ``seq``, ``step`` or ``dur_ns``
+    that is not a non-negative integer (a boolean is not), a ``seq``
+    that fails to strictly increase within its source, or a ``step``
+    that goes backwards within its source.  The CLI's ``trace summarize`` and the CI
     telemetry-smoke job both route through here, so an out-of-order or
     truncated trace fails loudly instead of summarising garbage.
     """
@@ -107,19 +114,19 @@ def validate_events(events) -> list[dict]:
         if not isinstance(src, str) or not src:
             _fail(index, event, f"src must be a non-empty string, got {src!r}")
         seq = event["seq"]
-        if not isinstance(seq, int) or seq < 0:
+        if not _is_count(seq):
             _fail(index, event, f"seq must be a non-negative integer, got {seq!r}")
         if src in last_seq and seq <= last_seq[src]:
             _fail(index, event, f"seq {seq} does not increase after {last_seq[src]} for src {src!r}")
         last_seq[src] = seq
         step = event["step"]
-        if not isinstance(step, int) or step < 0:
+        if not _is_count(step):
             _fail(index, event, f"step must be a non-negative integer, got {step!r}")
         if step < last_step.get(src, 0):
             _fail(index, event, f"step {step} goes backwards after {last_step[src]} for src {src!r}")
         last_step[src] = step
         if kind == "span":
             dur = event["dur_ns"]
-            if not isinstance(dur, int) or dur < 0:
+            if not _is_count(dur):
                 _fail(index, event, f"dur_ns must be a non-negative integer, got {dur!r}")
     return events

@@ -1,16 +1,16 @@
 """Pluggable event sinks for the telemetry plane.
 
 A sink receives finished event dicts (see
-:mod:`repro.telemetry.events`) and stores, forwards, or renders them.
-Three are provided:
+:mod:`repro.telemetry.events`) and stores them.  Two are provided:
 
 * :class:`JsonlSink` — one schema-versioned JSONL file per run, the
   durable trace the CLI's ``trace summarize`` reads back;
 * :class:`MemorySink` — an in-process list, for tests and benchmarks,
   and the buffer in which a runtime shard collects the events it ships
-  to the chief with each reply;
-* :class:`StderrProgressSink` — a rate-limited one-line progress
-  reporter for long runs.
+  to the chief with each reply.
+
+:class:`Sink` is the contract both implement, and what a test
+substitutes its own fakes for.
 
 Sinks never inspect or mutate events beyond serialisation, and none of
 them touches an RNG stream — a sink can therefore never perturb
@@ -20,11 +20,9 @@ training results.
 from __future__ import annotations
 
 import json
-import sys
-import time
 from pathlib import Path
 
-__all__ = ["Sink", "JsonlSink", "MemorySink", "StderrProgressSink"]
+__all__ = ["Sink", "JsonlSink", "MemorySink"]
 
 
 class Sink:
@@ -94,37 +92,3 @@ class MemorySink(Sink):
     def named(self, name: str) -> list[dict]:
         """Every collected event with the given ``name`` field."""
         return [event for event in self.events if event.get("name") == name]
-
-
-class StderrProgressSink(Sink):
-    """Periodic one-line progress reports on stderr.
-
-    Prints at most one line per ``interval`` seconds (wall clock),
-    summarising the latest step seen; warnings always print
-    immediately.  Meant for long interactive runs — it renders, it
-    never stores.
-    """
-
-    def __init__(self, interval: float = 5.0, stream=None):
-        self._interval = float(interval)
-        self._stream = stream if stream is not None else sys.stderr
-        # The monotonic clock's origin is arbitrary (often boot), so the
-        # first event must report however small ``now`` is.
-        self._last_report = float("-inf")
-
-    def emit(self, event: dict) -> None:
-        kind = event.get("kind")
-        if kind == "warning":
-            print(
-                f"[telemetry] warning {event.get('name')}: {event.get('message')}",
-                file=self._stream,
-            )
-            return
-        now = time.monotonic()
-        if now - self._last_report < self._interval:
-            return
-        self._last_report = now
-        print(
-            f"[telemetry] {event.get('src')} step {event.get('step')} ({kind})",
-            file=self._stream,
-        )

@@ -319,8 +319,6 @@ def reference_training_rounds(
             all_gradients = submitted
         delivered = network.deliver(all_gradients, step)
         matrix = np.asarray(delivered, dtype=np.float64)
-        if server._record_received:
-            server._received_log.append(matrix.copy())
         aggregated = _reference_aggregate(server._gar, matrix)
         server._parameters = _reference_optimizer_step(
             server._optimizer, server._parameters, aggregated

@@ -205,6 +205,11 @@ def _short_velocity(payload):
     return payload
 
 
+def _unpaired_losses(payload):
+    payload["history"]["losses"].pop()
+    return payload
+
+
 class TestDamagedCheckpoints:
     """A damaged checkpoint fails the way a config does: ``resume()``
     raises only a TrainingError or a ConfigurationError, naming the file
@@ -242,6 +247,11 @@ class TestDamagedCheckpoints:
             _short_velocity,
             ConfigurationError,
             "field 'cluster.workers[0].velocity_submitted' has 2 entries",
+        ),
+        "unpaired-losses": (
+            _unpaired_losses,
+            TrainingError,
+            "field 'history' losses does not pair with loss_steps",
         ),
     }
 

@@ -160,22 +160,32 @@ class TestCampaignCommand:
         assert serial_out.read_bytes() == parallel_out.read_bytes()
 
 
+def _unpaired_losses(text):
+    """The record's history loses its last loss: one fewer than its steps."""
+    record = json.loads(text)
+    record["history"]["losses"].pop()
+    return json.dumps(record)
+
+
 class TestDamagedStoreRecords:
     """A record damaged outside the program is no cache hit: the dry run
     lists it as corrupt, and a resume or a report exits 2 naming its key
     and path, without re-running it."""
 
     @pytest.mark.parametrize(
-        "text", ['{"cell": 1}', '{"broken'], ids=["wrong-shape", "truncated"]
+        "damage",
+        [lambda text: '{"cell": 1}', lambda text: '{"broken', _unpaired_losses],
+        ids=["wrong-shape", "truncated", "unpaired-history"],
     )
     def test_damaged_record_exits_2_naming_key_and_path(
-        self, matrix_path, tmp_path, capsys, text
+        self, matrix_path, tmp_path, capsys, damage
     ):
         store_dir = tmp_path / "store"
         assert main(["campaign", str(matrix_path), "--store", str(store_dir)]) == 0
         store = ResultStore(store_dir)
         key = store.keys()[0]
         path = store.path_for(key)
+        text = damage(path.read_text())
         path.write_text(text)
         capsys.readouterr()
         command = ["campaign", str(matrix_path), "--store", str(store_dir)]

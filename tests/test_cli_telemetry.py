@@ -12,7 +12,7 @@ import pytest
 
 from repro.experiments.cli import build_parser, main, render_run_summary
 from repro.experiments.runner import telemetry_path_for
-from repro.telemetry import read_trace, validate_events
+from repro.telemetry import MemorySink, Telemetry, read_trace, validate_events
 
 from tests.test_cli_run import tiny_cell
 
@@ -156,6 +156,23 @@ class TestTraceSummarize:
         capsys.readouterr()
         assert main(["trace", "summarize", str(trace)]) == 2
         assert "does not increase" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["seq", "step", "dur_ns"])
+    def test_boolean_count_exits_2(self, tmp_path, capsys, field):
+        """A span whose seq, step or dur_ns is JSON true is malformed,
+        not a phase."""
+        sink = MemorySink()
+        telemetry = Telemetry(sinks=[sink])
+        telemetry.open_run()
+        telemetry.set_step(1)
+        telemetry.span_ns("round.cohort", 5)
+        telemetry.close_run()
+        for event in sink.by_kind("span"):
+            event[field] = True
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(json.dumps(event) + "\n" for event in sink.events))
+        assert main(["trace", "summarize", str(trace)]) == 2
+        assert f"{field} must be a non-negative integer" in capsys.readouterr().err
 
 
 class TestDegradedSummaryLines:

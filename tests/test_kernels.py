@@ -8,7 +8,7 @@ import pytest
 from repro.exceptions import AggregationError
 from repro.gars import get_gar, kernels
 from repro.gars.kernels import (
-    geometric_median_batch,
+    geometric_median,
     krum_scores_from_sq_distances,
     mda_aggregate,
     pairwise_sq_distances,
@@ -56,16 +56,14 @@ class TestPairwiseSqDistances:
         gram = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (gradients @ gradients.T)
         assert not np.isclose(np.maximum(gram, 0.0)[0, 1], exact, rtol=0.5, atol=0.0)
 
-    def test_batched_matches_single(self):
-        rng = np.random.default_rng(3)
-        stack = rng.standard_normal((4, 6, 5))
-        batched = pairwise_sq_distances(stack)
-        for index in range(4):
-            assert np.array_equal(batched[index], pairwise_sq_distances(stack[index]))
-
     def test_rejects_bad_rank(self):
         with pytest.raises(AggregationError):
             pairwise_sq_distances(np.zeros(3))
+
+    def test_rejects_stack(self):
+        """A kernel takes one round's (n, d) matrix, never a stack."""
+        with pytest.raises(AggregationError, match=r"\(n, d\)"):
+            pairwise_sq_distances(np.zeros((2, 4, 3)))
 
 
 class TestKrumNearDuplicateRegression:
@@ -122,33 +120,39 @@ class TestKrumScoresKernel:
 
 
 class TestGeometricMedianBatch:
+    """:func:`geometric_median`, one (n, d) matrix per call."""
+
     def test_matches_reference_per_slice(self):
         rng = np.random.default_rng(8)
         stack = rng.standard_normal((5, 9, 6))
-        batched = geometric_median_batch(stack)
-        for index in range(5):
-            reference = geometric_median_reference(stack[index])
-            assert np.allclose(batched[index], reference, atol=1e-7)
+        for points in stack:
+            reference = geometric_median_reference(points)
+            assert np.allclose(geometric_median(points), reference, atol=1e-7)
 
     def test_mixed_convergence_speeds(self):
-        """Slices that converge at different iterations must all land on
-        their own median (the active-set masking must not cross wires)."""
+        """A matrix of identical rows stops after one iteration and one
+        of spread rows after many; each lands on its own median."""
         rng = np.random.default_rng(9)
         easy = np.tile(rng.standard_normal(4), (7, 1))  # converges instantly
         hard = rng.standard_normal((7, 4)) * 100.0
-        stack = np.stack([easy, hard, easy + 3.0])
-        batched = geometric_median_batch(stack)
-        assert np.allclose(batched[0], easy[0], atol=1e-9)
-        assert np.allclose(batched[2], easy[0] + 3.0, atol=1e-9)
+        assert np.allclose(geometric_median(easy), easy[0], atol=1e-9)
+        assert np.allclose(geometric_median(easy + 3.0), easy[0] + 3.0, atol=1e-9)
         assert np.allclose(
-            batched[1], geometric_median_reference(hard), atol=1e-6
+            geometric_median(hard), geometric_median_reference(hard), atol=1e-6
         )
 
     def test_validation(self):
         with pytest.raises(AggregationError):
-            geometric_median_batch(np.zeros((2, 3)))
+            geometric_median(np.zeros(3))
         with pytest.raises(AggregationError):
-            geometric_median_batch(np.zeros((1, 2, 2)), max_iterations=0)
+            geometric_median(np.zeros((0, 3)))
+        with pytest.raises(AggregationError):
+            geometric_median(np.zeros((2, 2)), max_iterations=0)
+
+    def test_rejects_stack(self):
+        """A kernel takes one round's (n, d) matrix, never a stack."""
+        with pytest.raises(AggregationError, match=r"\(n, d\)"):
+            geometric_median(np.zeros((2, 4, 3)))
 
 
 class TestMDAKernel:

@@ -67,6 +67,28 @@ class TestTrainingHistory:
         history = make_history([0.5])
         assert "final_loss" in repr(history)
 
+    @pytest.mark.parametrize(
+        "steps,values",
+        [
+            ("loss_steps", "losses"),
+            ("accuracy_steps", "accuracies"),
+            ("virtual_time_steps", "virtual_times"),
+        ],
+    )
+    def test_unpaired_lists_rejected(self, steps, values):
+        """A value list one entry short of its steps names itself."""
+        history = make_history([0.5, 0.4], accuracies=[0.7, 0.8])
+        history.record_virtual_time(1, 1.0)
+        history.record_virtual_time(2, 2.0)
+        payload = history.to_dict()
+        payload[values].pop()
+        with pytest.raises(ValueError, match=f"{values} does not pair with {steps}"):
+            TrainingHistory.from_dict(payload)
+        payload[values].append(0.0)
+        payload[steps].pop()
+        with pytest.raises(ValueError, match=f"{values} does not pair with {steps}"):
+            TrainingHistory.from_dict(payload)
+
 
 class TestAggregation:
     def test_loss_mean_std(self):

@@ -12,12 +12,11 @@ from repro.rng import generator_from_seed
 from tests.helpers import random_gradient_matrix
 
 
-def make_server(n=5, f=0, gar="average", record=False, lr=0.5, momentum=0.0):
+def make_server(n=5, f=0, gar="average", lr=0.5, momentum=0.0):
     return ParameterServer(
         initial_parameters=np.zeros(4),
         gar=get_gar(gar, n, f),
         optimizer=SGDOptimizer(lr, momentum=momentum),
-        record_received=record,
     )
 
 
@@ -45,20 +44,6 @@ class TestParameterServer:
         server = make_server()
         with pytest.raises(ConfigurationError, match="gradient matrix"):
             server.step(np.zeros((4, 4)))  # wrong worker count
-
-    def test_curiosity_log_disabled_by_default(self):
-        server = make_server()
-        server.step(np.ones((5, 4)))
-        assert server.received_log == []
-
-    def test_curiosity_log_records_copies(self):
-        server = make_server(record=True)
-        gradients = np.ones((5, 4))
-        server.step(gradients)
-        gradients[:] = 0.0
-        log = server.received_log
-        assert len(log) == 1
-        assert np.allclose(log[0], 1.0)
 
     def test_robust_gar_server(self):
         server = make_server(n=11, f=5, gar="mda")

@@ -13,10 +13,7 @@ from repro.exceptions import ConfigurationError, ReproError
 from repro.telemetry import (
     EVENT_KINDS,
     TRACE_SCHEMA,
-    Counter,
-    Gauge,
     MemorySink,
-    MetricsRegistry,
     Telemetry,
     TraceError,
     validate_events,
@@ -29,44 +26,49 @@ def make_telemetry(src="chief"):
 
 
 class TestMetricsRegistry:
+    """The handle's metrics: its counters and gauges."""
+
     def test_counter_accumulates(self):
-        counter = Counter("rounds")
-        assert counter.add() == 1
-        assert counter.add(4) == 5
-        assert counter.value == 5
+        telemetry, sink = make_telemetry()
+        telemetry.counter("rounds")
+        telemetry.counter("rounds", 4)
+        assert [event["value"] for event in sink.events] == [1, 5]
+        assert telemetry.counters == {"rounds": 5}
 
     def test_counter_rejects_decrease(self):
+        telemetry, sink = make_telemetry()
+        telemetry.counter("rounds", 2)
         with pytest.raises(ConfigurationError, match="cannot decrease"):
-            Counter("rounds").add(-1)
+            telemetry.counter("rounds", -1)
+        assert telemetry.counters == {"rounds": 2}
+        assert len(sink.events) == 1  # the refused delta emitted nothing
 
     def test_gauge_last_write_wins(self):
-        gauge = Gauge("epsilon")
-        assert gauge.value is None
-        gauge.set(0.5)
-        gauge.set(1.5)
-        assert gauge.value == 1.5
-
-    def test_registry_returns_same_instrument(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("b") is registry.gauge("b")
+        telemetry, _ = make_telemetry()
+        assert telemetry.gauges == {}
+        telemetry.gauge("epsilon", 0.5)
+        telemetry.gauge("epsilon", 1.5)
+        assert telemetry.gauges == {"epsilon": 1.5}
 
     def test_registry_rejects_type_fork(self):
-        registry = MetricsRegistry()
-        registry.counter("rounds")
-        registry.gauge("rate")
+        telemetry, sink = make_telemetry()
+        telemetry.counter("rounds")
+        telemetry.gauge("rate", 1.0)
         with pytest.raises(ConfigurationError, match="already registered"):
-            registry.gauge("rounds")
+            telemetry.gauge("rounds", 2.0)
         with pytest.raises(ConfigurationError, match="already registered"):
-            registry.counter("rate")
+            telemetry.counter("rate")
+        assert (telemetry.counters, telemetry.gauges) == ({"rounds": 1}, {"rate": 1.0})
+        assert len(sink.events) == 2
 
     def test_snapshots_are_sorted(self):
-        registry = MetricsRegistry()
-        registry.counter("b").add(2)
-        registry.counter("a").add(1)
-        registry.gauge("z").set(9)
-        assert registry.counter_values() == {"a": 1, "b": 2}
-        assert registry.gauge_values() == {"z": 9}
+        telemetry, _ = make_telemetry()
+        telemetry.counter("b", 2)
+        telemetry.counter("a", 1)
+        telemetry.gauge("z", 9)
+        telemetry.gauge("y", 8)
+        assert list(telemetry.counters.items()) == [("a", 1), ("b", 2)]
+        assert list(telemetry.gauges.items()) == [("y", 8), ("z", 9)]
 
 
 class TestTelemetryEmission:
@@ -79,16 +81,6 @@ class TestTelemetryEmission:
         assert first["src"] == second["src"] == "shard:3"
         assert (first["seq"], second["seq"]) == (0, 1)
         assert (first["step"], second["step"]) == (0, 5)
-
-    def test_span_context_manager_times_block(self):
-        telemetry, sink = make_telemetry()
-        with telemetry.span("round.cohort", round=4):
-            pass
-        (event,) = sink.events
-        assert event["kind"] == "span"
-        assert event["name"] == "round.cohort"
-        assert event["dur_ns"] >= 0
-        assert event["attrs"] == {"round": 4}
 
     def test_span_ns_emits_preaccumulated_duration(self):
         telemetry, sink = make_telemetry()
@@ -104,7 +96,7 @@ class TestTelemetryEmission:
         events = sink.by_kind("counter")
         assert [event["value"] for event in events] == [1, 4]
         assert [event["delta"] for event in events] == [1, 3]
-        assert telemetry.metrics.counter_values() == {"network.dropped": 4}
+        assert telemetry.counters == {"network.dropped": 4}
 
     def test_gauge_and_warning_and_mark_fields(self):
         telemetry, sink = make_telemetry()
@@ -137,8 +129,7 @@ class TestRunLifecycle:
         telemetry, sink = make_telemetry()
         telemetry.open_run(mode="train", gar="krum")
         telemetry.set_step(1)
-        with telemetry.span("round.server"):
-            pass
+        telemetry.span_ns("round.server", 7)
         telemetry.counter("rounds")
         telemetry.close_run()
         events = validate_events(sink.events)
@@ -260,6 +251,21 @@ class TestValidateEvents:
             validate_events(events)
         events[-1] = {"kind": "mark", "src": "chief", "seq": "9", "step": 1, "name": "x"}
         with pytest.raises(TraceError, match="seq must be"):
+            validate_events(events)
+
+    @pytest.mark.parametrize("field", ["seq", "step", "dur_ns"])
+    def test_rejects_boolean_counts(self, field):
+        """JSON's true is no count, although bool subclasses int."""
+        telemetry, sink = make_telemetry()
+        telemetry.open_run()
+        telemetry.set_step(1)
+        telemetry.span_ns("round.cohort", 5)
+        telemetry.close_run()
+        events = sink.events
+        validate_events(events)
+        (span,) = [event for event in events if event["kind"] == "span"]
+        span[field] = True  # equals 1, a value the field may hold
+        with pytest.raises(TraceError, match=f"{field} must be a non-negative integer"):
             validate_events(events)
 
     def test_trace_error_is_a_repro_error(self):

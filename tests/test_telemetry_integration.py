@@ -172,6 +172,16 @@ EVENT_CENSUS = {
     ),
 }
 
+#: Per-name event counts of each shard of a clean 2-shard, 5-round
+#: multiprocess run: one ``round.cohort`` span and one ``rounds`` count
+#: per round, between the shard's start and stop marks.
+SHARD_CENSUS = {
+    "mark:shard.start": 1,
+    "span:round.cohort": 5,
+    "counter:rounds": 5,
+    "mark:shard.stop": 1,
+}
+
 
 class TestBitIdentity:
     @pytest.mark.parametrize(
@@ -267,6 +277,17 @@ class TestTraceContents:
             if event["src"] == "chief"
         )
         assert dict(census) == expected
+
+    def test_shards_keep_their_event_census(self):
+        sink = MemorySink()
+        make_experiment(
+            telemetry=Telemetry(sinks=[sink]), backend="multiprocess", num_shards=2
+        ).run()
+        censuses = collections.defaultdict(collections.Counter)
+        for event in validate_events(sink.events):
+            if event["src"] != "chief":
+                censuses[event["src"]][f"{event['kind']}:{event.get('name', '')}"] += 1
+        assert dict(censuses) == {"shard:0": SHARD_CENSUS, "shard:1": SHARD_CENSUS}
 
     def test_dropped_messages_counted_on_lossy_network(self):
         _, sink = observed_run(drop_probability=0.5)

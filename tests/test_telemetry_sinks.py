@@ -4,16 +4,9 @@ Sinks only serialise/store/forward finished event dicts; the timing
 module is the one clock every round path's phase spans are timed with.
 """
 
-import io
 import json
 
-from repro.telemetry import (
-    JsonlSink,
-    MemorySink,
-    Sink,
-    StderrProgressSink,
-    Telemetry,
-)
+from repro.telemetry import JsonlSink, MemorySink, Sink, Telemetry
 from repro.telemetry.timing import NULL_TIMER, phase_timer
 
 
@@ -81,34 +74,6 @@ class TestMemorySink:
         assert len(sink.by_kind("span")) == 2
         assert len(sink.named("rounds")) == 1
         assert sink.by_kind("gauge") == []
-
-
-class TestStderrProgressSink:
-    def test_rate_limits_ordinary_events(self):
-        stream = io.StringIO()
-        sink = StderrProgressSink(interval=3600.0, stream=stream)
-        for seq in range(5):
-            sink.emit(sample_event(seq=seq, step=seq))
-        # One line at most within the interval.
-        assert len(stream.getvalue().splitlines()) == 1
-
-    def test_first_event_reports_on_a_fresh_clock(self, monkeypatch):
-        """A monotonic clock may start near 0 (a freshly booted host)."""
-        monkeypatch.setattr("repro.telemetry.sinks.time.monotonic", lambda: 1.0)
-        stream = io.StringIO()
-        StderrProgressSink(interval=3600.0, stream=stream).emit(sample_event())
-        assert len(stream.getvalue().splitlines()) == 1
-
-    def test_warnings_always_print(self):
-        stream = io.StringIO()
-        sink = StderrProgressSink(interval=3600.0, stream=stream)
-        sink.emit(sample_event())
-        sink.emit(
-            sample_event(kind="warning", name="shard.departed", message="shard 1 died")
-        )
-        text = stream.getvalue()
-        assert "shard.departed" in text
-        assert "shard 1 died" in text
 
 
 class TestBaseSinkContract:

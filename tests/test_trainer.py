@@ -191,10 +191,6 @@ class TestMiscValidation:
         result = run(environment, drop_probability=0.2, gar="average", f=0)
         assert len(result.history.losses) == NUM_STEPS
 
-    def test_record_gradients_flag(self, environment):
-        result = run(environment, record_gradients=True)
-        assert result.config["seed"] == 1  # smoke: flag does not break anything
-
 
 class TestBuildMechanism:
     def test_gaussian(self):

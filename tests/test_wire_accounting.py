@@ -117,7 +117,7 @@ class TestStepResultsAcrossPaths:
 
 class TestTelemetryFlow:
     def _counter_total(self, telemetry):
-        return telemetry.metrics.counter_values().get("wire.bytes")
+        return telemetry.counters.get("wire.bytes")
 
     def test_engine_path_emits_wire_bytes(self):
         telemetry = Telemetry(sinks=[MemorySink()])
