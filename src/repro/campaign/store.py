@@ -133,9 +133,11 @@ def _object_with(name: str, test):
 
 
 def _history(value) -> bool:
+    """A training history; an unpaired list raises ``from_dict``'s
+    ``ValueError``, which names it."""
     try:
         TrainingHistory.from_dict(value)
-    except (AttributeError, KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError):
         return False
     return True
 
@@ -189,7 +191,11 @@ def _check_record(record, key: str) -> None:
     for field, (expected, test) in fields.items():
         if field not in record:
             raise ValueError(f"field {field!r} is missing")
-        if not test(record[field]):
+        try:
+            passed = test(record[field])
+        except ValueError as error:  # a test that says what is wrong
+            raise ValueError(f"field {field!r} {error}") from None
+        if not passed:
             got = reprlib.repr(record[field])
             raise ValueError(f"field {field!r} must be {expected}, got {got}")
 

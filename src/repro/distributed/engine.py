@@ -14,7 +14,8 @@ rounds that remove that overhead without changing a single output bit:
   owns private generator streams and NumPy ``Generator`` draws are
   consumed value-by-value, so a block draw reads the identical stream
   as the per-round draws (pinned by hypothesis properties and the
-  golden traces);
+  golden traces).  At large d a block's noise is drawn over up to two
+  threads, each worker's rows still from its own stream alone;
 * **preallocated round buffers** — one ``(n, d)`` wire matrix and one
   ``(W, d)`` clean-gradient matrix are reused across every round of the
   run, and one block's ``(R, W, b)`` batch rows and ``(R, W, d)`` noise
@@ -23,8 +24,9 @@ rounds that remove that overhead without changing a single output bit:
   :class:`~repro.distributed.worker.CohortPass` that serves the workers
   (the one per-round ``Cluster.step`` uses) on the round's pre-drawn
   rows: chunked gathers into reused buffers, one forward/backward pass
-  per chunk, one batched clip, then the pass's epilogue (the noise add
-  and the momentum update on the pass's own stack).  The cluster's
+  per chunk (the chunks dealt over up to two threads at large d), one
+  batched clip, then the pass's epilogue (the noise add and the
+  momentum update on the pass's own stack).  The cluster's
   attack → network → server tail (:meth:`RoundCore._tail`) follows on
   the reused wire matrix, and the server updates its parameter buffer
   in place.  Workers' ``last_batch`` is set to the last round's rows

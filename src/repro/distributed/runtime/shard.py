@@ -219,9 +219,12 @@ def shard_main(
     tagged ``src="shard:<id>"``, are buffered in a
     :class:`~repro.telemetry.sinks.MemorySink` and shipped with the next
     reply, which the chief merges into the run trace.  Each round is
-    timed as one ``round.cohort`` phase through the
-    :class:`~repro.telemetry.timing.PhaseTimer` every round path uses.
-    Telemetry never touches the workers' RNG streams.
+    timed through the :class:`~repro.telemetry.timing.PhaseTimer` every
+    round path uses: the cohort and the plane writes as ``round.cohort``,
+    or with a codec the encode and the plane writes as ``round.codec``,
+    as in process.  A fault plan's ``slow`` stall is charged to no
+    phase (the chief's ``round.wait`` shows it).  Telemetry never
+    touches the workers' RNG streams.
     """
     chief = os.getppid()
     telemetry = sink = None
@@ -274,9 +277,13 @@ def shard_main(
                 # memory: float64 bits survive the round trip untouched.
                 parameters = np.array(plane.parameters)
                 submitted, clean, losses = compute_cohort(workers, parameters, step)
+                timer.lap("round.cohort")
                 for slow_step, factor in spec.slow_steps:
                     if slow_step == step:
+                        # A stall, not compute: the chief's round.wait
+                        # shows it, as in process, where it takes no time.
                         time.sleep(0.01 * factor)
+                        timer.restart()
                 if spec.codec is not None:
                     # Same values, same (step, worker) ids as the
                     # in-process path — the codec's per-message streams
@@ -289,7 +296,7 @@ def shard_main(
                 plane.wire[rows] = submitted
                 plane.clean[rows] = clean
                 plane.losses[rows] = losses
-                timer.lap("round.cohort")
+                timer.lap("round.cohort" if spec.codec is None else "round.codec")
                 timer.emit(telemetry)
                 if telemetry is not None:
                     telemetry.counter("rounds")

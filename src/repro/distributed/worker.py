@@ -30,10 +30,19 @@ buffers live in one stack the pass owns.  Every backend's cohort owner
 (the in-process cluster and its fused engine, each multiprocess shard,
 the discrete-event simulator) builds one pass over its workers; a
 cohort the pass cannot serve is refused when its owner is built.
+
+At large d the pass runs on up to two CPUs the process may run on: its
+chunks are dealt over short-lived threads, and so is a large noise
+block's draw (see :class:`CohortPass`).  NumPy's gathers, ``einsum`` and
+random draws release the GIL (a single ``matmul`` product does not),
+and every thread's output rows are its own, so no result bit depends
+on the thread count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +64,62 @@ CLIP_MODES = ("batch", "per_example")
 #: at a time, so the forward/backward pass reads its rows from cache
 #: instead of from a whole-cohort gather (56 MB at d = 10 000).
 _GATHER_BYTES = 4 << 20
+
+
+#: Most threads one pass or one noise block runs on, whatever the host.
+#: Each pass thread gathers into its own chunk buffers (4 MB more peak
+#: memory per thread on ``highdim-topk``), so the cap keeps the pass's
+#: scratch, in every process of a shard run or a job pool, from growing
+#: with the core count; two is also all that has been measured.
+_MAX_THREADS = 2
+
+
+def _threads() -> int:
+    """How many threads a large pass or noise block runs on: the CPUs
+    in this process's affinity mask, at most ``_MAX_THREADS``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_THREADS)
+
+
+def _deal(count: int, threads: int, work) -> None:
+    """Call ``work(item, group)`` for every item in ``range(count)``.
+
+    The items are dealt round-robin into ``min(threads, count)`` groups
+    (at least one), each of which runs its items in order: group 0 in
+    the caller, every other group on a thread started here and joined
+    before this returns, so no thread outlives the call (a later
+    ``fork`` copies none).  A group stops at its first failure; after
+    every join, the failure of the lowest item is re-raised, so a
+    failing item raises the same exception at any thread count (an
+    interrupt or exit, which is no ``Exception``, goes first).
+    """
+    groups = max(1, min(threads, count))
+    failures = []
+
+    def serve(group: int) -> None:
+        for item in range(group, count, groups):
+            try:
+                work(item, group)
+            except BaseException as error:  # re-raised by the caller
+                # An interrupt or exit (no Exception) sorts first.
+                failures.append((isinstance(error, Exception), item, error))
+                return
+
+    helpers = [
+        threading.Thread(target=serve, args=(group,)) for group in range(1, groups)
+    ]
+    for helper in helpers:
+        helper.start()
+    try:
+        serve(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise min(failures)[2]  # items are unique: errors are never compared
 
 
 class HonestWorker:
@@ -229,6 +294,19 @@ class CohortPass:
     row from that worker's batch alone, so neither the chunking nor the
     subset changes a bit of them.
 
+    The chunks are dealt round-robin over ``min(CPUs, 2, chunks)``
+    threads (the CPUs in the affinity mask, capped by ``_MAX_THREADS``
+    so the scratch does not grow with the host): the caller serves the
+    first share, and each other share runs on a thread started for the
+    call and joined before the clip.  Each thread owns one pair of
+    gather buffers, and each chunk writes only its own rows, so every
+    call keeps the shapes a one-thread pass makes.  At small d one chunk
+    holds the cohort and no thread starts.  The clip stays one call over
+    all rows, after the join: at large d an ``einsum`` row's bits can
+    depend on how many rows its call holds.  Models are stateless
+    functions of ``(w, batch)`` (:mod:`repro.models.base`), which is
+    what lets two threads call one model at once.
+
     A per-example cohort (``clip_mode="per_example"`` with a bound) is
     gathered whole from the raw features: each worker's
     :meth:`Model.per_example_gradients`, one rescale of the whole
@@ -237,9 +315,10 @@ class CohortPass:
     ``einsum`` row's bits can depend on how many rows its call holds.
 
     The epilogue is written once too.  :meth:`draw_noise` draws each
-    noised worker's rows from its own stream, and :meth:`finish` adds
-    them and updates worker momentum, whether one round runs
-    (:func:`compute_cohort`) or the fused engine's pre-drawn block does.
+    noised worker's rows from its own stream (a large block over the
+    same threads), and :meth:`finish` adds them and updates worker
+    momentum, whether one round runs (:func:`compute_cohort`) or the
+    fused engine's pre-drawn block does.
     The pass owns the momentum: one ``(2, W, d)`` stack (submitted,
     clean) whose rows are its momentum workers' velocity buffers, so
     checkpoints and the fault stage read and write them in place.
@@ -290,7 +369,7 @@ class CohortPass:
         self._features_buf = None
 
     def _build(self) -> None:
-        """The gather sources and the chunk buffers."""
+        """The gather sources and each thread's chunk buffers."""
         model = self._model
         # A model that overrides the two-pass methods while inheriting a
         # single pass keeps its own formulas: run the two methods.
@@ -317,17 +396,23 @@ class CohortPass:
             if self._per_example
             else int(np.clip(_GATHER_BYTES // max(worker_bytes, 1), 1, count))
         )
-        self._features_buf = np.empty(
-            (self._chunk, self._batch_size) + features.shape[1:], dtype=features.dtype
-        )
-        self._labels_buf = np.empty(
-            (self._chunk, self._batch_size) + labels.shape[1:], dtype=labels.dtype
-        )
+        chunks = -(-count // self._chunk)
+        threads = 1 if self._per_example else min(_threads(), chunks)
+        shape = (self._chunk, self._batch_size)
+        self._buffers = [
+            (
+                np.empty(shape + features.shape[1:], dtype=features.dtype),
+                np.empty(shape + labels.shape[1:], dtype=labels.dtype),
+            )
+            for _ in range(threads)
+        ]
+        # The caller's features; set last, it marks the pass as built.
+        self._features_buf = self._buffers[0][0]
 
-    def _gather(self, rows, start: int, stop: int, positions):
-        """Rows ``start:stop``'s batches, in the front of the buffers."""
-        features = self._features_buf[: stop - start]
-        labels = self._labels_buf[: stop - start]
+    def _gather(self, rows, start: int, stop: int, positions, buffers):
+        """Rows ``start:stop``'s batches, in the front of ``buffers``."""
+        features = buffers[0][: stop - start]
+        labels = buffers[1][: stop - start]
         sources = self._sources
         # ``mode='clip'`` is exact for the always-in-range sampler
         # indices and selects take's unbuffered fast path (the default
@@ -370,8 +455,12 @@ class CohortPass:
         ``losses[j]`` and its clipped gradient into ``clean[j]``, in
         arrays of ``k`` rows the caller supplies, and returns how many
         rows the clip rescaled (under a per-example clip, the rows with
-        at least one rescaled example).  ``timer`` laps the gathers as
-        ``round.sample`` and the pass and the clip as ``round.cohort``.
+        at least one rescaled example).  ``timer`` laps the caller's
+        gathers as ``round.sample``, and its share of the pass, the wait
+        for the other threads and the clip as ``round.cohort``; the
+        other threads never touch it.  The chunks are dealt over the
+        pass's threads (see the class docstring); an exception from any
+        chunk is raised here after every thread has joined.
         """
         if self._features_buf is None:
             self._build()
@@ -379,7 +468,7 @@ class CohortPass:
         count = len(rows)
         g_max = self._g_max if positions is None else self._g_max[positions]
         if self._per_example:
-            features, labels = self._gather(rows, 0, count, positions)
+            features, labels = self._gather(rows, 0, count, positions, self._buffers[0])
             timer.lap("round.sample")
             per_example = np.stack(
                 [
@@ -394,10 +483,17 @@ class CohortPass:
             losses[:] = model.loss_stack(parameters, features, labels)
             timer.lap("round.cohort")
             return int(np.count_nonzero((norms > g_max[:, None]).any(axis=1)))
-        for start in range(0, count, self._chunk):
-            stop = min(start + self._chunk, count)
-            features, labels = self._gather(rows, start, stop, positions)
-            timer.lap("round.sample")
+        chunk = self._chunk
+        chunks = -(-count // chunk)
+
+        def chunk_pass(item: int, thread: int) -> None:
+            phases = timer if thread == 0 else NULL_TIMER
+            start = item * chunk
+            stop = min(start + chunk, count)
+            features, labels = self._gather(
+                rows, start, stop, positions, self._buffers[thread]
+            )
+            phases.lap("round.sample")
             if self._two_pass:
                 losses[start:stop] = model.loss_stack(parameters, features, labels)
                 clean[start:stop] = model.gradient_stack(parameters, features, labels)
@@ -409,7 +505,10 @@ class CohortPass:
                 losses[start:stop], clean[start:stop] = model.loss_and_gradient_stack(
                     parameters, features, labels
                 )
-            timer.lap("round.cohort")
+            phases.lap("round.cohort")
+
+        _deal(chunks, len(self._buffers), chunk_pass)
+        # The clip's lap below also charges the wait for the threads.
         norms = np.sqrt(np.einsum("wd,wd->w", clean, clean))
         exceeds = norms > g_max  # all-zero rows have norm 0 <= g_max
         clipped = 0
@@ -425,18 +524,41 @@ class CohortPass:
         """DP noise for ``len(noise)`` rounds: ``noise[:, j]`` takes the
         rows of the worker at position ``positions[j]`` (every worker in
         order when ``positions`` is ``None``), one
-        :meth:`~NoiseMechanism.sample_noise_block` per noised worker, in
-        row order, from its own stream.  Rows without a mechanism are
-        left as they were.
+        :meth:`~NoiseMechanism.sample_noise_block` per noised worker from
+        its own stream.  Rows without a mechanism are left as they were.
+
+        A block of at least ``_GATHER_BYTES`` (the fused engine's
+        pre-draw at large d) whose noised rows each own their generator's
+        bit generator is drawn over ``min(CPUs, 2, rows)`` threads (as the
+        pass's chunks are), joined before this returns: each stream is
+        read by one thread only, so its values are the same.  Any other
+        block is drawn in row order on the caller, so streams that share
+        a bit generator are read in worker order.  Mechanisms, like
+        models, are stateless, so two threads may call one mechanism at
+        once.
         """
         rounds, count, dimension = noise.shape
-        for row in range(count):
-            position = row if positions is None else positions[row]
+        if positions is None:
+            positions = range(count)
+        threads = 1
+        if noise.nbytes >= _GATHER_BYTES:
+            streams = [
+                id(self._noise_rngs[position].bit_generator)
+                for position in positions
+                if self._mechanisms[position] is not None
+            ]
+            if len(set(streams)) == len(streams):
+                threads = _threads()
+
+        def draw(row: int, thread: int) -> None:
+            position = positions[row]
             mechanism = self._mechanisms[position]
             if mechanism is not None:
                 noise[:, row] = mechanism.sample_noise_block(
                     rounds, dimension, self._noise_rngs[position]
                 )
+
+        _deal(count, threads, draw)
 
     def finish(
         self,

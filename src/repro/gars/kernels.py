@@ -12,7 +12,10 @@ Kernel inventory
   ``||x||^2 + ||y||^2 - 2 x.y`` for speed, then recomputes the entries
   the expansion cannot resolve (near-duplicate rows, where catastrophic
   cancellation loses all significant digits) with an exact
-  ``np.einsum`` difference path.
+  ``np.einsum`` difference path.  When every such pair joins two
+  identical finite rows — an attacked round's f Byzantine copies — and
+  the pairs hold at least ``_IDENTICAL_SKIP_FLOATS`` floats, it writes
+  the +0.0 the exact path would return instead of computing it.
 * :func:`krum_scores_from_sq_distances` — ``np.partition``-based
   neighbour selection instead of a full sort.
 * :func:`rank_by_score_then_value` — NumPy-native replacement for the
@@ -87,6 +90,17 @@ _MDA_PLAN_ENTRIES = 250_000
 #: for a pair depend on how many pairs the call holds.
 _EXACT_CHUNK_FLOATS = 8_000_000
 
+#: Smallest ``pairs * d`` of unreliable pairs for which
+#: :func:`pairwise_sq_distances` first checks whether every such pair
+#: joins two identical rows (every attacked round's f Byzantine copies)
+#: and, if so, writes their +0.0 without the exact path.  Below it the
+#: check's fixed cost (about 35 µs) outweighs the saving: on a 2-core
+#: x86-64 host, 55 pairs (n = 25, f = 11) took 78 µs exact against 97 µs
+#: checked at d = 300 (16 500 floats) and 244 against 106 µs at d = 400
+#: (22 000); 10 pairs (n = 11, f = 5) broke even near d = 1 500–2 000.
+#: At d = 10 001 the 55 pairs took 7.2 ms exact against 0.74 ms checked.
+_IDENTICAL_SKIP_FLOATS = 20_000
+
 
 # ---------------------------------------------------------------------------
 # pairwise distances
@@ -102,6 +116,15 @@ def pairwise_sq_distances(gradients: Matrix) -> np.ndarray:
     pair — are recomputed exactly from the row differences, so
     near-duplicate rows score 0 (or their true tiny distance) instead of
     cancellation noise.
+
+    Every attacked round carries f identical Byzantine rows, whose
+    f(f − 1)/2 pairs are all unreliable.  When the unreliable pairs hold
+    at least ``_IDENTICAL_SKIP_FLOATS`` floats (``pairs * d``) and every
+    one of them joins two identical finite rows
+    (:func:`_identical_pairs`), they get +0.0 — exactly what the exact
+    path returns for them — without the difference gather.  Otherwise
+    the exact path runs over all of them, as before: dropping only some
+    pairs from its calls could change a surviving pair's bits.
     """
     gradients = np.asarray(gradients, dtype=np.float64)
     if gradients.ndim != 2:
@@ -119,6 +142,12 @@ def pairwise_sq_distances(gradients: Matrix) -> np.ndarray:
         ii, jj = np.nonzero(unreliable)
         upper = ii < jj  # the matrix is symmetric; compute each pair once
         ii, jj = ii[upper], jj[upper]
+        if len(ii) * gradients.shape[1] >= _IDENTICAL_SKIP_FLOATS and _identical_pairs(
+            gradients, sq_norms, unreliable, ii, jj
+        ):
+            sq[ii, jj] = 0.0
+            sq[jj, ii] = 0.0
+            return sq
         chunk = max(1, _EXACT_CHUNK_FLOATS // gradients.shape[1])
         for start in range(0, len(ii), chunk):
             i, j = ii[start : start + chunk], jj[start : start + chunk]
@@ -127,6 +156,32 @@ def pairwise_sq_distances(gradients: Matrix) -> np.ndarray:
             sq[i, j] = exact
             sq[j, i] = exact
     return sq
+
+
+def _identical_pairs(gradients, sq_norms, unreliable, ii, jj) -> bool:
+    """Whether every unreliable pair ``(ii, jj)`` joins two equal finite rows.
+
+    Each row's representative is the first row it is unreliable against,
+    itself included.  The pairs qualify when each pair's rows share a
+    representative, each such row's squared norm is finite (so are its
+    entries) and each such row equals its representative, compared row
+    by row in place.  The exact path then returns +0.0 for every pair:
+    a difference of equal finite values is ``±0.0``, whose square is
+    +0.0.  ``unreliable``'s diagonal is set on the way.
+    """
+    diagonal = np.arange(len(unreliable))
+    unreliable[diagonal, diagonal] = True
+    representative = unreliable.argmax(axis=1)
+    if not (representative[ii] == representative[jj]).all():
+        return False
+    rows = np.union1d(ii, jj)
+    if not np.isfinite(sq_norms[rows]).all():
+        return False
+    return all(
+        np.array_equal(gradients[row], gradients[representative[row]])
+        for row in rows
+        if representative[row] != row
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ A *model* here is a differentiable loss landscape over a flat parameter
 vector ``w`` of dimension ``d``, evaluated on ``(features, labels)``
 batches.  Workers never mutate models; models are stateless functions
 of ``(w, batch)``, which keeps the distributed simulation free of
-hidden shared state.
+hidden shared state.  It also lets the cohort pass
+(:class:`repro.distributed.worker.CohortPass`) call one model from two
+threads at once at large d.
 """
 
 from __future__ import annotations

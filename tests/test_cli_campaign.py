@@ -200,6 +200,20 @@ class TestDamagedStoreRecords:
             assert key in error and str(path) in error
         assert path.read_text() == text  # nothing re-ran the cell
 
+    def test_unpaired_history_names_the_list(self, matrix_path, tmp_path, capsys):
+        """The report says which history list lost an entry, as a
+        checkpoint with the same damage does."""
+        store_dir = tmp_path / "store"
+        assert main(["campaign", str(matrix_path), "--store", str(store_dir)]) == 0
+        store = ResultStore(store_dir)
+        path = store.path_for(store.keys()[0])
+        path.write_text(_unpaired_losses(path.read_text()))
+        capsys.readouterr()
+        command = ["campaign", str(matrix_path), "--store", str(store_dir), "--report"]
+        assert main(command) == 2
+        error = capsys.readouterr().err
+        assert "field 'history' losses does not pair with loss_steps" in error
+
 
 class TestCampaignErrors:
     def test_missing_matrix_file_exits_2(self, tmp_path, capsys):

@@ -66,6 +66,80 @@ class TestPairwiseSqDistances:
             pairwise_sq_distances(np.zeros((2, 4, 3)))
 
 
+def _attacked(d, seed=0, n=25, f=11):
+    """An attacked round's matrix: ``n - f`` distinct honest rows, then
+    the ``f`` copies of one crafted row."""
+    rng = np.random.default_rng(seed)
+    gradients = rng.standard_normal((n, d))
+    gradients[n - f :] = rng.standard_normal(d)
+    return gradients
+
+
+def _with_zero_rows(gradients):
+    gradients[[1, 4, 6]] = 0.0  # dropped messages
+    return gradients
+
+
+def _with_infinite_row(gradients):
+    # Row 3's +inf against row 5's negative entry is an unreliable pair.
+    gradients[3, 0] = np.inf
+    gradients[5, 0] = -1.0
+    return gradients
+
+
+def _with_near_duplicate(gradients):
+    gradients[2] = gradients[0] + 1e-9 * gradients[1]
+    return gradients
+
+
+class TestIdenticalRowSkip:
+    """When every unreliable pair joins two identical finite rows (the f
+    Byzantine copies), ``pairwise_sq_distances`` writes +0.0 for them
+    without the exact path: bit for bit what the exact path returns."""
+
+    @staticmethod
+    def _skipped_and_exact(monkeypatch, gradients):
+        verdicts = []
+        check = kernels._identical_pairs
+
+        def spy(*args):
+            verdicts.append(check(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(kernels, "_identical_pairs", spy)
+        skipped = pairwise_sq_distances(gradients)
+        monkeypatch.setattr(kernels, "_IDENTICAL_SKIP_FLOATS", np.inf)  # out of reach
+        exact = pairwise_sq_distances(gradients)
+        return skipped, exact, verdicts
+
+    @pytest.mark.parametrize(
+        "damage, skipped",
+        [
+            (lambda gradients: gradients, True),
+            (_with_zero_rows, True),
+            (_with_infinite_row, False),
+            (_with_near_duplicate, False),
+        ],
+        ids=["identical-rows", "zero-rows", "infinite-row", "near-duplicate"],
+    )
+    @pytest.mark.parametrize("d", [10_001, 2_000])
+    def test_equals_the_exact_path(self, monkeypatch, damage, skipped, d):
+        gradients = damage(_attacked(d))
+        with np.errstate(invalid="ignore"):  # inf - inf in the Gram expansion
+            got, exact, verdicts = self._skipped_and_exact(monkeypatch, gradients)
+        assert verdicts == [skipped]
+        assert got.tobytes() == exact.tobytes()
+
+    @pytest.mark.parametrize("d", [100, 69])
+    def test_small_shapes_keep_the_exact_path(self, monkeypatch, d):
+        """``fused-krum``'s 55 pairs at d = 100 and ``paper-figure2``'s
+        MDA (n = 11, f = 5) stay below the gate."""
+        _, _, verdicts = self._skipped_and_exact(monkeypatch, _attacked(d))
+        assert verdicts == []
+        _, _, verdicts = self._skipped_and_exact(monkeypatch, _attacked(d, n=11, f=5))
+        assert verdicts == []
+
+
 class TestKrumNearDuplicateRegression:
     """The latent krum_scores inaccuracy: near-duplicate rows used to
     score Gram cancellation noise instead of their true distances."""

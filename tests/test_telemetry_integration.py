@@ -289,6 +289,47 @@ class TestTraceContents:
                 censuses[event["src"]][f"{event['kind']}:{event.get('name', '')}"] += 1
         assert dict(censuses) == {"shard:0": SHARD_CENSUS, "shard:1": SHARD_CENSUS}
 
+    def test_shard_charges_no_slow_stall_to_compute(self):
+        """A slow worker's 200 ms stall is not gradient compute: shard
+        0's round-3 ``round.cohort`` stays small, as in process."""
+        sink = MemorySink()
+        make_experiment(
+            telemetry=Telemetry(sinks=[sink]),
+            backend="multiprocess",
+            num_shards=2,
+            faults={
+                "num_shards": 2,
+                "events": [{"kind": "slow", "round": 3, "worker": 0, "factor": 20}],
+            },
+        ).run()
+        (cohort,) = [
+            event
+            for event in validate_events(sink.events)
+            if event["src"] == "shard:0"
+            and event["step"] == 3
+            and event.get("name") == "round.cohort"
+        ]
+        assert cohort["dur_ns"] < 100_000_000
+
+    def test_shard_codec_has_its_own_phase(self):
+        """With a codec, each shard laps its encode and plane writes as
+        ``round.codec``, once per round, as ``_cohort_rows`` does."""
+        sink = MemorySink()
+        make_experiment(
+            telemetry=Telemetry(sinks=[sink]),
+            backend="multiprocess",
+            num_shards=2,
+            codec="top-k",
+        ).run()
+        codec_steps = collections.defaultdict(list)
+        for event in validate_events(sink.events):
+            if event["src"] != "chief" and event.get("name") == "round.codec":
+                codec_steps[event["src"]].append(event["step"])
+        assert dict(codec_steps) == {
+            "shard:0": [1, 2, 3, 4, 5],
+            "shard:1": [1, 2, 3, 4, 5],
+        }
+
     def test_dropped_messages_counted_on_lossy_network(self):
         _, sink = observed_run(drop_probability=0.5)
         summary = summarize_trace(sink.events)
